@@ -2,11 +2,13 @@
 
 The backend is fixed at import time, so the comparison runs each side in
 a child process with GEMINAL_BACKEND set accordingly and merges the
-results.  Invoke with no arguments for the two-column table; --single
-times just the current interpreter's backend (used by the parent).
+results.  Invoke with no arguments for the two-column table, or the
+numpy column alone when numba is not installed; --single times just the
+current interpreter's backend (used by the parent).
 """
 
 import argparse
+import importlib.util
 import os
 import subprocess
 import sys
@@ -73,7 +75,7 @@ def run_child(backend):
     env.pop("NUMBA_DISABLE_JIT", None)
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--single"],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
     out = {}
     for line in proc.stdout.splitlines():
@@ -91,9 +93,16 @@ def main():
         run_single()
         return
 
-    numba_times = run_child("numba")
     numpy_times = run_child("numpy")
     width = max(len(name) for name in numpy_times)
+    if importlib.util.find_spec("numba") is None:
+        print("numba is unavailable; timing the numpy backend only")
+        print(f"{'workload':<{width}}  {'numpy':>9}")
+        for name, np_time in numpy_times.items():
+            print(f"{name:<{width}}  {np_time:8.4f}s")
+        return
+
+    numba_times = run_child("numba")
     print(f"{'workload':<{width}}  {'numba':>9}  {'numpy':>9}  {'speedup':>8}")
     for name, np_time in numpy_times.items():
         nb_time = numba_times[name]

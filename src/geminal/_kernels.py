@@ -1,7 +1,7 @@
 """Statevector array kernels with a numba fast path and a numpy fallback.
 
-The simulator's inner loops (single- and two-qubit gate application, CNOT,
-and per-trajectory measurement sampling) are implemented twice: once as
+The simulator's inner loops (single-qubit gate application, CNOT, and
+per-trajectory measurement sampling) are implemented twice: once as
 numba ``@njit`` loops over flat amplitude arrays, and once as vectorised
 numpy reshape arithmetic.  Both paths implement identical semantics on
 little-endian amplitude layouts (qubit q is bit q of the basis index).
@@ -106,23 +106,6 @@ def _np_apply_cnot_batch(amps2: np.ndarray, control: int, target: int) -> None:
     amps2[:, dst] = tmp
 
 
-def _np_apply_2q(amps: np.ndarray, m: np.ndarray, qa: int, qb: int) -> None:
-    n = amps.shape[0].bit_length() - 1
-    moved = np.moveaxis(amps.reshape((2,) * n), (n - 1 - qb, n - 1 - qa), (0, 1))
-    flat = moved.reshape(4, -1)  # copy whenever qa, qb are not the leading axes
-    moved[...] = (m @ flat).reshape(moved.shape)
-
-
-def _np_apply_2q_batch(amps2: np.ndarray, m: np.ndarray, qa: int, qb: int) -> None:
-    nt = amps2.shape[0]
-    n = amps2.shape[1].bit_length() - 1
-    moved = np.moveaxis(
-        amps2.reshape((nt,) + (2,) * n), (1 + n - 1 - qb, 1 + n - 1 - qa), (1, 2)
-    )
-    flat = moved.reshape(nt, 4, -1)
-    moved[...] = np.einsum("ij,njk->nik", m, flat).reshape(moved.shape)
-
-
 def _np_sample_rows(probs2: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs2, axis=1)
     # guard against rounding: final column acts as +inf
@@ -204,45 +187,6 @@ if _HAVE_NUMBA:
                     amps2[r, k1] = tmp
 
     @njit(cache=True)
-    def _nb_apply_2q(amps, m, qa, qb):  # pragma: no cover
-        dim = amps.shape[0]
-        sa = 1 << qa
-        sb = 1 << qb
-        for k in range(dim):
-            if (k & sa) == 0 and (k & sb) == 0:
-                k1 = k | sa
-                k2 = k | sb
-                k3 = k1 | sb
-                a0 = amps[k]
-                a1 = amps[k1]
-                a2 = amps[k2]
-                a3 = amps[k3]
-                amps[k] = m[0, 0] * a0 + m[0, 1] * a1 + m[0, 2] * a2 + m[0, 3] * a3
-                amps[k1] = m[1, 0] * a0 + m[1, 1] * a1 + m[1, 2] * a2 + m[1, 3] * a3
-                amps[k2] = m[2, 0] * a0 + m[2, 1] * a1 + m[2, 2] * a2 + m[2, 3] * a3
-                amps[k3] = m[3, 0] * a0 + m[3, 1] * a1 + m[3, 2] * a2 + m[3, 3] * a3
-
-    @njit(cache=True)
-    def _nb_apply_2q_batch(amps2, m, qa, qb):  # pragma: no cover
-        dim = amps2.shape[1]
-        sa = 1 << qa
-        sb = 1 << qb
-        for r in range(amps2.shape[0]):
-            for k in range(dim):
-                if (k & sa) == 0 and (k & sb) == 0:
-                    k1 = k | sa
-                    k2 = k | sb
-                    k3 = k1 | sb
-                    a0 = amps2[r, k]
-                    a1 = amps2[r, k1]
-                    a2 = amps2[r, k2]
-                    a3 = amps2[r, k3]
-                    amps2[r, k] = m[0, 0] * a0 + m[0, 1] * a1 + m[0, 2] * a2 + m[0, 3] * a3
-                    amps2[r, k1] = m[1, 0] * a0 + m[1, 1] * a1 + m[1, 2] * a2 + m[1, 3] * a3
-                    amps2[r, k2] = m[2, 0] * a0 + m[2, 1] * a1 + m[2, 2] * a2 + m[2, 3] * a3
-                    amps2[r, k3] = m[3, 0] * a0 + m[3, 1] * a1 + m[3, 2] * a2 + m[3, 3] * a3
-
-    @njit(cache=True)
     def _nb_sample_rows(probs2, u):  # pragma: no cover
         nr, dim = probs2.shape
         out = np.empty(nr, dtype=np.int64)
@@ -278,12 +222,6 @@ if _HAVE_NUMBA:
     def apply_cnot_batch(amps2, control, target):
         _nb_apply_cnot_batch(amps2, control, target)
 
-    def apply_2q(amps, m, qa, qb):
-        _nb_apply_2q(amps, np.ascontiguousarray(m), qa, qb)
-
-    def apply_2q_batch(amps2, m, qa, qb):
-        _nb_apply_2q_batch(amps2, np.ascontiguousarray(m), qa, qb)
-
     def sample_rows(probs2, u):
         return _nb_sample_rows(probs2, u)
 
@@ -293,6 +231,4 @@ else:
     apply_1q_rows = _np_apply_1q_rows
     apply_cnot = _np_apply_cnot
     apply_cnot_batch = _np_apply_cnot_batch
-    apply_2q = _np_apply_2q
-    apply_2q_batch = _np_apply_2q_batch
     sample_rows = _np_sample_rows

@@ -108,7 +108,7 @@ def write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def hybrid_config(args, shots_default: int = 2048) -> hybrid.HybridConfig:
+def hybrid_config(args) -> hybrid.HybridConfig:
     symmetries, project = parse_mitigate(args.mitigate)
     return hybrid.HybridConfig(
         shots=None if args.exact else args.shots,
@@ -124,11 +124,6 @@ def hybrid_config(args, shots_default: int = 2048) -> hybrid.HybridConfig:
 # curve
 # ---------------------------------------------------------------------------
 
-def _curve_worker(payload):
-    molecule, config, value = payload
-    return hybrid.run_hybrid(molecule, config, parameter=value)
-
-
 def cmd_curve(args) -> int:
     builder, label = resolve_molecule_builder(args)
     values = parse_scan_range(args.scan or DEFAULT_SCANS.get(args.system, "1.0:3.0:8"))
@@ -138,15 +133,11 @@ def cmd_curve(args) -> int:
     noise = load_noise(args.noise, 2 * probe.n_basis, args.damping)
     base = replace(base, noise=noise)
 
-    jobs = []
-    for i, value in enumerate(values):
-        config = replace(base, seed=base.seed + 104729 * i)
-        jobs.append((builder(value), config, float(value)))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(_curve_worker, jobs))
+            points = hybrid.dissociation_curve(builder, values, base, mapper=pool.map)
     else:
-        points = [_curve_worker(job) for job in jobs]
+        points = hybrid.dissociation_curve(builder, values, base)
 
     lines = header_lines(args, {"system": label})
     lines.append("# R_bohr  E_hybrid  E_FCI  E_RHF  abs_error_mhartree  iterations  flags")
@@ -193,19 +184,18 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def measure_scan_point(circuit, shots, seed, stream, noise):
-    if shots is None:
-        return tomography.ExactDistribution(
-            qsim.run_circuit(circuit).probabilities(), circuit.n_qubits
-        )
-    if noise is not None:
-        return qsim.run_noisy(circuit, noise, shots, seed, stream)
-    return qsim.sample(qsim.run_circuit(circuit), shots, seed, stream)
+    return tomography.measure_circuit(circuit, shots, seed, stream, noise)
 
 
-def half_set_occupations(record, r: int) -> tuple[np.ndarray, np.ndarray]:
-    alpha = np.array([record.occupation(2 * p) for p in range(r)])
-    beta = np.array([record.occupation(2 * p + 1) for p in range(r)])
-    return alpha, beta
+def filter_scan_point(record, symmetries, index: int, t) -> tuple[qsim.ShotHistogram, float]:
+    """Symmetry-filtered scan record; exits with a message if no shot survives."""
+    try:
+        return tomography.filter_symmetries(record, symmetries)
+    except ValueError as exc:
+        angles = ", ".join(f"{v:.4f}" for v in np.atleast_1d(t))
+        raise SystemExit(
+            f"scan point {index} (t = {angles}), filter {'+'.join(symmetries)}: {exc}"
+        ) from exc
 
 
 def cmd_scan(args) -> int:
@@ -227,16 +217,13 @@ def cmd_scan(args) -> int:
     for i, t in enumerate(points):
         circuit = ansatz.build_ansatz_circuit(r, np.array(t))
         record = measure_scan_point(circuit, shots, args.seed, i, noise)
-        frac = 1.0
-        filtered = record
-        if symmetries and isinstance(record, qsim.ShotHistogram):
-            filtered, frac = mitigation.symmetry_verify(
-                record, check_n="N" in symmetries, check_sz="Sz" in symmetries
-            )
+        filtered, frac = filter_scan_point(record, symmetries, i, t)
         retained.append(frac)
 
-        raw = half_set_occupations(record, r)
-        verified = half_set_occupations(filtered, r)
+        raw_est = tomography.occupations_from_counts(record, r)
+        verified_est = tomography.occupations_from_counts(filtered, r)
+        raw = (raw_est.n_alpha, raw_est.n_beta)
+        verified = (verified_est.n_alpha, verified_est.n_beta)
         if args.contract is not None:
             raw = tuple(0.5 + args.contract * (h - 0.5) for h in raw)
             verified = tuple(0.5 + args.contract * (h - 0.5) for h in verified)
@@ -320,15 +307,11 @@ def vtable_rows(r, shots, seed, noise):
     for name, symmetries in VTABLE_SETTINGS:
         halves = {0: ([], []), 1: ([], [])}
         fracs = []
-        for record in records:
-            filtered, frac = record, 1.0
-            if symmetries and isinstance(record, qsim.ShotHistogram):
-                filtered, frac = mitigation.symmetry_verify(
-                    record, check_n="N" in symmetries, check_sz="Sz" in symmetries
-                )
+        for i, (t, record) in enumerate(zip(grid, records)):
+            filtered, frac = filter_scan_point(record, symmetries, i, t)
             fracs.append(frac)
-            alpha, beta = half_set_occupations(filtered, r)
-            for idx, occ in ((0, alpha), (1, beta)):
+            est = tomography.occupations_from_counts(filtered, r)
+            for idx, occ in ((0, est.n_alpha), (1, est.n_beta)):
                 halves[idx][0].append(occ[0])
                 halves[idx][1].append(occ[1])
         mean_frac = float(np.mean(fracs))

@@ -142,17 +142,16 @@ class QuantumObjective:
         self.last_eval_preparations = 0
         self.last_state: GeminalState | None = None
         self.last_retained = 1.0
-        self._next_stream = 0
 
     def _sampler(self, circuit):
-        if self.config.shots is None:
-            return tomography.ExactSampler(circuit, counter=self.counter)
+        # every preparation draws one stream, so the preparation count so
+        # far is the next unused stream
         return tomography.ShotSampler(
             circuit,
             self.config.shots,
             seed=self.config.seed,
             noise=self.config.noise,
-            base_stream=self._next_stream,
+            base_stream=self.counter.count,
             counter=self.counter,
         )
 
@@ -160,16 +159,13 @@ class QuantumObjective:
         """One tomography batch: raw occupations plus phase estimates."""
         circuit = ansatz.build_ansatz_circuit(self.r, t)
         sampler = self._sampler(circuit)
-        symmetries = self.config.symmetries if self.config.shots is not None else ()
-        occ = tomography.measure_occupations(sampler, self.r, symmetries)
+        occ = tomography.measure_occupations(sampler, self.r, self.config.symmetries)
         n = 0.5 * (occ.n_alpha + occ.n_beta)
         if self.phase_mode == "measured":
             est = tomography.estimate_phases(sampler, self.r, self.config.phase_pattern)
             phases, phase_errs = est.values, est.stderr
         else:
             phases = phase_errs = None
-        if self.config.shots is not None:
-            self._next_stream = sampler._stream
         return n, phases, phase_errs, occ.retained_fraction
 
     def measure_state(self, t: np.ndarray, repeats: int = 1) -> GeminalState:
@@ -507,18 +503,23 @@ def run_hybrid(
     )
 
 
-def dissociation_curve(builder, values, config: HybridConfig) -> list[CurvePoint]:
+def _run_point(molecule: Molecule, config: HybridConfig, value: float) -> CurvePoint:
+    return run_hybrid(molecule, config, parameter=float(value))
+
+
+def dissociation_curve(builder, values, config: HybridConfig, mapper=map) -> list[CurvePoint]:
     """Independent hybrid runs over a geometry scan.
 
-    ``builder`` maps a scan value to a Molecule.  Each point gets a
-    decorrelated child seed derived from the configured base seed, so
-    the whole curve is reproducible yet points stay independent.
+    ``builder`` maps a scan value to a Molecule; molecules are built in
+    the calling process.  Each point gets a decorrelated child seed
+    derived from the configured base seed, so the whole curve is
+    reproducible yet points stay independent.  ``mapper`` runs the
+    points: the builtin ``map`` runs them in order here, and a process
+    pool's ``map`` runs them in parallel with the same results.
     """
     values = list(values)
     if not values:
         raise ValueError("scan needs at least one value")
-    points = []
-    for i, value in enumerate(values):
-        child = replace(config, seed=config.seed + 104729 * i)
-        points.append(run_hybrid(builder(value), child, parameter=float(value)))
-    return points
+    molecules = [builder(value) for value in values]
+    configs = [replace(config, seed=config.seed + 104729 * i) for i in range(len(values))]
+    return list(mapper(_run_point, molecules, configs, values))

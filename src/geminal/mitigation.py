@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geminal._kernels import popcount
 from geminal.qsim import ShotHistogram
-
-EVEN_BITS_64 = 0x5555555555555555
-
-
-def _alpha_beta_counts(key: int) -> tuple[int, int]:
-    return popcount(key & EVEN_BITS_64), popcount(key & (EVEN_BITS_64 << 1))
 
 
 def symmetry_verify(
@@ -45,19 +38,18 @@ def symmetry_verify(
 
     N keeps outcomes with exactly ``n_electrons`` set bits; Sz keeps
     outcomes with equal alpha (even qubit) and beta (odd qubit) counts.
-    Returns the filtered histogram and the retained shot fraction.
+    ``hist`` is a sampled record.  Returns the filtered histogram and the
+    retained shot fraction.
     """
-    if hist.n_qubits > 64:
-        raise ValueError("symmetry masks support at most 64 qubits")
-    kept: dict[int, int] = {}
-    for key, cnt in hist.counts.items():
-        na, nb = _alpha_beta_counts(key)
-        if check_n and na + nb != n_electrons:
-            continue
-        if check_sz and na != nb:
-            continue
-        kept[key] = cnt
-    retained = sum(kept.values())
+    bits = (np.arange(hist.counts.size)[:, None] >> np.arange(hist.n_qubits)) & 1
+    n_alpha, n_beta = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
+    keep = np.ones(hist.counts.size, dtype=bool)
+    if check_n:
+        keep &= n_alpha + n_beta == n_electrons
+    if check_sz:
+        keep &= n_alpha == n_beta
+    kept = np.where(keep, hist.counts, 0)
+    retained = int(kept.sum())
     if retained == 0:
         raise ValueError("symmetry filters rejected every shot")
     return ShotHistogram(hist.n_qubits, retained, kept), retained / hist.shots

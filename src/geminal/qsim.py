@@ -20,8 +20,7 @@ so results are reproducible bit-for-bit for a given (seed, stream).
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -422,43 +421,62 @@ def expectation_pauli(state: Statevector, op) -> float:
 # histograms and sampling
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ShotHistogram:
+    """Z-basis measurement record: one weight per outcome, dense over 2**n_qubits.
+
+    Sampled and noisy runs hold integer counts summing to ``shots``.  An
+    exact run holds the outcome probabilities with ``shots=None``; its
+    estimates carry no shot noise.
+    """
+
     n_qubits: int
-    shots: int
-    counts: dict[int, int] = field(default_factory=dict)
+    shots: int | None
+    counts: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and (self.n_qubits, self.shots) == (other.n_qubits, other.shots)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    @property
+    def _norm(self) -> float:
+        """Total weight of the counts: the shot count, or 1 for probabilities."""
+        return 1.0 if self.shots is None else self.shots
 
     def bitstring(self, index: int) -> str:
         return format(index, f"0{self.n_qubits}b")  # qubit 0 rightmost
 
     def occupation(self, qubit: int) -> float:
         """Mean of bit `qubit` over shots."""
-        hit = sum(c for k, c in self.counts.items() if (k >> qubit) & 1)
-        return hit / self.shots
+        k = np.arange(self.counts.size)
+        return float(np.sum(self.counts[(k >> qubit) & 1 == 1])) / self._norm
 
     def parity(self, mask: int) -> float:
         """Mean of (-1)**popcount(outcome & mask)."""
-        acc = sum(
-            c * (1.0 - 2.0 * (_kernels.popcount(k & mask) & 1))
-            for k, c in self.counts.items()
-        )
-        return acc / self.shots
+        signs = _kernels.parity_signs(self.counts.size, mask)
+        return float(np.sum(self.counts * signs)) / self._norm
 
     def parity_stderr(self, mask: int) -> float:
+        if self.shots is None:
+            return 0.0
         p = self.parity(mask)
         var = max(0.0, 1.0 - p * p)
         return math.sqrt(var / self.shots)
 
     def to_text(self) -> str:
         lines = [f"# histogram n_qubits={self.n_qubits} shots={self.shots}"]
-        for k in sorted(self.counts):
+        for k in np.flatnonzero(self.counts):
             lines.append(f"{self.bitstring(k)} {self.counts[k]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ShotHistogram":
+        """Parse `to_text` output of a sampled record; raises ValueError if malformed."""
         n_qubits = shots = None
-        counts: dict[int, int] = {}
+        entries: list[tuple[str, int]] = []
         for raw in text.splitlines():
             line = raw.strip()
             if line.startswith("#"):
@@ -471,9 +489,18 @@ class ShotHistogram:
             if not line:
                 continue
             bits, cnt = line.split()
-            counts[int(bits, 2)] = int(cnt)
+            entries.append((bits, int(cnt)))
         if n_qubits is None or shots is None:
             raise ValueError("histogram text is missing its header")
+        counts = np.zeros(1 << n_qubits, dtype=np.int64)
+        for bits, cnt in entries:
+            if len(bits) != n_qubits or set(bits) - {"0", "1"}:
+                raise ValueError(f"outcome {bits!r} is not a {n_qubits}-bit string")
+            if cnt < 0:
+                raise ValueError(f"outcome {bits} has negative count {cnt}")
+            counts[int(bits, 2)] += cnt
+        if counts.sum() != shots:
+            raise ValueError(f"counts sum to {counts.sum()}, header says shots={shots}")
         return cls(n_qubits, shots, counts)
 
 
@@ -516,7 +543,7 @@ def sample(
     outcomes = np.minimum(outcomes, probs.size - 1).astype(np.int64)
     if readout is not None:
         outcomes = _apply_readout_flips(outcomes, np.asarray(readout, float), rng)
-    return ShotHistogram(state.n_qubits, shots, dict(Counter(outcomes.tolist())))
+    return ShotHistogram(state.n_qubits, shots, np.bincount(outcomes, minlength=probs.size))
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +761,8 @@ class TrajectoryEnsemble:
             ro = self.noise.readout_vector(self.n_qubits)
             if np.any(ro > 0):
                 outcomes = _apply_readout_flips(outcomes, ro, self._rng)
-        return ShotHistogram(
-            self.n_qubits, self.n_trajectories, dict(Counter(outcomes.tolist()))
-        )
+        counts = np.bincount(outcomes, minlength=1 << self.n_qubits)
+        return ShotHistogram(self.n_qubits, self.n_trajectories, counts)
 
 
 def run_trajectories(

@@ -24,27 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from geminal import mitigation, qsim
-from geminal.qsim import Circuit, NoiseModel, ShotHistogram, Statevector
-
-
-class ExactDistribution:
-    """Duck-typed stand-in for ShotHistogram with zero shot noise."""
-
-    def __init__(self, probs: np.ndarray, n_qubits: int):
-        self.probs = probs
-        self.n_qubits = n_qubits
-
-    def occupation(self, qubit: int) -> float:
-        k = np.arange(self.probs.size)
-        return float(np.sum(self.probs[(k >> qubit) & 1 == 1]))
-
-    def parity(self, mask: int) -> float:
-        from geminal._kernels import parity_signs
-
-        return float(np.sum(self.probs * parity_signs(self.probs.size, mask)))
-
-    def parity_stderr(self, mask: int) -> float:
-        return 0.0
+from geminal.qsim import Circuit, NoiseModel, ShotHistogram
 
 
 @dataclass
@@ -58,26 +38,48 @@ class PreparationCounter:
         self.count = 0
 
 
+def measure_circuit(
+    circuit: Circuit,
+    shots: int | None,
+    seed: int = 0,
+    stream: int = 0,
+    noise: NoiseModel | None = None,
+) -> ShotHistogram:
+    """One preparation of ``circuit`` measured in the Z basis.
+
+    ``shots=None`` returns the exact outcome probabilities of the
+    noiseless circuit; otherwise ``shots`` outcomes are drawn from the
+    (seed, stream) generator, through the trajectory noise model if one
+    is given.
+    """
+    if shots is None:
+        return ShotHistogram(circuit.n_qubits, None, qsim.run_circuit(circuit).probabilities())
+    if noise is not None:
+        return qsim.run_noisy(circuit, noise, shots, seed, stream)
+    return qsim.sample(qsim.run_circuit(circuit), shots, seed, stream)
+
+
 class ShotSampler:
     """Samples a fixed preparation circuit in caller-chosen bases.
 
     Each ``run`` is one circuit preparation: the preparation circuit plus
-    an optional basis-rotation circuit, executed for ``shots`` shots.
-    Streams advance per run so repeated calls draw fresh randomness
-    while the whole object stays deterministic in (seed, base_stream).
+    an optional basis-rotation circuit, executed for ``shots`` shots, or
+    exactly when ``shots`` is None.  Streams advance per run so repeated
+    calls draw fresh randomness while the whole object stays
+    deterministic in (seed, base_stream).
     """
 
     def __init__(
         self,
         circuit: Circuit,
-        shots: int,
+        shots: int | None,
         seed: int = 0,
         noise: NoiseModel | None = None,
         base_stream: int = 0,
         counter: PreparationCounter | None = None,
     ):
         self.circuit = circuit
-        self.shots = int(shots)
+        self.shots = None if shots is None else int(shots)
         self.seed = int(seed)
         self.noise = noise
         self.counter = counter if counter is not None else PreparationCounter()
@@ -94,30 +96,7 @@ class ShotSampler:
         self.counter.bump()
         stream = self._stream
         self._stream += 1
-        if self.noise is not None:
-            return qsim.run_noisy(total, self.noise, self.shots, self.seed, stream)
-        state = qsim.run_circuit(total)
-        return qsim.sample(state, self.shots, self.seed, stream)
-
-
-class ExactSampler:
-    """Noiseless, shot-free sampler; used when shots is configured None."""
-
-    def __init__(self, circuit: Circuit, counter: PreparationCounter | None = None):
-        self.circuit = circuit
-        self.counter = counter if counter is not None else PreparationCounter()
-
-    @property
-    def n_qubits(self) -> int:
-        return self.circuit.n_qubits
-
-    def run(self, basis: Circuit | None = None) -> ExactDistribution:
-        total = self.circuit.copy()
-        if basis is not None:
-            total.extend(basis)
-        self.counter.bump()
-        state = qsim.run_circuit(total)
-        return ExactDistribution(state.probabilities(), total.n_qubits)
+        return measure_circuit(total, self.shots, self.seed, stream, self.noise)
 
 
 # ---------------------------------------------------------------------------
@@ -131,42 +110,44 @@ class OccupationEstimate:
     stderr_alpha: np.ndarray
     stderr_beta: np.ndarray
     retained_fraction: float = 1.0
-    histogram: object = field(default=None, repr=False)
+    histogram: ShotHistogram | None = field(default=None, repr=False)
 
 
-def occupations_from_counts(counts, r: int, shots_like: float) -> OccupationEstimate:
+def occupations_from_counts(record: ShotHistogram, r: int) -> OccupationEstimate:
     """Per-orbital alpha/beta occupations from a Z-basis record."""
-    na = np.array([counts.occupation(2 * p) for p in range(r)])
-    nb = np.array([counts.occupation(2 * p + 1) for p in range(r)])
-    if isinstance(counts, ExactDistribution) or shots_like <= 0:
+    na = np.array([record.occupation(2 * p) for p in range(r)])
+    nb = np.array([record.occupation(2 * p + 1) for p in range(r)])
+    if record.shots is None:
         sa = np.zeros(r)
         sb = np.zeros(r)
     else:
-        sa = np.sqrt(np.clip(na * (1 - na), 0, None) / shots_like)
-        sb = np.sqrt(np.clip(nb * (1 - nb), 0, None) / shots_like)
-    return OccupationEstimate(na, nb, sa, sb, 1.0, counts)
+        sa = np.sqrt(np.clip(na * (1 - na), 0, None) / record.shots)
+        sb = np.sqrt(np.clip(nb * (1 - nb), 0, None) / record.shots)
+    return OccupationEstimate(na, nb, sa, sb, 1.0, record)
+
+
+def filter_symmetries(
+    record: ShotHistogram, symmetries: tuple[str, ...]
+) -> tuple[ShotHistogram, float]:
+    """Symmetry-filtered record and its retained shot fraction.
+
+    ``symmetries`` may contain 'N' (two-electron count) and 'Sz' (equal
+    alpha and beta counts).  Exact records come from noiseless circuits,
+    where filtering is a no-op, and pass through unchanged.
+    """
+    if not symmetries or record.shots is None:
+        return record, 1.0
+    return mitigation.symmetry_verify(
+        record, check_n="N" in symmetries, check_sz="Sz" in symmetries
+    )
 
 
 def measure_occupations(
     sampler, r: int, symmetries: tuple[str, ...] = ()
 ) -> OccupationEstimate:
-    """One Z-basis preparation, optionally symmetry-filtered.
-
-    ``symmetries`` may contain 'N' (two-electron count) and 'Sz' (equal
-    alpha and beta counts); filtering applies to raw histograms before
-    any occupation is formed and is skipped in exact mode, where it
-    would be a no-op.
-    """
-    record = sampler.run(None)
-    retained = 1.0
-    if symmetries and isinstance(record, ShotHistogram):
-        record, retained = mitigation.symmetry_verify(
-            record,
-            check_n="N" in symmetries,
-            check_sz="Sz" in symmetries,
-        )
-    shots_like = record.shots if isinstance(record, ShotHistogram) else 0
-    est = occupations_from_counts(record, r, shots_like)
+    """One Z-basis preparation, symmetry-filtered before any occupation is formed."""
+    record, retained = filter_symmetries(sampler.run(None), symmetries)
+    est = occupations_from_counts(record, r)
     est.retained_fraction = retained
     return est
 

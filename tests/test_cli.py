@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from geminal import cli, hybrid
+from geminal import cli, hybrid, qsim
 
 
 def run_cli(argv):
@@ -177,9 +177,28 @@ def test_scan_rejects_unsupported_size(tmp_path):
         run_cli(["scan", "--geometry", str(geom), "--out", str(tmp_path)])
 
 
+def odd_electron_record(circuit, shots, seed, stream, noise):
+    """A record whose every shot holds one electron, so the N filter rejects it all."""
+    counts = np.zeros(1 << circuit.n_qubits, dtype=np.int64)
+    counts[0b0001] = shots
+    return qsim.ShotHistogram(circuit.n_qubits, shots, counts)
+
+
+def test_scan_all_shots_rejected_is_clean_exit(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "measure_scan_point", odd_electron_record)
+    with pytest.raises(SystemExit, match=r"scan point 0 \(t = -3\.1416\), filter N\+Sz: .*rejected"):
+        run_cli(["scan", "--system", "h2", "--out", str(tmp_path)])
+
+
 # ---------------------------------------------------------------------------
 # vtable
 # ---------------------------------------------------------------------------
+
+def test_vtable_all_shots_rejected_is_clean_exit(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "measure_scan_point", odd_electron_record)
+    with pytest.raises(SystemExit, match=r"scan point 0 \(t = -3\.1416\), filter N: .*rejected"):
+        run_cli(["vtable", "--system", "h2", "--out", str(tmp_path)])
+
 
 def test_vtable_noiseless_rows_near_two(tmp_path):
     code = run_cli(

@@ -311,6 +311,18 @@ class TestDissociationCurve:
         again = dissociation_curve(chem.h2_molecule, [1.4, 1.4], config)
         assert [p.energy for p in twice] == [p.energy for p in again]
 
+    def test_injected_mapper_runs_every_point_with_its_seed(self):
+        seen = []
+
+        def recording_map(fn, molecules, configs, values):
+            seen.extend((config.seed, value) for config, value in zip(configs, values))
+            return map(fn, molecules, configs, values)
+
+        config = HybridConfig(shots=None, seed=3, outer_max_iter=0)
+        curve = dissociation_curve(chem.h2_molecule, [1.0, 1.4], config, mapper=recording_map)
+        assert seen == [(3, 1.0), (3 + 104729, 1.4)]
+        assert [p.parameter for p in curve] == [1.0, 1.4]
+
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             dissociation_curve(chem.h2_molecule, [], HybridConfig())

@@ -1,4 +1,4 @@
-"""Cross-checks between the two kernel backends and a dense oracle.
+"""Cross-checks between the two kernel backends.
 
 The dispatch functions (whatever backend is active) are compared against
 the pure-numpy reference implementations on random data, so when numba
@@ -83,42 +83,6 @@ def test_apply_cnot_backends_agree():
     K.apply_cnot_batch(a2, 3, 0)
     K._np_apply_cnot_batch(b2, 3, 0)
     assert np.allclose(a2, b2, atol=1e-14)
-
-
-def test_apply_2q_matches_dense_oracle():
-    rng = np.random.default_rng(4)
-    n = 4
-    for qa in range(n):
-        for qb in range(n):
-            if qa == qb:
-                continue
-            m = random_unitary(rng, 4)
-            psi = random_batch(rng, 1, n)[0]
-            got = psi.copy()
-            K.apply_2q(got, m, qa, qb)
-            ref = psi.copy()
-            K._np_apply_2q(ref, m, qa, qb)
-            assert np.allclose(got, ref, atol=1e-13), (qa, qb)
-            # dense oracle: local index = bit(qa) + 2 bit(qb)
-            dim = 1 << n
-            dense = np.zeros((dim, dim), dtype=complex)
-            for k in range(dim):
-                ba, bb = (k >> qa) & 1, (k >> qb) & 1
-                rest = k & ~((1 << qa) | (1 << qb))
-                for loc in range(4):
-                    j = rest | ((loc & 1) << qa) | ((loc >> 1) << qb)
-                    dense[j, k] = m[loc, ba + 2 * bb]
-            assert np.allclose(got, dense @ psi, atol=1e-13), (qa, qb)
-
-
-def test_apply_2q_batch_backends_agree():
-    rng = np.random.default_rng(5)
-    a = random_batch(rng, 5, 4)
-    b = a.copy()
-    m = random_unitary(rng, 4)
-    K.apply_2q_batch(a, m, 1, 3)
-    K._np_apply_2q_batch(b, m, 1, 3)
-    assert np.allclose(a, b, atol=1e-13)
 
 
 def test_sample_rows_inverse_cdf():

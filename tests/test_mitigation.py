@@ -28,35 +28,77 @@ def ideal_sorted_occupations(t, r):
     return np.sort(ansatz.givens_chain_amplitudes(np.asarray(t, float), r) ** 2)[::-1]
 
 
+def histogram(n_qubits, shots, counts: dict) -> ShotHistogram:
+    dense = np.zeros(1 << n_qubits, dtype=np.int64)
+    for k, c in counts.items():
+        dense[k] = c
+    return ShotHistogram(n_qubits, shots, dense)
+
+
+def reference_symmetry_verify(counts: dict, shots: int, check_n=True, check_sz=True):
+    """Dict-loop filter, the sparse form the dense record replaced."""
+    kept = {}
+    for key, cnt in counts.items():
+        na = bin(key & 0x5555555555555555).count("1")
+        nb = bin(key & 0xAAAAAAAAAAAAAAAA).count("1")
+        if check_n and na + nb != 2:
+            continue
+        if check_sz and na != nb:
+            continue
+        kept[key] = cnt
+    retained = sum(kept.values())
+    return kept, retained, retained / shots
+
+
 class TestSymmetryVerify:
     def test_filter_counts(self):
         # 0b0011 keeps both filters, 0b0001 fails N, 0b0101 (two alphas)
         # passes N but fails Sz
-        hist = ShotHistogram(4, 1024, {0b0011: 700, 0b0001: 200, 0b0101: 124})
+        hist = histogram(4, 1024, {0b0011: 700, 0b0001: 200, 0b0101: 124})
         filt_n, frac_n = symmetry_verify(hist, check_n=True, check_sz=False)
-        assert filt_n.counts == {0b0011: 700, 0b0101: 124}
+        assert filt_n == histogram(4, 824, {0b0011: 700, 0b0101: 124})
         assert frac_n == pytest.approx(824 / 1024)
         filt_both, frac_both = symmetry_verify(hist)
-        assert filt_both.counts == {0b0011: 700}
+        assert filt_both == histogram(4, 700, {0b0011: 700})
         assert frac_both == pytest.approx(700 / 1024)
         assert filt_both.shots == 700
 
     def test_sz_only_keeps_balanced_outcomes(self):
-        hist = ShotHistogram(4, 30, {0b0000: 10, 0b1111: 10, 0b0101: 10})
+        hist = histogram(4, 30, {0b0000: 10, 0b1111: 10, 0b0101: 10})
         filt, frac = symmetry_verify(hist, check_n=False, check_sz=True)
-        assert set(filt.counts) == {0b0000, 0b1111}
+        assert set(np.flatnonzero(filt.counts)) == {0b0000, 0b1111}
         assert frac == pytest.approx(2 / 3)
 
     def test_soundness_random_histogram(self):
         rng = np.random.default_rng(0)
         counts = {int(k): 1 for k in rng.integers(0, 2**6, size=200)}
-        hist = ShotHistogram(6, len(counts), counts)
+        hist = histogram(6, len(counts), counts)
         filt, _ = symmetry_verify(hist)
-        for key in filt.counts:
+        for key in np.flatnonzero(filt.counts):
             alpha = bin(key & 0b010101).count("1")
             beta = bin(key & 0b101010).count("1")
             assert alpha + beta == 2
             assert alpha == beta
+
+    def test_dense_filter_equals_dict_reference(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 4, 6):
+            for _ in range(20):
+                keys = rng.integers(0, 1 << n, size=rng.integers(1, 16))
+                counts = {int(k): int(rng.integers(1, 5000)) for k in keys}
+                shots = sum(counts.values())
+                for check_n, check_sz in ((True, True), (True, False), (False, True)):
+                    kept, retained, frac = reference_symmetry_verify(
+                        counts, shots, check_n, check_sz
+                    )
+                    hist = histogram(n, shots, counts)
+                    if retained == 0:
+                        with pytest.raises(ValueError, match="rejected"):
+                            symmetry_verify(hist, check_n, check_sz)
+                        continue
+                    filt, got_frac = symmetry_verify(hist, check_n, check_sz)
+                    assert filt == histogram(n, retained, kept)
+                    assert got_frac == frac
 
     def test_noiseless_ansatz_retains_everything(self):
         circuit = ansatz.build_ansatz_circuit(3, np.array([-1.0, 0.4]))
@@ -65,7 +107,7 @@ class TestSymmetryVerify:
         assert frac == 1.0
 
     def test_all_rejected_raises(self):
-        hist = ShotHistogram(4, 5, {0b0001: 5})
+        hist = histogram(4, 5, {0b0001: 5})
         with pytest.raises(ValueError, match="rejected"):
             symmetry_verify(hist)
 

@@ -222,25 +222,75 @@ def test_circuit_text_roundtrip():
 # histograms and sampling
 # ---------------------------------------------------------------------------
 
+def histogram(n_qubits, shots, counts: dict) -> ShotHistogram:
+    dense = np.zeros(1 << n_qubits, dtype=np.int64)
+    for k, c in counts.items():
+        dense[k] = c
+    return ShotHistogram(n_qubits, shots, dense)
+
+
+def reference_occupation(counts: dict, shots: int, qubit: int) -> float:
+    """Dict-loop mean of bit `qubit`, the sparse form the dense record replaced."""
+    return sum(c for k, c in counts.items() if (k >> qubit) & 1) / shots
+
+
+def reference_parity(counts: dict, shots: int, mask: int) -> float:
+    acc = sum(c * (1.0 - 2.0 * (bin(k & mask).count("1") & 1)) for k, c in counts.items())
+    return acc / shots
+
+
 def test_histogram_statistics_and_text():
-    hist = ShotHistogram(4, 1024, {0b0101: 700, 0b0100: 200, 0b0110: 124})
+    hist = histogram(4, 1024, {0b0101: 700, 0b0100: 200, 0b0110: 124})
     assert hist.bitstring(0b0101) == "0101"
     assert hist.occupation(0) == pytest.approx(700 / 1024)
     assert hist.occupation(2) == pytest.approx(1.0)
     assert hist.parity(0b0101) == pytest.approx((700 - 200 + 124 * -1) / 1024)
     text = hist.to_text()
+    assert text.splitlines() == [
+        "# histogram n_qubits=4 shots=1024", "0100 200", "0101 700", "0110 124"
+    ]
     back = ShotHistogram.from_text(text)
     assert back == hist
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("01011 4\n", "4-bit"),  # too long for a dense index
+        ("011 4\n", "4-bit"),
+        ("01a1 4\n", "4-bit"),
+        ("0_11 4\n", "4-bit"),  # int(..., 2) would accept the underscore
+        ("0101 -1\n0100 5\n", "negative"),
+        ("0101 3\n", "sum to 3"),
+    ],
+)
+def test_histogram_from_text_rejects_malformed(body, match):
+    with pytest.raises(ValueError, match=match):
+        ShotHistogram.from_text("# histogram n_qubits=4 shots=4\n" + body)
+
+
+def test_dense_statistics_equal_dict_reference():
+    rng = np.random.default_rng(17)
+    for n in (2, 4, 6):
+        for _ in range(20):
+            keys = rng.integers(0, 1 << n, size=rng.integers(1, 12))
+            counts = {int(k): int(rng.integers(1, 5000)) for k in keys}
+            shots = sum(counts.values())
+            hist = histogram(n, shots, counts)
+            for q in range(n):
+                assert hist.occupation(q) == reference_occupation(counts, shots, q)
+            for mask in range(1 << n):
+                assert hist.parity(mask) == reference_parity(counts, shots, mask)
 
 
 def test_sampling_is_deterministic_and_unbiased():
     state = qsim.run_circuit(Circuit(2).h(0).cx(0, 1))
     h1 = qsim.sample(state, 4096, seed=9, stream=0)
     h2 = qsim.sample(state, 4096, seed=9, stream=0)
-    assert h1.counts == h2.counts
+    assert np.array_equal(h1.counts, h2.counts)
     h3 = qsim.sample(state, 4096, seed=9, stream=1)
-    assert h3.counts != h1.counts
-    assert set(h1.counts) <= {0b00, 0b11}
+    assert not np.array_equal(h3.counts, h1.counts)
+    assert set(np.flatnonzero(h1.counts)) <= {0b00, 0b11}
     # 5 sigma band around p = 0.5
     p = h1.counts[0b00] / 4096
     assert abs(p - 0.5) < 5 * math.sqrt(0.25 / 4096)
@@ -362,10 +412,10 @@ def test_noisy_sampling_reproducible():
     nm = NoiseModel.uniform(2, p1=0.01, p2=0.05, readout=0.03)
     h1 = qsim.run_noisy(circ, nm, shots=512, seed=21, stream=3)
     h2 = qsim.run_noisy(circ, nm, shots=512, seed=21, stream=3)
-    assert h1.counts == h2.counts
-    assert sum(h1.counts.values()) == 512
+    assert np.array_equal(h1.counts, h2.counts)
+    assert h1.counts.sum() == 512
     h3 = qsim.run_noisy(circ, nm, shots=512, seed=22, stream=3)
-    assert h3.counts != h1.counts
+    assert not np.array_equal(h3.counts, h1.counts)
 
 
 def test_readout_noise_on_prepared_state():

@@ -6,7 +6,6 @@ import pytest
 from geminal import ansatz, qsim, tomography
 from geminal.qsim import Circuit, NoiseModel
 from geminal.tomography import (
-    ExactSampler,
     ShotSampler,
     classical_phase_assignment,
     estimate_phases,
@@ -20,15 +19,26 @@ def bell_circuit() -> Circuit:
     return Circuit(2).h(0).cx(0, 1)
 
 
+def exact_sampler(circuit, counter=None) -> ShotSampler:
+    return ShotSampler(circuit, shots=None, counter=counter)
+
+
 class TestExactDistribution:
     def test_occupation_and_parity_match_probabilities(self):
         state = qsim.run_circuit(bell_circuit())
-        dist = tomography.ExactDistribution(state.probabilities(), 2)
+        dist = exact_sampler(bell_circuit()).run()
+        assert dist.shots is None
+        np.testing.assert_array_equal(dist.counts, state.probabilities())
         assert dist.occupation(0) == pytest.approx(0.5)
         assert dist.occupation(1) == pytest.approx(0.5)
         assert dist.parity(0b11) == pytest.approx(1.0)  # correlated bits
         assert dist.parity(0b01) == pytest.approx(0.0)
         assert dist.parity_stderr(0b11) == 0.0
+
+    def test_exact_record_ignores_seed_and_stream(self):
+        first = tomography.measure_circuit(bell_circuit(), None, seed=1, stream=0)
+        second = tomography.measure_circuit(bell_circuit(), None, seed=2, stream=5)
+        assert first == second
 
 
 class TestSamplers:
@@ -42,13 +52,13 @@ class TestSamplers:
         sampler = ShotSampler(bell_circuit(), shots=256, seed=4)
         first = sampler.run()
         second = sampler.run()
-        assert first.counts != second.counts
+        assert not np.array_equal(first.counts, second.counts)
 
     def test_shot_sampler_deterministic(self):
         runs = []
         for _ in range(2):
             sampler = ShotSampler(bell_circuit(), shots=256, seed=4)
-            runs.append(sampler.run().counts)
+            runs.append(sampler.run())
         assert runs[0] == runs[1]
 
     def test_shot_sampler_noise_path(self):
@@ -60,7 +70,7 @@ class TestSamplers:
         assert hist.occupation(1) == pytest.approx(0.25, abs=0.04)
 
     def test_exact_sampler_basis_rotation(self):
-        sampler = ExactSampler(bell_circuit())
+        sampler = exact_sampler(bell_circuit())
         dist = sampler.run(Circuit(2).h(0).h(1))
         # Bell state in the X basis keeps even parity
         assert dist.parity(0b11) == pytest.approx(1.0)
@@ -68,8 +78,8 @@ class TestSamplers:
 
     def test_shared_counter(self):
         counter = tomography.PreparationCounter()
-        ExactSampler(bell_circuit(), counter=counter).run()
-        ExactSampler(bell_circuit(), counter=counter).run()
+        exact_sampler(bell_circuit(), counter).run()
+        exact_sampler(bell_circuit(), counter).run()
         assert counter.count == 2
         counter.reset()
         assert counter.count == 0
@@ -79,7 +89,7 @@ class TestOccupations:
     def test_exact_occupations_match_amplitudes(self):
         t = np.array([-2.0, 0.7])
         amps = ansatz.givens_chain_amplitudes(t)
-        sampler = ExactSampler(ansatz.build_ansatz_circuit(3, t))
+        sampler = exact_sampler(ansatz.build_ansatz_circuit(3, t))
         est = measure_occupations(sampler, 3)
         np.testing.assert_allclose(est.n_alpha, amps**2, atol=1e-12)
         np.testing.assert_allclose(est.n_beta, amps**2, atol=1e-12)
@@ -115,7 +125,7 @@ class TestOccupations:
         assert err_filt < err_raw
 
     def test_exact_mode_skips_filtering(self):
-        sampler = ExactSampler(ansatz.build_ansatz_circuit(2, np.array([-0.8])))
+        sampler = exact_sampler(ansatz.build_ansatz_circuit(2, np.array([-0.8])))
         est = measure_occupations(sampler, 2, ("N", "Sz"))
         assert est.retained_fraction == 1.0
 
@@ -164,14 +174,14 @@ class TestPhaseEstimation:
                 amps = ansatz.givens_chain_amplitudes(t)
                 expected = amps[:-1] * amps[1:]
                 for pattern in ("C2", "C3"):
-                    sampler = ExactSampler(ansatz.build_ansatz_circuit(r, t))
+                    sampler = exact_sampler(ansatz.build_ansatz_circuit(r, t))
                     est = estimate_phases(sampler, r, pattern)
                     np.testing.assert_allclose(est.values, expected, atol=1e-12)
                     assert sampler.counter.count == 2
 
     def test_exact_signs_and_no_ambiguity(self):
         t = np.array([-0.8])  # amplitudes (cos, sin) have opposite signs
-        sampler = ExactSampler(ansatz.build_ansatz_circuit(2, t))
+        sampler = exact_sampler(ansatz.build_ansatz_circuit(2, t))
         est = estimate_phases(sampler, 2)
         assert est.xi.tolist() == [-1]
         assert not est.ambiguous.any()
