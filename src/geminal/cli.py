@@ -108,10 +108,25 @@ def write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def requested_shots(args) -> int | None:
+    """Shots per preparation, or None for --exact, which has no noise model."""
+    if args.exact and args.noise != "off":
+        raise SystemExit(f"--exact is noiseless and cannot be combined with --noise {args.noise}")
+    return None if args.exact else args.shots
+
+
 def hybrid_config(args) -> hybrid.HybridConfig:
     symmetries, project = parse_mitigate(args.mitigate)
     return hybrid.HybridConfig(
-        shots=None if args.exact else args.shots,
+        shots=requested_shots(args),
         noise=None,  # attached per run once the qubit count is known
         seed=args.seed,
         symmetries=symmetries,
@@ -125,9 +140,9 @@ def hybrid_config(args) -> hybrid.HybridConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_curve(args) -> int:
+    base = hybrid_config(args)
     builder, label = resolve_molecule_builder(args)
     values = parse_scan_range(args.scan or DEFAULT_SCANS.get(args.system, "1.0:3.0:8"))
-    base = hybrid_config(args)
 
     probe = chem.compute_integrals(builder(values[0]))
     noise = load_noise(args.noise, 2 * probe.n_basis, args.damping)
@@ -199,13 +214,13 @@ def filter_scan_point(record, symmetries, index: int, t) -> tuple[qsim.ShotHisto
 
 
 def cmd_scan(args) -> int:
+    shots = requested_shots(args)
     builder, label = resolve_molecule_builder(args)
     molecule = builder(args.at)
     ints = chem.compute_integrals(molecule)
     r = ints.n_basis
     if r < 2 or r > 3:
         raise SystemExit("occupation scans support systems with 2 or 3 orbitals")
-    shots = None if args.exact else args.shots
     noise = load_noise(args.noise, 2 * r, args.damping)
     symmetries, project = parse_mitigate(args.mitigate)
 
@@ -331,12 +346,12 @@ def vtable_rows(r, shots, seed, noise):
 
 
 def cmd_vtable(args) -> int:
+    shots = requested_shots(args)
     builder, label = resolve_molecule_builder(args)
     molecule = builder(args.at)
     ints = chem.compute_integrals(molecule)
     if ints.n_basis != 2:
         raise SystemExit("the V table is defined for two-orbital systems")
-    shots = None if args.exact else args.shots
     noise = load_noise(args.noise, 4, args.damping)
 
     rows = vtable_rows(2, shots, args.seed, noise)
@@ -507,7 +522,7 @@ def cmd_integrals(args) -> int:
 def add_common_arguments(sub, with_scan_point=False):
     sub.add_argument("--system", choices=sorted(SYSTEM_BUILDERS), default="h2")
     sub.add_argument("--geometry", help="geometry file (overrides --system)")
-    sub.add_argument("--shots", type=int, default=2048)
+    sub.add_argument("--shots", type=positive_int, default=2048)
     sub.add_argument("--exact", action="store_true", help="exact expectations, no sampling")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--noise", default="off", help="off, ibm-5, ibm-14, or a calibration file")
@@ -534,7 +549,7 @@ def make_parser() -> argparse.ArgumentParser:
     curve = subs.add_parser("curve", help="dissociation curve against FCI")
     add_common_arguments(curve)
     curve.add_argument("--scan", help="geometry range start:stop:npoints")
-    curve.add_argument("--jobs", type=int, default=1)
+    curve.add_argument("--jobs", type=positive_int, default=1)
     curve.set_defaults(func=cmd_curve)
 
     scan = subs.add_parser("scan", help="occupation scan over entangler angles")

@@ -69,9 +69,10 @@ def assemble_2dm_energy(
 class HybridConfig:
     """Knobs for one hybrid optimization.
 
-    shots=None runs exact (infinite-shot) tomography.  phase_mode
-    'auto' measures the signs for r=2 and propagates them classically
-    for larger r; 'measured' and 'classical' force either route.
+    shots=None runs exact (infinite-shot) noiseless tomography and so
+    takes no noise model.  phase_mode 'auto' measures the signs for r=2
+    and propagates them classically for larger r; 'measured' and
+    'classical' force either route.
     """
 
     shots: int | None = 2048
@@ -103,6 +104,8 @@ class HybridConfig:
             raise ValueError("need at least one optimization run")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be positive or None for exact mode")
+        if self.shots is None and self.noise is not None:
+            raise ValueError("exact mode (shots=None) is noiseless; a noise model needs shots")
 
     @property
     def effective_nm_ftol(self) -> float:

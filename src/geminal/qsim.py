@@ -79,7 +79,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return _kernels.popcount(self.xmask | self.zmask)
+        return (self.xmask | self.zmask).bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -88,7 +88,7 @@ class PauliString:
 
     @property
     def n_y(self) -> int:
-        return _kernels.popcount(self.xmask & self.zmask)
+        return (self.xmask & self.zmask).bit_count()
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n_qubits != other.n_qubits:
@@ -97,13 +97,13 @@ class PauliString:
         z = self.zmask ^ other.zmask
         # i^(ny1+ny2-ny12) from re-canonicalising, (-1)^|z1&x2| from
         # commuting Z^z1 past X^x2
-        k = (self.n_y + other.n_y - _kernels.popcount(x & z)) % 4
-        phase = (1j) ** k * (-1.0) ** _kernels.popcount(self.zmask & other.xmask)
+        k = (self.n_y + other.n_y - (x & z).bit_count()) % 4
+        phase = (1j) ** k * (-1.0) ** (self.zmask & other.xmask).bit_count()
         return PauliString(self.n_qubits, x, z, self.coeff * other.coeff * phase)
 
     def commutes(self, other: "PauliString") -> bool:
-        a = _kernels.popcount(self.xmask & other.zmask)
-        b = _kernels.popcount(self.zmask & other.xmask)
+        a = (self.xmask & other.zmask).bit_count()
+        b = (self.zmask & other.xmask).bit_count()
         return (a + b) % 2 == 0
 
     def scaled(self, factor: complex) -> "PauliString":

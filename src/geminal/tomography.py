@@ -48,11 +48,13 @@ def measure_circuit(
     """One preparation of ``circuit`` measured in the Z basis.
 
     ``shots=None`` returns the exact outcome probabilities of the
-    noiseless circuit; otherwise ``shots`` outcomes are drawn from the
-    (seed, stream) generator, through the trajectory noise model if one
-    is given.
+    noiseless circuit and rejects a noise model; otherwise ``shots``
+    outcomes are drawn from the (seed, stream) generator, through the
+    trajectory noise model if one is given.
     """
     if shots is None:
+        if noise is not None:
+            raise ValueError("exact mode (shots=None) is noiseless; a noise model needs shots")
         return ShotHistogram(circuit.n_qubits, None, qsim.run_circuit(circuit).probabilities())
     if noise is not None:
         return qsim.run_noisy(circuit, noise, shots, seed, stream)

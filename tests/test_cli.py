@@ -56,6 +56,39 @@ def test_load_noise_off_and_bad_file(tmp_path):
         cli.load_noise(str(bad), 4, False)
 
 
+@pytest.mark.parametrize(
+    "command, noise", [("curve", "ibm-5"), ("scan", "ibm-14"), ("vtable", "ibm-14")]
+)
+def test_exact_with_noise_is_clean_exit_before_work(tmp_path, monkeypatch, command, noise):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the option check")
+
+    monkeypatch.setattr(cli, "resolve_molecule_builder", no_work)
+    with pytest.raises(SystemExit, match=f"--exact .* --noise {noise}$"):
+        run_cli([command, "--exact", "--noise", noise, "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--shots", "0"],
+        ["vtable", "--shots", "0"],
+        ["scan", "--shots", "-5"],
+        ["curve", "--jobs", "-3"],
+        ["curve", "--jobs", "0"],
+        ["curve", "--shots", "many"],
+    ],
+)
+def test_nonpositive_shots_and_jobs_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geminal")
+    assert "must be a positive integer" in err or "invalid positive_int value" in err
+
+
 def test_missing_geometry_file_is_clean_error(tmp_path):
     code = None
     with pytest.raises(SystemExit, match="not found"):

@@ -108,6 +108,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="shots"):
             HybridConfig(shots=0)
 
+    def test_exact_mode_rejects_noise(self):
+        noise = qsim.NoiseModel.uniform(4, p1=0.01)
+        with pytest.raises(ValueError, match="noiseless"):
+            HybridConfig(shots=None, noise=noise)
+        assert HybridConfig(shots=64, noise=noise).noise is noise
+
 
 class TestQuantumObjective:
     def test_constant_preparation_cost(self, h2_reference):

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
-from geminal import qsim
+from geminal import ansatz, qsim
 from geminal.qsim import (
     CalibrationError,
     Circuit,
@@ -466,3 +467,92 @@ def test_noise_model_missing_coupling_raises():
     nm = NoiseModel({0: 0.0, 1: 0.0}, {(0, 1): 0.1}, {0: 0.0, 1: 0.0})
     with pytest.raises(CalibrationError):
         nm.p_gate(Gate("cx", (1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# density-matrix oracle for the trajectory noise model
+# ---------------------------------------------------------------------------
+
+def density_matrix_outcomes(circ: Circuit, cal: qsim.DeviceCalibration) -> np.ndarray:
+    """Outcome distribution of the calibrated Pauli + readout noise model.
+
+    Evolves rho through each gate followed by its depolarising channel,
+    (1 - p) rho + p/3 sum_P P rho P over X, Y, Z after a one-qubit gate
+    and p/15 over the 15 non-identity two-qubit Paulis after a CNOT, then
+    flips each measured bit of diag(rho) with its readout error.  Rates
+    come straight from the calibration, on the identity qubit layout.
+    """
+    n = circ.n_qubits
+    dim = 1 << n
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circ.gates:
+        if gate.name == "cx":
+            c, t = gate.qubits
+            u = dense_cnot(c, t, n)
+            p = cal.cx_error(c, t)
+            paulis = [
+                embed(PAULI[a], c, n) @ embed(PAULI[b], t, n)
+                for a in "IXYZ" for b in "IXYZ" if a + b != "II"
+            ]
+        else:
+            (q,) = gate.qubits
+            u = embed(gate.matrix(), q, n)
+            p = cal.qubit(q).u2_error
+            paulis = [embed(PAULI[a], q, n) for a in "XYZ"]
+        rho = u @ rho @ u.conj().T
+        rho = (1.0 - p) * rho + p / len(paulis) * sum(P @ rho @ P.conj().T for P in paulis)
+    probs = np.real(np.diag(rho)).copy()
+    k = np.arange(dim)
+    for q in range(n):
+        ro = cal.qubit(q).readout_error
+        probs = (1.0 - ro) * probs + ro * probs[k ^ (1 << q)]
+    return probs
+
+
+def chi_square_statistic(counts: np.ndarray, probs: np.ndarray) -> tuple[float, int]:
+    """Pearson statistic and degrees of freedom; bins expecting < 5 are pooled."""
+    expected = probs * counts.sum()
+    big = expected >= 5.0
+    obs = np.append(counts[big], counts[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    if exp[-1] == 0.0:
+        obs, exp = obs[:-1], exp[:-1]
+    return float(np.sum((obs - exp) ** 2 / exp)), obs.size - 1
+
+
+def chain_calibration(n: int, u2: float, readout: float, cx: float) -> qsim.DeviceCalibration:
+    """Uniform rates on an n-qubit linear chain."""
+    return qsim.parse_calibration(
+        "device chain\n"
+        + "".join(f"qubit {q} {u2} {u2} {readout} 50 50\n" for q in range(n))
+        + "".join(f"cx {q} {q + 1} {cx}\n" for q in range(n - 1))
+    )
+
+
+def test_density_matrix_oracle_without_noise_is_the_statevector():
+    cal = chain_calibration(4, 0.0, 0.0, 0.0)
+    circ = ansatz.build_ansatz_circuit(2, np.array([0.37]))
+    ideal = qsim.run_circuit(circ).probabilities()
+    assert np.allclose(density_matrix_outcomes(circ, cal), ideal, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "device, angles, seed",
+    [("ibm-5", [-0.8], 31), ("ibm-14", [0.45, -1.1], 37), ("stressed", [0.9], 41)],
+)
+def test_trajectory_histogram_matches_density_matrix(device, angles, seed):
+    # the device one-qubit rates (~1e-3) are too small for 20000 shots to
+    # resolve; the stressed chain makes the one-qubit channel visible too
+    shots = 20000
+    circ = ansatz.build_ansatz_circuit(len(angles) + 1, np.array(angles))
+    if device == "stressed":
+        cal = chain_calibration(circ.n_qubits, 0.04, 0.03, 0.06)
+    else:
+        cal = qsim.load_calibration(device)
+    noise = NoiseModel.from_calibration(cal, circ.n_qubits)
+    probs = density_matrix_outcomes(circ, cal)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    hist = qsim.run_noisy(circ, noise, shots, seed=seed)
+    stat, dof = chi_square_statistic(hist.counts, probs)
+    assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)

@@ -40,6 +40,13 @@ class TestExactDistribution:
         second = tomography.measure_circuit(bell_circuit(), None, seed=2, stream=5)
         assert first == second
 
+    def test_exact_record_rejects_noise_model(self):
+        noise = NoiseModel.uniform(2, p2=0.05)
+        with pytest.raises(ValueError, match="noiseless"):
+            tomography.measure_circuit(bell_circuit(), None, noise=noise)
+        with pytest.raises(ValueError, match="noiseless"):
+            ShotSampler(bell_circuit(), shots=None, noise=noise).run()
+
 
 class TestSamplers:
     def test_shot_sampler_counts_preparations(self):
