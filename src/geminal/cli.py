@@ -519,24 +519,20 @@ def cmd_integrals(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def add_common_arguments(sub, with_scan_point=False):
+def add_molecule_arguments(sub, single_geometry=True):
     sub.add_argument("--system", choices=sorted(SYSTEM_BUILDERS), default="h2")
     sub.add_argument("--geometry", help="geometry file (overrides --system)")
+    if single_geometry:
+        sub.add_argument("--at", type=float, default=1.4, help="geometry parameter in bohr")
+    sub.add_argument("--out", help="output directory (default $GEMINAL_OUT or .)")
+
+
+def add_sampling_arguments(sub):
     sub.add_argument("--shots", type=positive_int, default=2048)
     sub.add_argument("--exact", action="store_true", help="exact expectations, no sampling")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--noise", default="off", help="off, ibm-5, ibm-14, or a calibration file")
     sub.add_argument("--damping", action="store_true", help="include T1/T2 damping channels")
-    sub.add_argument(
-        "--mitigate", default="n,sz,polytope", help="comma list of n, sz, polytope; or none"
-    )
-    sub.add_argument("--phase", choices=["auto", "measured", "classical"], default="auto")
-    sub.add_argument("--out", help="output directory (default $GEMINAL_OUT or .)")
-    sub.add_argument("--strict", action="store_true")
-    if with_scan_point:
-        sub.add_argument(
-            "--at", type=float, default=1.4, help="geometry parameter in bohr"
-        )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -547,13 +543,17 @@ def make_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     curve = subs.add_parser("curve", help="dissociation curve against FCI")
-    add_common_arguments(curve)
+    add_molecule_arguments(curve, single_geometry=False)
+    add_sampling_arguments(curve)
+    curve.add_argument("--phase", choices=["auto", "measured", "classical"], default="auto")
+    curve.add_argument("--strict", action="store_true", help="exit 1 if any point is flagged")
     curve.add_argument("--scan", help="geometry range start:stop:npoints")
     curve.add_argument("--jobs", type=positive_int, default=1)
     curve.set_defaults(func=cmd_curve)
 
     scan = subs.add_parser("scan", help="occupation scan over entangler angles")
-    add_common_arguments(scan, with_scan_point=True)
+    add_molecule_arguments(scan)
+    add_sampling_arguments(scan)
     scan.add_argument(
         "--contract",
         type=float,
@@ -561,8 +561,14 @@ def make_parser() -> argparse.ArgumentParser:
     )
     scan.set_defaults(func=cmd_scan)
 
+    for sub in (curve, scan):
+        sub.add_argument(
+            "--mitigate", default="n,sz,polytope", help="comma list of n, sz, polytope; or none"
+        )
+
     vtable = subs.add_parser("vtable", help="V metric by symmetry setting")
-    add_common_arguments(vtable, with_scan_point=True)
+    add_molecule_arguments(vtable)
+    add_sampling_arguments(vtable)
     vtable.set_defaults(func=cmd_vtable)
 
     selftest = subs.add_parser("selftest", help="oracle and invariant checks")
@@ -571,7 +577,7 @@ def make_parser() -> argparse.ArgumentParser:
     selftest.set_defaults(func=cmd_selftest)
 
     integrals = subs.add_parser("integrals", help="dump integral tables")
-    add_common_arguments(integrals, with_scan_point=True)
+    add_molecule_arguments(integrals)
     integrals.set_defaults(func=cmd_integrals)
 
     return parser

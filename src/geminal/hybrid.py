@@ -200,8 +200,7 @@ class QuantumObjective:
         if self.phase_mode == "measured":
             vals = ph_acc / repeats
             errs = np.sqrt(ph_var) / repeats
-            xi = np.where(vals >= 0, 1, -1).astype(int)
-            ambiguous = np.abs(vals) < 2.0 * errs
+            xi, ambiguous = tomography.phase_signs(vals, errs)
             if np.any(ambiguous):
                 fallback = tomography.classical_phase_assignment(t)
                 xi[ambiguous] = fallback.xi[ambiguous]

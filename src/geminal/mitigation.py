@@ -9,9 +9,10 @@ the ideal occupation vertices
     v_j = (1/j, ..., 1/j, 0, ..., 0),   j = 1..r,
 
 which is exactly the set of occupation vectors reachable by the paired
-ansatz after sorting in descending order.  An optional affine map,
-fitted against ideal scan curves, absorbs systematic shot-independent
-distortion before projecting.
+ansatz after sorting in descending order: the ordered simplex
+{n_1 >= ... >= n_r >= 0, sum n = 1}, onto which the projection is closed
+form.  An optional affine map, fitted against ideal scan curves, absorbs
+systematic shot-independent distortion before projecting.
 
 The dissociation-style figure of merit for mitigation quality is the
 integrated occupation splitting V = trapezoid of |n_2 - n_1| over a
@@ -20,7 +21,6 @@ rotation-angle grid; its ideal value on the standard grid is 2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,39 +138,28 @@ class ProjectionResult:
     distance: float
 
 
-def _project_onto_hull(point: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto conv(vertices) by face enumeration.
+def _project_onto_hull(point: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto conv{v_j}, the ordered simplex.
 
-    Every active set of the optimum appears among vertex subsets, and r
-    stays small here, so checking all 2^r - 1 subsets is exact and
-    cheap.  Each subset gives an equality-constrained least-squares
-    candidate, kept only if its barycentric weights are nonnegative.
+    Pool-adjacent-violators gives the nearest non-increasing vector y
+    (Best & Chakravarti 1990); it pools only when an affine map unsorted
+    the input.  A common shift and clipping at zero keep that order, so the
+    sorted probability-simplex threshold finishes the projection
+    (Condat 2016): tau_k = (y_1 + ... + y_k - 1) / k, rho is the last k
+    with y_k > tau_k, and the result is max(y - tau_rho, 0).
     """
-    r = vertices.shape[0]
-    best = None
-    best_dist = np.inf
-    for size in range(1, r + 1):
-        for subset in itertools.combinations(range(r), size):
-            v = vertices[list(subset)]
-            gram = v @ v.T
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = gram
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.append(v @ point, 1.0)
-            try:
-                lam = np.linalg.solve(kkt, rhs)[:size]
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(lam < -1e-10):
-                continue
-            cand = lam @ v
-            dist = np.linalg.norm(cand - point)
-            if dist < best_dist - 1e-15:
-                best_dist = dist
-                best = cand
-    assert best is not None  # singletons always qualify
-    return best
+    sums, counts = [], []
+    for value in point.tolist():
+        total, count = value, 1
+        while sums and sums[-1] * count < total * counts[-1]:
+            total += sums.pop()
+            count += counts.pop()
+        sums.append(total)
+        counts.append(count)
+    y = np.repeat(np.array(sums) / counts, counts)
+    tau = (np.cumsum(y) - 1.0) / np.arange(1, y.size + 1)
+    rho = np.flatnonzero(y > tau)[-1]
+    return np.maximum(y - tau[rho], 0.0)
 
 
 def project_polytope(
@@ -189,7 +178,7 @@ def project_polytope(
     sorted_n = n_raw[order]
     if affine is not None:
         sorted_n = affine(sorted_n)
-    projected = _project_onto_hull(sorted_n, polytope_vertices(r))
+    projected = _project_onto_hull(sorted_n)
     out = np.empty(r)
     out[order] = projected
     distance = float(np.linalg.norm(out - n_raw))

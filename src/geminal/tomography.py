@@ -13,8 +13,8 @@ beta qubits to Y (pattern C2; C3 swaps the roles),
 
 equals g_k g_{k+1} exactly on ideal paired states, where g_p are the
 signed pair amplitudes.  Only the sign enters the energy; an estimate
-within ``ambiguity_z`` standard errors of zero is flagged so callers can
-fall back to the classically propagated sign.
+within two standard errors of zero is flagged so callers can fall back
+to the classically propagated sign.
 """
 
 from __future__ import annotations
@@ -187,16 +187,14 @@ class PhaseEstimate:
     values: np.ndarray  # raw estimates of g_k g_{k+1}
     stderr: np.ndarray
     xi: np.ndarray  # +-1 signs
-    ambiguous: np.ndarray  # True where |value| < ambiguity_z * stderr
+    ambiguous: np.ndarray  # True where |value| < 2 * stderr
 
 
 def window_mask(k: int) -> int:
     return 0b1111 << (2 * k)
 
 
-def estimate_phases(
-    sampler, r: int, pattern: str = "C2", ambiguity_z: float = 2.0
-) -> PhaseEstimate:
+def estimate_phases(sampler, r: int, pattern: str = "C2") -> PhaseEstimate:
     """Two rotated-basis preparations giving all r-1 window signs."""
     circ_a, circ_b = phase_measurement_circuits(r, pattern)
     rec_a = sampler.run(circ_a)
@@ -207,9 +205,13 @@ def estimate_phases(
         mask = window_mask(k)
         vals[k] = 0.25 * (rec_a.parity(mask) + rec_b.parity(mask))
         errs[k] = 0.25 * np.hypot(rec_a.parity_stderr(mask), rec_b.parity_stderr(mask))
-    xi = np.where(vals >= 0, 1, -1).astype(int)
-    ambiguous = np.abs(vals) < ambiguity_z * errs
-    return PhaseEstimate(vals, errs, xi, ambiguous)
+    return PhaseEstimate(vals, errs, *phase_signs(vals, errs))
+
+
+def phase_signs(values: np.ndarray, stderr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs +-1 of coherence estimates (zero is +1), and the ambiguous ones."""
+    xi = np.where(values >= 0, 1, -1).astype(int)
+    return xi, np.abs(values) < 2.0 * stderr
 
 
 def classical_phase_assignment(t: np.ndarray) -> PhaseEstimate:

@@ -89,6 +89,23 @@ def test_nonpositive_shots_and_jobs_are_usage_errors(argv, capsys):
     assert "must be a positive integer" in err or "invalid positive_int value" in err
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["integrals", "--shots", "5"], "--shots 5"),
+        (["vtable", "--mitigate", "none"], "--mitigate none"),
+        (["scan", "--strict"], "--strict"),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(argv, unread, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geminal")
+    assert f"unrecognized arguments: {unread}" in err
+
+
 def test_missing_geometry_file_is_clean_error(tmp_path):
     code = None
     with pytest.raises(SystemExit, match="not found"):
@@ -290,6 +307,8 @@ def test_selftest_flags_corrupt_calibration(tmp_path, capsys):
 def test_integrals_h2_values(tmp_path):
     run_cli(["integrals", "--system", "h2", "--at", "1.4", "--out", str(tmp_path)])
     text = (tmp_path / "integrals.txt").read_text()
+    # the header echoes the molecule options only; no sampling settings
+    assert text.splitlines()[1] == f"# config: at=1.4 command=integrals out={tmp_path} system=h2"
     assert "enuc = 0.714285714286" in text
     assert "E_RHF = -1.116714325063" in text
     assert "E_FCI = -1.137275943617" in text

@@ -1,9 +1,12 @@
 """Symmetry filtering, polytope projection, and scan metrics.
 
-The Euclidean projector is cross-checked against an independent convex
-solver (cvxpy) and the affine calibration against constructed synthetic
-corruptions with known ground truth.
+The closed-form Euclidean projector is cross-checked against a
+face-enumeration oracle kept here (always run) and an independent convex
+solver (cvxpy, skipped when absent), and the affine calibration against
+constructed synthetic corruptions with known ground truth.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -33,6 +36,41 @@ def histogram(n_qubits, shots, counts: dict) -> ShotHistogram:
     for k, c in counts.items():
         dense[k] = c
     return ShotHistogram(n_qubits, shots, dense)
+
+
+def face_enumeration_projection(point: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto conv(vertices) by face enumeration.
+
+    Every active set of the optimum appears among vertex subsets, and r
+    stays small here, so checking all 2^r - 1 subsets is exact and
+    cheap.  Each subset gives an equality-constrained least-squares
+    candidate, kept only if its barycentric weights are nonnegative.
+    """
+    r = vertices.shape[0]
+    best = None
+    best_dist = np.inf
+    for size in range(1, r + 1):
+        for subset in itertools.combinations(range(r), size):
+            v = vertices[list(subset)]
+            gram = v @ v.T
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = gram
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            rhs = np.append(v @ point, 1.0)
+            try:
+                lam = np.linalg.solve(kkt, rhs)[:size]
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(lam < -1e-10):
+                continue
+            cand = lam @ v
+            dist = np.linalg.norm(cand - point)
+            if dist < best_dist - 1e-15:
+                best_dist = dist
+                best = cand
+    assert best is not None  # singletons always qualify
+    return best
 
 
 def reference_symmetry_verify(counts: dict, shots: int, check_n=True, check_sz=True):
@@ -179,12 +217,38 @@ class TestAffineMap:
 
 class TestProjection:
     def test_vertices_unchanged(self):
-        for r in (2, 3, 4):
+        for r in range(1, 9):
             for v in polytope_vertices(r):
                 res = project_polytope(v)
                 np.testing.assert_allclose(res.occupations, v, atol=1e-12)
                 assert not res.changed
                 assert res.distance < 1e-12
+
+    def test_matches_face_enumeration(self):
+        # sorted, tied, and affine-unsorted inputs for r = 1..8
+        rng = np.random.default_rng(29)
+        worst = 0.0
+        unsorted = 0
+        for r in range(1, 9):
+            verts = polytope_vertices(r)
+            for _ in range(40):
+                # a shuffled, perturbed identity unsorts the sorted input
+                matrix = rng.permutation(np.eye(r)) + rng.normal(0.0, 0.2, size=(r, r))
+                cases = [
+                    (rng.normal(0.3, 0.6, size=r), None),
+                    (rng.choice([0.6, 0.25, 0.0, -0.1], size=r), None),
+                    (rng.normal(0.3, 0.6, size=r), AffineMap(matrix, rng.normal(0.0, 0.1, size=r))),
+                ]
+                for point, amap in cases:
+                    order = np.argsort(-point, kind="stable")
+                    target = point[order] if amap is None else amap(point[order])
+                    unsorted += bool(np.any(np.diff(target) > 0))
+                    expected = np.empty(r)
+                    expected[order] = face_enumeration_projection(target, verts)
+                    ours = project_polytope(point, affine=amap).occupations
+                    worst = max(worst, np.abs(ours - expected).max())
+        assert unsorted > 200  # of 320 mapped inputs, so pooling is exercised
+        assert worst <= 1e-12
 
     def test_clamp_to_nearest_vertex(self):
         res = project_polytope(np.array([1.05, -0.05]))

@@ -11,6 +11,7 @@ from geminal.tomography import (
     estimate_phases,
     measure_occupations,
     phase_measurement_circuits,
+    phase_signs,
     window_mask,
 )
 
@@ -200,6 +201,14 @@ class TestPhaseEstimation:
         assert est.xi.tolist() == [-1]
         assert not est.ambiguous.any()
         assert est.stderr[0] > 0
+
+    def test_phase_signs_rule(self):
+        # zero is +1; ambiguity is strict: |value| < 2 stderr
+        values = np.array([0.3, -0.3, 0.0, -0.05, 0.05])
+        stderr = np.array([0.1, 0.1, 0.0, 0.025, 0.03])
+        xi, ambiguous = phase_signs(values, stderr)
+        assert xi.tolist() == [1, -1, 1, -1, 1]
+        assert ambiguous.tolist() == [False, False, False, False, True]
 
     def test_vanishing_coherence_flagged_ambiguous(self):
         t = np.array([-np.pi / 2])  # first amplitude crosses zero
