@@ -4,7 +4,7 @@ The simulator's inner loops (single-qubit gate application, CNOT, and
 per-trajectory measurement sampling) work on little-endian amplitude
 layouts, where qubit q is bit q of the basis index.  Each gate kernel
 reshapes or index-permutes the amplitude array in place; the ``_batch``
-and ``_rows`` variants act on a 2-D array with one statevector per row.
+variants act on a 2-D array with one statevector per row.
 
 ``BACKEND`` names the kernel implementation and is recorded with
 benchmark results.
@@ -43,12 +43,6 @@ def apply_1q_batch(amps2: np.ndarray, m: np.ndarray, q: int) -> None:
     a1 = view[:, :, 1, :]
     view[:, :, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
     view[:, :, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
-
-
-def apply_1q_rows(amps2: np.ndarray, rows: np.ndarray, m: np.ndarray, q: int) -> None:
-    sub = amps2[rows]
-    apply_1q_batch(sub, m, q)
-    amps2[rows] = sub
 
 
 def apply_cnot(amps: np.ndarray, control: int, target: int) -> None:

@@ -454,6 +454,17 @@ def _check_fci_consistency(quick):
         assert abs(point.energy - point.energy_fci) < 1e-6
 
 
+def _check_trajectory_noise(quick):
+    # X then a depolarising error with p: <Z> = -(1 - 4p/3)
+    p, n_traj = 0.3, 4000 if quick else 40000
+    circuit = qsim.Circuit(1).x(0)
+    ens = qsim.run_trajectories(circuit, qsim.NoiseModel.uniform(1, p1=p), n_traj, seed=3)
+    got = ens.expectation(qsim.PauliString.from_label("Z"))
+    want = -(1.0 - 4.0 * p / 3.0)
+    bound = 5.0 * np.sqrt((1.0 - want**2) / n_traj)
+    assert abs(got - want) < bound, f"<Z> = {got:.4f}, want {want:.4f} +- {bound:.4f}"
+
+
 def cmd_selftest(args) -> int:
     checks = [
         ("calibration-files", lambda: _check_calibrations(args.noise)),
@@ -462,6 +473,7 @@ def cmd_selftest(args) -> int:
         ("polytope-projection", lambda: _check_polytope(args.quick)),
         ("energy-assembly", lambda: _check_energy_assembly(args.quick)),
         ("fci-consistency", lambda: _check_fci_consistency(args.quick)),
+        ("trajectory-noise", lambda: _check_trajectory_noise(args.quick)),
     ]
     failures = 0
     for name, check in checks:

@@ -448,7 +448,9 @@ def run_hybrid(
     Starts from the RHF orbitals.  Converged when two successive outer
     energies agree within ``config.outer_threshold``.  A zero outer-
     iteration cap short-circuits to the single-pair energy in the RHF
-    basis (the RHF determinant itself).
+    basis (the RHF determinant itself).  When outer steps ran and none
+    reached the RHF energy, the point reports the RHF start and carries
+    the flag ``no-gain-over-rhf``.
     """
     ints, rhf, fci = chem.scf_reference(molecule)
     r = ints.n_basis
@@ -468,7 +470,7 @@ def run_hybrid(
     converged = False
     outer = 0
     best_energy = energy
-    best_state, best_retained = state, 1.0
+    best_state, best_retained, best_outer = state, 1.0, 0
 
     for outer in range(1, config.outer_max_iter + 1):
         h, eri = chem.transform_integrals(ints, C)
@@ -483,12 +485,14 @@ def run_hybrid(
         trace.append(energy)
         if energy <= best_energy:
             best_energy = energy
-            best_state, best_retained = state, qres.retained_fraction
+            best_state, best_retained, best_outer = state, qres.retained_fraction, outer
         if abs(trace[-1] - trace[-2]) < config.outer_threshold:
             converged = True
             break
     if not converged and config.outer_max_iter > 0:
         flags.append("outer-iteration-cap")
+    if config.outer_max_iter > 0 and best_outer == 0:
+        flags.append("no-gain-over-rhf")
 
     return CurvePoint(
         parameter=parameter,

@@ -15,10 +15,18 @@ readout flips each measured bit independently, and optional T1/T2
 damping applies amplitude/phase relaxation for fixed gate durations.
 All randomness is drawn from a single numpy Generator in a fixed order,
 so results are reproducible bit-for-bit for a given (seed, stream).
+
+Shots with the same error history have the same state, so the
+trajectory engine keeps one state per distinct history.  It draws the
+same numbers in the same order as one statevector per shot would: a
+Pauli error moves the hit shots of a history to a new state made by one
+index gather, a damping jump or dephasing flip splits a history the same
+way, and the states are gathered back to one per shot before sampling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -176,12 +184,6 @@ _FIXED_1Q = {
 }
 _PARAMETRIC_1Q = {"rx", "ry", "rz"}
 GATE_NAMES = set(_FIXED_1Q) | _PARAMETRIC_1Q | {"cx"}
-
-_PAULI_1Q = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 @dataclass(frozen=True)
@@ -695,41 +697,6 @@ class NoiseModel:
         return np.array([self.readout.get(q, 0.0) for q in range(n_qubits)])
 
 
-def _apply_damping(
-    amps2: np.ndarray,
-    qubit: int,
-    duration_ns: float,
-    t1_ns: float,
-    t2_ns: float,
-    rng: np.random.Generator,
-) -> None:
-    """Trajectory amplitude damping plus pure dephasing on one qubit."""
-    nt, dim = amps2.shape
-    gamma = 1.0 - math.exp(-duration_ns / t1_ns)
-    k = np.arange(dim)
-    hi = k[(k >> qubit) & 1 == 1]
-    lo = hi ^ (1 << qubit)
-    p1 = np.sum(np.abs(amps2[:, hi]) ** 2, axis=1)
-    jump = rng.random(nt) < gamma * p1
-    if np.any(jump):
-        rows = np.nonzero(jump)[0]
-        sub = np.zeros_like(amps2[rows])
-        sub[:, lo] = amps2[rows][:, hi]
-        norm = np.linalg.norm(sub, axis=1, keepdims=True)
-        amps2[rows] = sub / norm
-    stay = np.nonzero(~jump)[0]
-    if stay.size:
-        amps2[np.ix_(stay, hi)] *= math.sqrt(1.0 - gamma)
-        norm = np.linalg.norm(amps2[stay], axis=1, keepdims=True)
-        amps2[stay] /= norm
-    # pure dephasing beyond the T1 contribution: 1/T2 = 1/(2 T1) + 1/Tphi
-    inv_tphi = 1.0 / t2_ns - 0.5 / t1_ns
-    pz = 0.5 * (1.0 - math.exp(-duration_ns * inv_tphi)) if inv_tphi > 0 else 0.0
-    flips = np.nonzero(rng.random(nt) < pz)[0]
-    if flips.size:
-        _kernels.apply_1q_rows(amps2, flips, _PAULI_1Q[2], qubit)
-
-
 class TrajectoryEnsemble:
     """Batch of per-shot statevectors after a noisy circuit run."""
 
@@ -765,6 +732,94 @@ class TrajectoryEnsemble:
         return ShotHistogram(self.n_qubits, self.n_trajectories, counts)
 
 
+@functools.lru_cache(maxsize=256)
+def _pauli_table(n_qubits: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Gather maps of every Pauli on ``qubits``, indexed by error code.
+
+    A code holds one letter 0..3 (I, X, Y, Z) per qubit in base 4, the
+    first qubit in the most significant digit, so CNOT error e is e // 4
+    on the control and e % 4 on the target.  For P = i**ny X^x Z^z,
+    ``(P psi)[j] = phase[code, j] * psi[perm[code, j]]``: an x-mask
+    permutation, a z-parity sign and an i**ny phase.  Each factor has
+    parts in {0, +-1}, so applying it is exact.
+    """
+    dim = 1 << n_qubits
+    codes = np.arange(4 ** len(qubits))
+    x = np.zeros(codes.size, dtype=np.int64)
+    z = np.zeros(codes.size, dtype=np.int64)
+    ny = np.zeros(codes.size, dtype=np.int64)
+    for digit, q in enumerate(reversed(qubits)):
+        letter = (codes >> (2 * digit)) & 3
+        x |= ((letter == 1) | (letter == 2)).astype(np.int64) << q
+        z |= (letter >= 2).astype(np.int64) << q
+        ny += letter == 2
+    perm = np.arange(dim)[None, :] ^ x[:, None]
+    signs = _kernels.parity_signs(dim, dim - 1)[perm & z[:, None]]
+    phase = np.array([1, 1j, -1, -1j])[ny % 4][:, None] * signs
+    perm.flags.writeable = phase.flags.writeable = False  # shared by every cached call
+    return perm, phase
+
+
+def _branch(states, cls, hit, codes, table):
+    """Move hit trajectories to one new row per (class, Pauli) pair.
+
+    Rows that no trajectory references any more are dropped, so the
+    table never holds more rows than there are trajectories.
+    """
+    if hit.size == 0:
+        return states, cls
+    perm, phase = table
+    n_rows, n_codes = states.shape[0], perm.shape[0]
+    keys, inverse = np.unique(cls[hit] * n_codes + codes, return_inverse=True)
+    src, code = np.divmod(keys, n_codes)
+    new = states[src[:, None], perm[code]]
+    new *= phase[code]
+    cls[hit] = n_rows + inverse
+    live = np.bincount(cls, minlength=n_rows + keys.size) > 0
+    if live[:n_rows].all():
+        return np.concatenate((states, new)), cls
+    index = np.cumsum(live) - 1
+    return np.concatenate((states[live[:n_rows]], new)), index[cls]
+
+
+def _damp(states, cls, qubit, duration_ns, t1_ns, t2_ns, rng):
+    """Amplitude damping plus pure dephasing on one qubit, per class.
+
+    Trajectories of one class share their state and so their jump
+    probability ``gamma * p1``.  A class whose trajectories both jump
+    and stay splits into a jump row and a stay row.
+    """
+    nt, (n_rows, dim) = cls.size, states.shape
+    gamma = 1.0 - math.exp(-duration_ns / t1_ns)
+    k = np.arange(dim)
+    hi = k[(k >> qubit) & 1 == 1]
+    lo = hi ^ (1 << qubit)
+    p1 = np.sum(np.abs(states[:, hi]) ** 2, axis=1)
+    jump = rng.random(nt) < gamma * p1[cls]
+    jumped = None
+    if np.any(jump):
+        from_rows = np.bincount(cls[jump], minlength=n_rows) > 0
+        stay_rows = np.bincount(cls[~jump], minlength=n_rows) > 0
+        jumped = np.zeros((np.count_nonzero(from_rows), dim), dtype=complex)
+        jumped[:, lo] = states[from_rows][:, hi]
+        jumped /= np.linalg.norm(jumped, axis=1, keepdims=True)
+        n_stay = np.count_nonzero(stay_rows)
+        cls = np.where(
+            jump, n_stay + np.cumsum(from_rows)[cls] - 1, np.cumsum(stay_rows)[cls] - 1
+        )
+        states = states[stay_rows]
+    states[:, hi] *= math.sqrt(1.0 - gamma)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    if jumped is not None:
+        states = np.concatenate((states, jumped))
+    # pure dephasing beyond the T1 contribution: 1/T2 = 1/(2 T1) + 1/Tphi
+    inv_tphi = 1.0 / t2_ns - 0.5 / t1_ns
+    pz = 0.5 * (1.0 - math.exp(-duration_ns * inv_tphi)) if inv_tphi > 0 else 0.0
+    flips = np.nonzero(rng.random(nt) < pz)[0]
+    z_table = _pauli_table(dim.bit_length() - 1, (qubit,))
+    return _branch(states, cls, flips, np.full(flips.size, 3), z_table)
+
+
 def run_trajectories(
     circuit: Circuit,
     noise: NoiseModel,
@@ -779,43 +834,38 @@ def run_trajectories(
     acts for the gate duration.  The random stream advances in a fixed
     order regardless of which errors fire, so a given (seed, stream)
     reproduces exactly.
+
+    Trajectories with the same error history share one row of a state
+    table (``cls`` maps trajectory to row), so each gate runs once per
+    distinct history; the rows are gathered back to one statevector per
+    trajectory before sampling.
     """
     nt = int(n_traj)
     if nt < 1:
         raise ValueError("need at least one trajectory")
     rng = make_rng(seed, 202, stream)
-    dim = 1 << circuit.n_qubits
-    amps2 = np.zeros((nt, dim), dtype=complex)
-    amps2[:, 0] = 1.0
+    n = circuit.n_qubits
+    states = np.zeros((1, 1 << n), dtype=complex)
+    states[0, 0] = 1.0
+    cls = np.zeros(nt, dtype=np.int64)
+    damping = noise.damping and noise.t1_ns is not None
     for gate in circuit.gates:
-        _apply_gate_raw(amps2, gate, batched=True)
+        _apply_gate_raw(states, gate, batched=True)
         p = noise.p_gate(gate)
         if p > 0.0:
             hit = np.nonzero(rng.random(nt) < p)[0]
             if gate.name == "cx":
-                errs = rng.integers(1, 16, size=hit.size)
-                for e in range(1, 16):
-                    rows = hit[errs == e]
-                    if rows.size == 0:
-                        continue
-                    ec, et = e // 4, e % 4
-                    if ec:
-                        _kernels.apply_1q_rows(amps2, rows, _PAULI_1Q[ec - 1], gate.qubits[0])
-                    if et:
-                        _kernels.apply_1q_rows(amps2, rows, _PAULI_1Q[et - 1], gate.qubits[1])
+                codes = rng.integers(1, 16, size=hit.size)
             else:
-                errs = rng.integers(0, 3, size=hit.size)
-                for e in range(3):
-                    rows = hit[errs == e]
-                    if rows.size:
-                        _kernels.apply_1q_rows(amps2, rows, _PAULI_1Q[e], gate.qubits[0])
-        if noise.damping and noise.t1_ns is not None:
+                codes = rng.integers(0, 3, size=hit.size) + 1  # X, Y, Z
+            states, cls = _branch(states, cls, hit, codes, _pauli_table(n, gate.qubits))
+        if damping:
             dur = CNOT_GATE_NS if gate.name == "cx" else ONE_QUBIT_GATE_NS
             for q in gate.qubits:
-                _apply_damping(
-                    amps2, q, dur, noise.t1_ns[q], noise.t2_ns[q], rng
+                states, cls = _damp(
+                    states, cls, q, dur, noise.t1_ns[q], noise.t2_ns[q], rng
                 )
-    return TrajectoryEnsemble(amps2, circuit.n_qubits, rng, noise)
+    return TrajectoryEnsemble(states[cls], n, rng, noise)
 
 
 def run_noisy(

@@ -293,7 +293,7 @@ def test_vtable_requires_two_orbitals():
 def test_selftest_quick_passes(capsys):
     assert run_cli(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok") == 6
+    assert out.count("ok") == 7
 
 
 def test_selftest_flags_corrupt_calibration(tmp_path, capsys):

@@ -300,6 +300,25 @@ class TestRunHybrid:
         assert point.outer_iterations == 0
         assert point.converged
 
+    @pytest.mark.parametrize("offset, flagged", [(1e-2, True), (0.0, False), (-1e-2, False)])
+    def test_rhf_start_winning_is_flagged(self, monkeypatch, offset, flagged):
+        # every outer step lands `offset` above the RHF energy; a tie counts as a gain
+        e_rhf = chem.scf_reference(chem.h2_molecule(1.4))[1].energy
+        state = GeminalState(np.array([0.9, 0.1]), np.array([-1]))
+
+        def fake_quantum_step(h, eri, enuc, config, t0):
+            return hybrid.QuantumStepResult(t0, state, e_rhf + offset, 1, True, 0.5)
+
+        def fake_orbital_step(ints, C, state, config):
+            return hybrid.OrbitalStepResult(C, e_rhf + offset, True)
+
+        monkeypatch.setattr(hybrid, "quantum_step", fake_quantum_step)
+        monkeypatch.setattr(hybrid, "orbital_step", fake_orbital_step)
+        point = run_hybrid(chem.h2_molecule(1.4), HybridConfig(shots=None))
+        assert ("no-gain-over-rhf" in point.flags) == flagged
+        assert point.energy == min(e_rhf, e_rhf + offset)
+        assert point.retained_fraction == (1.0 if flagged else 0.5)
+
 
 class TestDissociationCurve:
     def test_single_point_matches_run_hybrid(self):

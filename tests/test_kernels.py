@@ -64,17 +64,6 @@ def test_apply_1q_batch_and_rows_agree():
         K.apply_1q_batch(a, m, q)
         assert np.allclose(a, want, atol=1e-13), q
 
-        rows = np.array([0, 3, 7], dtype=np.int64)
-        b = random_batch(rng, nt, n)
-        want = b.copy()
-        for r in rows:
-            want[r] = dense @ b[r]
-        K.apply_1q_rows(b, rows, m, q)
-        assert np.allclose(b, want, atol=1e-13), q
-        # untouched rows stay bit-identical
-        rest = np.setdiff1d(np.arange(nt), rows)
-        assert np.array_equal(b[rest], want[rest])
-
 
 def test_apply_cnot_matches_dense_oracle():
     rng = np.random.default_rng(3)

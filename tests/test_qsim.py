@@ -3,16 +3,20 @@
 The oracle embeds local unitaries by explicit Kronecker products over the
 little-endian layout and uses scipy's expm for rotation gates, so none of
 the simulator's own kernels or Pauli machinery appear on the oracle side.
+The exception is ``per_trajectory_reference``: the one-statevector-per-
+shot loop that the class-shared trajectory engine replaced, kept with the
+same kernels so that the two must agree bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
 
-from geminal import ansatz, qsim
+from geminal import _kernels, ansatz, qsim
 from geminal.qsim import (
     CalibrationError,
     Circuit,
@@ -463,6 +467,138 @@ def test_dephasing_shrinks_coherence():
     assert x == pytest.approx(want, abs=0.05)
 
 
+# ---------------------------------------------------------------------------
+# per-trajectory reference for the class-shared trajectory engine
+# ---------------------------------------------------------------------------
+
+PAULI_1Q = (X, Y, Z)
+
+
+def apply_1q_rows(amps2, rows, m, q):
+    sub = amps2[rows]
+    _kernels.apply_1q_batch(sub, m, q)
+    amps2[rows] = sub
+
+
+def reference_damping(amps2, qubit, duration_ns, t1_ns, t2_ns, rng):
+    """Trajectory amplitude damping plus pure dephasing on one qubit."""
+    nt, dim = amps2.shape
+    gamma = 1.0 - math.exp(-duration_ns / t1_ns)
+    k = np.arange(dim)
+    hi = k[(k >> qubit) & 1 == 1]
+    lo = hi ^ (1 << qubit)
+    p1 = np.sum(np.abs(amps2[:, hi]) ** 2, axis=1)
+    jump = rng.random(nt) < gamma * p1
+    if np.any(jump):
+        rows = np.nonzero(jump)[0]
+        sub = np.zeros_like(amps2[rows])
+        sub[:, lo] = amps2[rows][:, hi]
+        norm = np.linalg.norm(sub, axis=1, keepdims=True)
+        amps2[rows] = sub / norm
+    stay = np.nonzero(~jump)[0]
+    if stay.size:
+        amps2[np.ix_(stay, hi)] *= math.sqrt(1.0 - gamma)
+        norm = np.linalg.norm(amps2[stay], axis=1, keepdims=True)
+        amps2[stay] /= norm
+    inv_tphi = 1.0 / t2_ns - 0.5 / t1_ns
+    pz = 0.5 * (1.0 - math.exp(-duration_ns * inv_tphi)) if inv_tphi > 0 else 0.0
+    flips = np.nonzero(rng.random(nt) < pz)[0]
+    if flips.size:
+        apply_1q_rows(amps2, flips, PAULI_1Q[2], qubit)
+
+
+def per_trajectory_reference(circuit, noise, n_traj, seed=0, stream=0):
+    """One statevector per trajectory, each Pauli class applied row by row.
+
+    This is the trajectory loop the class-shared engine replaced, kept
+    unchanged: same draws in the same order, same arithmetic per row.
+    """
+    nt = int(n_traj)
+    rng = qsim.make_rng(seed, 202, stream)
+    dim = 1 << circuit.n_qubits
+    amps2 = np.zeros((nt, dim), dtype=complex)
+    amps2[:, 0] = 1.0
+    for gate in circuit.gates:
+        qsim._apply_gate_raw(amps2, gate, batched=True)
+        p = noise.p_gate(gate)
+        if p > 0.0:
+            hit = np.nonzero(rng.random(nt) < p)[0]
+            if gate.name == "cx":
+                errs = rng.integers(1, 16, size=hit.size)
+                for e in range(1, 16):
+                    rows = hit[errs == e]
+                    if rows.size == 0:
+                        continue
+                    ec, et = e // 4, e % 4
+                    if ec:
+                        apply_1q_rows(amps2, rows, PAULI_1Q[ec - 1], gate.qubits[0])
+                    if et:
+                        apply_1q_rows(amps2, rows, PAULI_1Q[et - 1], gate.qubits[1])
+            else:
+                errs = rng.integers(0, 3, size=hit.size)
+                for e in range(3):
+                    rows = hit[errs == e]
+                    if rows.size:
+                        apply_1q_rows(amps2, rows, PAULI_1Q[e], gate.qubits[0])
+        if noise.damping and noise.t1_ns is not None:
+            dur = qsim.CNOT_GATE_NS if gate.name == "cx" else qsim.ONE_QUBIT_GATE_NS
+            for q in gate.qubits:
+                reference_damping(amps2, q, dur, noise.t1_ns[q], noise.t2_ns[q], rng)
+    return qsim.TrajectoryEnsemble(amps2, circuit.n_qubits, rng, noise)
+
+
+def cnot_ladder(n_qubits: int, n_cnots: int) -> Circuit:
+    circ = Circuit(n_qubits)
+    for i in range(n_qubits):
+        circ.ry(i, 0.3 + 0.2 * i)
+    for i in range(n_cnots):
+        a = i % (n_qubits - 1)
+        pair = (a, a + 1) if i % 2 == 0 else (a + 1, a)
+        circ.cx(*pair)
+    return circ
+
+
+ENGINE_CASES = {
+    "r2-ibm-5": (lambda: ansatz.build_ansatz_circuit(2, np.array([-0.8])), "ibm-5", False),
+    "r3-ibm-14": (lambda: ansatz.build_ansatz_circuit(3, np.array([0.45, -1.1])), "ibm-14", False),
+    "r2-ibm-14-damping": (lambda: ansatz.build_ansatz_circuit(2, np.array([0.9])), "ibm-14", True),
+    "uniform-p2-1": (lambda: cnot_ladder(3, 12), None, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+@pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
+def test_class_engine_bit_identical_to_per_trajectory_loop(case, seed):
+    build, device, damping = ENGINE_CASES[case]
+    circ = build()
+    if device is None:
+        noise = NoiseModel.uniform(circ.n_qubits, p1=0.02, p2=1.0, readout=0.05)
+    else:
+        cal = qsim.load_calibration(device)
+        noise = NoiseModel.from_calibration(cal, circ.n_qubits, damping=damping)
+    got = qsim.run_trajectories(circ, noise, 2048, seed=seed, stream=4)
+    want = per_trajectory_reference(circ, noise, 2048, seed=seed, stream=4)
+    assert np.array_equal(got.amps2, want.amps2)
+    assert got.sample() == want.sample()
+
+
+def test_class_engine_state_table_stays_within_trajectory_footprint():
+    # with every CNOT failing, histories branch 15 ways per CNOT; without
+    # dropping unreferenced rows the table would grow by ~n_traj per CNOT
+    n, nt = 4, 2048
+    circ = cnot_ladder(n, 40)
+    noise = NoiseModel.uniform(n, p2=1.0)
+    qsim.run_trajectories(circ, noise, 8, seed=9)  # lazy imports are not state
+    tracemalloc.start()
+    try:
+        ens = qsim.run_trajectories(circ, noise, nt, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.amps2.shape == (nt, 1 << n)
+    assert peak < 4 * nt * (1 << n) * 16, peak
+
+
 def test_noise_model_missing_coupling_raises():
     nm = NoiseModel({0: 0.0, 1: 0.0}, {(0, 1): 0.1}, {0: 0.0, 1: 0.0})
     with pytest.raises(CalibrationError):
@@ -473,7 +609,9 @@ def test_noise_model_missing_coupling_raises():
 # density-matrix oracle for the trajectory noise model
 # ---------------------------------------------------------------------------
 
-def density_matrix_outcomes(circ: Circuit, cal: qsim.DeviceCalibration) -> np.ndarray:
+def density_matrix_outcomes(
+    circ: Circuit, cal: qsim.DeviceCalibration, damping: bool = False
+) -> np.ndarray:
     """Outcome distribution of the calibrated Pauli + readout noise model.
 
     Evolves rho through each gate followed by its depolarising channel,
@@ -481,6 +619,11 @@ def density_matrix_outcomes(circ: Circuit, cal: qsim.DeviceCalibration) -> np.nd
     and p/15 over the 15 non-identity two-qubit Paulis after a CNOT, then
     flips each measured bit of diag(rho) with its readout error.  Rates
     come straight from the calibration, on the identity qubit layout.
+
+    With ``damping``, each gate qubit then relaxes for the gate duration:
+    the amplitude-damping Kraus pair K0 = diag(1, sqrt(1 - gamma)),
+    K1 = sqrt(gamma) |0><1| with gamma = 1 - exp(-t/T1), followed by a
+    phase flip with probability pz = (1 - exp(-t (1/T2 - 1/(2 T1)))) / 2.
     """
     n = circ.n_qubits
     dim = 1 << n
@@ -502,6 +645,18 @@ def density_matrix_outcomes(circ: Circuit, cal: qsim.DeviceCalibration) -> np.nd
             paulis = [embed(PAULI[a], q, n) for a in "XYZ"]
         rho = u @ rho @ u.conj().T
         rho = (1.0 - p) * rho + p / len(paulis) * sum(P @ rho @ P.conj().T for P in paulis)
+        if not damping:
+            continue
+        duration = qsim.CNOT_GATE_NS if gate.name == "cx" else qsim.ONE_QUBIT_GATE_NS
+        for q in gate.qubits:
+            t1, t2 = cal.qubit(q).t1_us * 1000.0, cal.qubit(q).t2_us * 1000.0
+            gamma = 1.0 - math.exp(-duration / t1)
+            k0 = embed(np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex), q, n)
+            k1 = embed(np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex), q, n)
+            rho = k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
+            pz = 0.5 * (1.0 - math.exp(-duration * (1.0 / t2 - 0.5 / t1)))
+            zq = embed(Z, q, n)
+            rho = (1.0 - pz) * rho + pz * zq @ rho @ zq
     probs = np.real(np.diag(rho)).copy()
     k = np.arange(dim)
     for q in range(n):
@@ -521,11 +676,13 @@ def chi_square_statistic(counts: np.ndarray, probs: np.ndarray) -> tuple[float, 
     return float(np.sum((obs - exp) ** 2 / exp)), obs.size - 1
 
 
-def chain_calibration(n: int, u2: float, readout: float, cx: float) -> qsim.DeviceCalibration:
+def chain_calibration(
+    n: int, u2: float, readout: float, cx: float, t1_us: float = 50.0, t2_us: float = 50.0
+) -> qsim.DeviceCalibration:
     """Uniform rates on an n-qubit linear chain."""
     return qsim.parse_calibration(
         "device chain\n"
-        + "".join(f"qubit {q} {u2} {u2} {readout} 50 50\n" for q in range(n))
+        + "".join(f"qubit {q} {u2} {u2} {readout} {t1_us} {t2_us}\n" for q in range(n))
         + "".join(f"cx {q} {q + 1} {cx}\n" for q in range(n - 1))
     )
 
@@ -552,6 +709,21 @@ def test_trajectory_histogram_matches_density_matrix(device, angles, seed):
         cal = qsim.load_calibration(device)
     noise = NoiseModel.from_calibration(cal, circ.n_qubits)
     probs = density_matrix_outcomes(circ, cal)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    hist = qsim.run_noisy(circ, noise, shots, seed=seed)
+    stat, dof = chi_square_statistic(hist.counts, probs)
+    assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)
+
+
+@pytest.mark.parametrize("angles, seed", [([0.9], 43), ([0.45, -1.1], 47)])
+def test_damped_trajectory_histogram_matches_density_matrix(angles, seed):
+    # T1 = 5.5 us gives gamma = 0.018 per one-qubit gate and 0.053 per
+    # CNOT; T2 = 4 us adds pz = 0.008 and 0.023 of pure dephasing
+    shots = 20000
+    circ = ansatz.build_ansatz_circuit(len(angles) + 1, np.array(angles))
+    cal = chain_calibration(circ.n_qubits, 0.01, 0.02, 0.03, t1_us=5.5, t2_us=4.0)
+    noise = NoiseModel.from_calibration(cal, circ.n_qubits, damping=True)
+    probs = density_matrix_outcomes(circ, cal, damping=True)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     hist = qsim.run_noisy(circ, noise, shots, seed=seed)
     stat, dof = chi_square_statistic(hist.counts, probs)
