@@ -24,24 +24,12 @@ import math
 
 import numpy as np
 
-from geminal.qsim import Circuit, PauliString, PauliSum, Statevector, run_circuit
+from geminal.qsim import Circuit, PauliString, PauliSum, Statevector
 
 # window-local Pauli letters of the two surviving generator terms; letter
 # i acts on window qubit i
 PAIR_TERM_A = "YXYY"
 PAIR_TERM_B = "XXXY"
-
-
-def n_qubits_for(r: int) -> int:
-    return 2 * r
-
-
-def alpha_qubit(p: int) -> int:
-    return 2 * p
-
-
-def beta_qubit(p: int) -> int:
-    return 2 * p + 1
 
 
 def pair_basis_index(p: int) -> int:
@@ -58,10 +46,6 @@ def hf_circuit(r: int) -> Circuit:
     if r < 1:
         raise ValueError("need at least one orbital")
     return Circuit(2 * r).x(0).x(1)
-
-
-def hf_state(r: int) -> Statevector:
-    return run_circuit(hf_circuit(r))
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +248,17 @@ def optimized_pair_gate(k: int, t: float, r: int) -> Circuit:
     return circ
 
 
-def build_ansatz_circuit(r: int, t: np.ndarray, style: str = "optimized") -> Circuit:
-    """Reference preparation plus the chain of pair rotations.
+def build_ansatz_circuit(r: int, t: np.ndarray) -> Circuit:
+    """Reference preparation plus the chain of 8-CNOT pair rotations.
 
-    ``t`` has r-1 entries; entry k drives the window-k rotation.  Style
-    'optimized' uses the 8-CNOT realisation, 'generic' the compiled
-    12-CNOT form; both produce the same state on the paired subspace.
+    ``t`` has r-1 entries; entry k drives the window-k rotation.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (r - 1,):
         raise ValueError(f"need {r - 1} angles for r = {r}")
-    if style not in ("optimized", "generic"):
-        raise ValueError(f"unknown ansatz style {style!r}")
     circ = hf_circuit(r)
-    maker = optimized_pair_gate if style == "optimized" else generic_pair_gate
     for k in range(r - 1):
-        circ.extend(maker(k, float(t[k]), r))
+        circ.extend(optimized_pair_gate(k, float(t[k]), r))
     return circ
 
 

@@ -141,8 +141,8 @@ def hybrid_config(args) -> hybrid.HybridConfig:
 
 def cmd_curve(args) -> int:
     base = hybrid_config(args)
-    builder, label = resolve_molecule_builder(args)
-    values = parse_scan_range(args.scan or DEFAULT_SCANS.get(args.system, "1.0:3.0:8"))
+    builder, label = SYSTEM_BUILDERS[args.system], args.system
+    values = parse_scan_range(args.scan or DEFAULT_SCANS[args.system])
 
     probe = chem.compute_integrals(builder(values[0]))
     noise = load_noise(args.noise, 2 * probe.n_basis, args.damping)
@@ -206,11 +206,16 @@ def filter_scan_point(record, symmetries, index: int, t) -> tuple[qsim.ShotHisto
     """Symmetry-filtered scan record; exits with a message if no shot survives."""
     try:
         return tomography.filter_symmetries(record, symmetries)
-    except ValueError as exc:
+    except mitigation.AllShotsRejectedError as exc:
         angles = ", ".join(f"{v:.4f}" for v in np.atleast_1d(t))
         raise SystemExit(
             f"scan point {index} (t = {angles}), filter {'+'.join(symmetries)}: {exc}"
         ) from exc
+
+
+def effective_shots(shots: int | None, retained_fraction: float) -> int:
+    """Shots behind a filtered estimate, for the bootstrap; exact runs count as 4096."""
+    return max(int((shots or 4096) * retained_fraction), 1)
 
 
 def cmd_scan(args) -> int:
@@ -266,7 +271,6 @@ def cmd_scan(args) -> int:
 
     summary = header_lines(args, {"system": label})
     summary.append(f"# mean retained fraction: {np.mean(retained):.6f}")
-    effective_shots = max(int((shots or 4096) * np.mean(retained)), 1)
 
     if r == 2:
         for half, idx in (("half_set_1", 0), ("half_set_2", 1)):
@@ -274,7 +278,8 @@ def cmd_scan(args) -> int:
                 curve1 = np.array([rows[idx][0] for rows in stages[stage]])
                 curve2 = np.array([rows[idx][1] for rows in stages[stage]])
                 v, lo, hi = mitigation.bootstrap_v_interval(
-                    grid, curve1, curve2, effective_shots, seed=args.seed
+                    grid, curve1, curve2, effective_shots(shots, np.mean(retained)),
+                    seed=args.seed,
                 )
                 summary.append(
                     f"{half} {stage}: V = {v:.4f}  ci95 = [{lo:.4f}, {hi:.4f}]"
@@ -330,14 +335,13 @@ def vtable_rows(r, shots, seed, noise):
                 halves[idx][0].append(occ[0])
                 halves[idx][1].append(occ[1])
         mean_frac = float(np.mean(fracs))
-        effective = max(int((shots or 4096) * mean_frac), 1)
         row = {"setting": name, "retained": mean_frac}
         for idx in (0, 1):
             v, lo, hi = mitigation.bootstrap_v_interval(
                 grid,
                 np.array(halves[idx][0]),
                 np.array(halves[idx][1]),
-                effective,
+                effective_shots(shots, mean_frac),
                 seed=seed,
             )
             row[f"v{idx + 1}"] = (v, lo, hi)
@@ -532,9 +536,10 @@ def cmd_integrals(args) -> int:
 # ---------------------------------------------------------------------------
 
 def add_molecule_arguments(sub, single_geometry=True):
+    """--system and --out; a single-geometry command also takes --geometry and --at."""
     sub.add_argument("--system", choices=sorted(SYSTEM_BUILDERS), default="h2")
-    sub.add_argument("--geometry", help="geometry file (overrides --system)")
     if single_geometry:
+        sub.add_argument("--geometry", help="geometry file (overrides --system)")
         sub.add_argument("--at", type=float, default=1.4, help="geometry parameter in bohr")
     sub.add_argument("--out", help="output directory (default $GEMINAL_OUT or .)")
 

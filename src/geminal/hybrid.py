@@ -65,14 +65,27 @@ def assemble_2dm_energy(
 # configuration
 # ---------------------------------------------------------------------------
 
+NM_SCALE = 0.35  # initial simplex displacement per angle
+BFGS_STEP = 1e-5  # central-difference step of the orbital gradient
+BFGS_GTOL = 1e-7
+BFGS_MAX_ITER = 100
+OUTER_THRESHOLD = 1e-3  # hartree; two successive outer energies this close end the loop
+
+
 @dataclass(frozen=True)
 class HybridConfig:
-    """Knobs for one hybrid optimization.
+    """Settings for one hybrid optimization.
 
     shots=None runs exact (infinite-shot) noiseless tomography and so
     takes no noise model.  phase_mode 'auto' measures the signs for r=2
     and propagates them classically for larger r; 'measured' and
-    'classical' force either route.
+    'classical' force either route.  The Nelder-Mead budget
+    (``nm_max_iter``, ``restarts``) and the outer-loop cap
+    (``outer_max_iter``) are settable; the simplex scale, the BFGS
+    settings and the outer convergence threshold are the module
+    constants NM_SCALE, BFGS_STEP, BFGS_GTOL, BFGS_MAX_ITER and
+    OUTER_THRESHOLD, and the Nelder-Mead tolerance follows the shots
+    (``effective_nm_ftol``).
     """
 
     shots: int | None = 2048
@@ -81,25 +94,13 @@ class HybridConfig:
     symmetries: tuple[str, ...] = ("N", "Sz")
     project: bool = True
     phase_mode: str = "auto"
-    phase_pattern: str = "C2"
-    nm_scale: float = 0.35
     nm_max_iter: int = 200
-    nm_ftol: float | None = None  # default picked by shots: 1e-8 exact, 1e-4 sampled
-    bfgs_step: float = 1e-5
-    bfgs_gtol: float = 1e-7
-    bfgs_max_iter: int = 100
-    outer_threshold: float = 1e-3
     outer_max_iter: int = 10
     restarts: int = 2
 
     def __post_init__(self):
         if self.phase_mode not in ("auto", "measured", "classical"):
             raise ValueError(f"unknown phase mode {self.phase_mode!r}")
-        for name in ("nm_scale", "bfgs_step", "bfgs_gtol", "outer_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.nm_ftol is not None and self.nm_ftol <= 0:
-            raise ValueError("nm_ftol must be positive")
         if self.restarts < 1:
             raise ValueError("need at least one optimization run")
         if self.shots is not None and self.shots < 1:
@@ -109,8 +110,7 @@ class HybridConfig:
 
     @property
     def effective_nm_ftol(self) -> float:
-        if self.nm_ftol is not None:
-            return self.nm_ftol
+        """Simplex spread that ends Nelder-Mead: 1e-8 exact, 1e-4 sampled."""
         return 1e-8 if self.shots is None else 1e-4
 
     def resolve_phase_mode(self, r: int) -> str:
@@ -143,18 +143,14 @@ class QuantumObjective:
         self.counter = tomography.PreparationCounter()
         self.n_evals = 0
         self.last_eval_preparations = 0
-        self.last_state: GeminalState | None = None
         self.last_retained = 1.0
 
     def _sampler(self, circuit):
-        # every preparation draws one stream, so the preparation count so
-        # far is the next unused stream
         return tomography.ShotSampler(
             circuit,
             self.config.shots,
             seed=self.config.seed,
             noise=self.config.noise,
-            base_stream=self.counter.count,
             counter=self.counter,
         )
 
@@ -165,7 +161,7 @@ class QuantumObjective:
         occ = tomography.measure_occupations(sampler, self.r, self.config.symmetries)
         n = 0.5 * (occ.n_alpha + occ.n_beta)
         if self.phase_mode == "measured":
-            est = tomography.estimate_phases(sampler, self.r, self.config.phase_pattern)
+            est = tomography.estimate_phases(sampler, self.r)
             phases, phase_errs = est.values, est.stderr
         else:
             phases = phase_errs = None
@@ -202,10 +198,9 @@ class QuantumObjective:
             errs = np.sqrt(ph_var) / repeats
             xi, ambiguous = tomography.phase_signs(vals, errs)
             if np.any(ambiguous):
-                fallback = tomography.classical_phase_assignment(t)
-                xi[ambiguous] = fallback.xi[ambiguous]
+                xi[ambiguous] = tomography.classical_phase_assignment(t)[ambiguous]
         else:
-            xi = tomography.classical_phase_assignment(t).xi
+            xi = tomography.classical_phase_assignment(t)
 
         if self.config.project:
             n = mitigation.project_polytope(n).occupations
@@ -215,7 +210,6 @@ class QuantumObjective:
     def __call__(self, t: np.ndarray) -> float:
         state = self.measure_state(t)
         self.n_evals += 1
-        self.last_state = state
         return assemble_2dm_energy(state, self.h, self.eri, self.enuc)
 
 
@@ -345,7 +339,7 @@ def quantum_step(
         out = nelder_mead(
             objective,
             start,
-            scale=config.nm_scale,
+            scale=NM_SCALE,
             max_iter=config.nm_max_iter,
             ftol=config.effective_nm_ftol,
             reevaluate_best=config.shots is not None,
@@ -378,7 +372,6 @@ def orbital_step(
     integrals: IntegralSet,
     C: np.ndarray,
     state: GeminalState,
-    config: HybridConfig,
 ) -> OrbitalStepResult:
     """Relax orbitals under the fixed measured 2-DM.
 
@@ -398,13 +391,12 @@ def orbital_step(
         return assemble_2dm_energy(state, h, eri, integrals.enuc)
 
     def gradient(angles: np.ndarray) -> np.ndarray:
-        step = config.bfgs_step
         grad = np.empty(angles.size)
         for i in range(angles.size):
             up, down = angles.copy(), angles.copy()
-            up[i] += step
-            down[i] -= step
-            grad[i] = (energy_at(up) - energy_at(down)) / (2 * step)
+            up[i] += BFGS_STEP
+            down[i] -= BFGS_STEP
+            grad[i] = (energy_at(up) - energy_at(down)) / (2 * BFGS_STEP)
         return grad
 
     x0 = np.zeros(len(pairs))
@@ -414,7 +406,7 @@ def orbital_step(
         x0,
         jac=gradient,
         method="BFGS",
-        options={"gtol": config.bfgs_gtol, "maxiter": config.bfgs_max_iter},
+        options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAX_ITER},
     )
     if res.fun <= e0:
         return OrbitalStepResult(rotated(res.x), float(res.fun), bool(res.success))
@@ -446,9 +438,12 @@ def run_hybrid(
     """Optimize one geometry, alternating quantum and orbital steps.
 
     Starts from the RHF orbitals.  Converged when two successive outer
-    energies agree within ``config.outer_threshold``.  A zero outer-
-    iteration cap short-circuits to the single-pair energy in the RHF
-    basis (the RHF determinant itself).  When outer steps ran and none
+    energies agree within OUTER_THRESHOLD.  A zero outer-iteration cap
+    short-circuits to the single-pair energy in the RHF basis (the RHF
+    determinant itself).  When the symmetry filters reject every shot of
+    a preparation in outer step k, the loop stops there, the point keeps
+    the best energy of the completed steps and carries the flag
+    ``all-shots-rejected-outer-<k>``.  When outer steps ran and none
     reached the RHF energy, the point reports the RHF start and carries
     the flag ``no-gain-over-rhf``.
     """
@@ -467,29 +462,33 @@ def run_hybrid(
     trace = [energy]
     t = np.zeros(r - 1)
     total_evals = 0
-    converged = False
-    outer = 0
+    converged = rejected = False
     best_energy = energy
     best_state, best_retained, best_outer = state, 1.0, 0
 
     for outer in range(1, config.outer_max_iter + 1):
         h, eri = chem.transform_integrals(ints, C)
-        qres = quantum_step(h, eri, ints.enuc, config, t0=t)
+        try:
+            qres = quantum_step(h, eri, ints.enuc, config, t0=t)
+        except mitigation.AllShotsRejectedError:
+            flags.append(f"all-shots-rejected-outer-{outer}")
+            rejected = True
+            break
         t, state = qres.t, qres.state
         total_evals += qres.n_evals
         if not qres.converged:
             flags.append(f"nm-iteration-cap-outer-{outer}")
-        ores = orbital_step(ints, C, state, config)
+        ores = orbital_step(ints, C, state)
         C = ores.mo_coeff
         energy = min(qres.energy, ores.energy)
         trace.append(energy)
         if energy <= best_energy:
             best_energy = energy
             best_state, best_retained, best_outer = state, qres.retained_fraction, outer
-        if abs(trace[-1] - trace[-2]) < config.outer_threshold:
+        if abs(trace[-1] - trace[-2]) < OUTER_THRESHOLD:
             converged = True
             break
-    if not converged and config.outer_max_iter > 0:
+    if not (converged or rejected) and config.outer_max_iter > 0:
         flags.append("outer-iteration-cap")
     if config.outer_max_iter > 0 and best_outer == 0:
         flags.append("no-gain-over-rhf")
@@ -499,7 +498,7 @@ def run_hybrid(
         energy=float(best_energy),
         energy_fci=float(fci.energy),
         energy_rhf=float(rhf.energy),
-        outer_iterations=outer if config.outer_max_iter > 0 else 0,
+        outer_iterations=len(trace) - 1,
         n_evals=total_evals,
         converged=converged or config.outer_max_iter == 0,
         state=best_state,

@@ -28,30 +28,32 @@ import numpy as np
 from geminal.qsim import ShotHistogram
 
 
+class AllShotsRejectedError(ValueError):
+    """Raised when the symmetry filters leave no shot of a record."""
+
+
 def symmetry_verify(
-    hist: ShotHistogram,
-    check_n: bool = True,
-    check_sz: bool = True,
-    n_electrons: int = 2,
+    hist: ShotHistogram, check_n: bool = True, check_sz: bool = True
 ) -> tuple[ShotHistogram, float]:
     """Drop shots violating particle-number or spin symmetry.
 
-    N keeps outcomes with exactly ``n_electrons`` set bits; Sz keeps
-    outcomes with equal alpha (even qubit) and beta (odd qubit) counts.
-    ``hist`` is a sampled record.  Returns the filtered histogram and the
-    retained shot fraction.
+    N keeps outcomes with exactly two set bits (the electron pair); Sz
+    keeps outcomes with equal alpha (even qubit) and beta (odd qubit)
+    counts.  ``hist`` is a sampled record.  Returns the filtered
+    histogram and the retained shot fraction; raises
+    AllShotsRejectedError when no shot survives.
     """
     bits = (np.arange(hist.counts.size)[:, None] >> np.arange(hist.n_qubits)) & 1
     n_alpha, n_beta = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
     keep = np.ones(hist.counts.size, dtype=bool)
     if check_n:
-        keep &= n_alpha + n_beta == n_electrons
+        keep &= n_alpha + n_beta == 2
     if check_sz:
         keep &= n_alpha == n_beta
     kept = np.where(keep, hist.counts, 0)
     retained = int(kept.sum())
     if retained == 0:
-        raise ValueError("symmetry filters rejected every shot")
+        raise AllShotsRejectedError("symmetry filters rejected every shot")
     return ShotHistogram(hist.n_qubits, retained, kept), retained / hist.shots
 
 

@@ -245,12 +245,6 @@ class Circuit:
     def x(self, q):
         return self.add("x", q)
 
-    def y(self, q):
-        return self.add("y", q)
-
-    def z(self, q):
-        return self.add("z", q)
-
     def h(self, q):
         return self.add("h", q)
 
@@ -290,41 +284,6 @@ class Circuit:
 
     def __iter__(self):
         return iter(self.gates)
-
-    def to_text(self) -> str:
-        lines = [f"# circuit n_qubits={self.n_qubits}"]
-        for g in self.gates:
-            parts = [g.name, *map(str, g.qubits)]
-            if g.param is not None:
-                parts.append(repr(g.param))
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Circuit":
-        n_qubits = None
-        gates = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if line.startswith("#"):
-                if "n_qubits=" in line:
-                    n_qubits = int(line.split("n_qubits=", 1)[1].split()[0])
-                continue
-            if not line:
-                continue
-            parts = line.split()
-            name = parts[0].lower()
-            if name in _PARAMETRIC_1Q:
-                qubits, param = parts[1:-1], float(parts[-1])
-            else:
-                qubits, param = parts[1:], None
-            gates.append((name, tuple(int(q) for q in qubits), param))
-        if n_qubits is None:
-            raise ValueError("circuit text is missing the n_qubits header")
-        circ = cls(n_qubits)
-        for name, qubits, param in gates:
-            circ.add(name, *qubits, param=param)
-        return circ
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +348,6 @@ def _apply_gate_raw(amps, gate: Gate, batched: bool) -> None:
             _kernels.apply_1q(amps, m, gate.qubits[0])
 
 
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate, returning a new statevector."""
-    if any(q >= state.n_qubits for q in gate.qubits):
-        raise ValueError("gate qubit index exceeds register size")
-    out = state.copy()
-    _apply_gate_raw(out.amps, gate, batched=False)
-    return out
-
-
 def run_circuit(circuit: Circuit, state: Statevector | None = None) -> Statevector:
     """Run the circuit from |0...0> (or the given state) without noise."""
     if state is None:
@@ -408,15 +358,6 @@ def run_circuit(circuit: Circuit, state: Statevector | None = None) -> Statevect
     for gate in circuit.gates:
         _apply_gate_raw(out.amps, gate, batched=False)
     return out
-
-
-def expectation_pauli(state: Statevector, op) -> float:
-    """Real part of <state|op|state>; op is a PauliString or PauliSum.
-
-    The imaginary part is discarded, which is exact for Hermitian input
-    (real coefficients in the canonical Pauli normalisation).
-    """
-    return complex(state.expectation(op)).real
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +389,6 @@ class ShotHistogram:
         """Total weight of the counts: the shot count, or 1 for probabilities."""
         return 1.0 if self.shots is None else self.shots
 
-    def bitstring(self, index: int) -> str:
-        return format(index, f"0{self.n_qubits}b")  # qubit 0 rightmost
-
     def occupation(self, qubit: int) -> float:
         """Mean of bit `qubit` over shots."""
         k = np.arange(self.counts.size)
@@ -467,43 +405,6 @@ class ShotHistogram:
         p = self.parity(mask)
         var = max(0.0, 1.0 - p * p)
         return math.sqrt(var / self.shots)
-
-    def to_text(self) -> str:
-        lines = [f"# histogram n_qubits={self.n_qubits} shots={self.shots}"]
-        for k in np.flatnonzero(self.counts):
-            lines.append(f"{self.bitstring(k)} {self.counts[k]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ShotHistogram":
-        """Parse `to_text` output of a sampled record; raises ValueError if malformed."""
-        n_qubits = shots = None
-        entries: list[tuple[str, int]] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if line.startswith("#"):
-                for tok in line.split():
-                    if tok.startswith("n_qubits="):
-                        n_qubits = int(tok.split("=", 1)[1])
-                    elif tok.startswith("shots="):
-                        shots = int(tok.split("=", 1)[1])
-                continue
-            if not line:
-                continue
-            bits, cnt = line.split()
-            entries.append((bits, int(cnt)))
-        if n_qubits is None or shots is None:
-            raise ValueError("histogram text is missing its header")
-        counts = np.zeros(1 << n_qubits, dtype=np.int64)
-        for bits, cnt in entries:
-            if len(bits) != n_qubits or set(bits) - {"0", "1"}:
-                raise ValueError(f"outcome {bits!r} is not a {n_qubits}-bit string")
-            if cnt < 0:
-                raise ValueError(f"outcome {bits} has negative count {cnt}")
-            counts[int(bits, 2)] += cnt
-        if counts.sum() != shots:
-            raise ValueError(f"counts sum to {counts.sum()}, header says shots={shots}")
-        return cls(n_qubits, shots, counts)
 
 
 def make_rng(*keys: int) -> np.random.Generator:
@@ -524,18 +425,8 @@ def _apply_readout_flips(
     return outcomes ^ mask
 
 
-def sample(
-    state: Statevector,
-    shots: int,
-    seed: int = 0,
-    stream: int = 0,
-    readout: np.ndarray | None = None,
-) -> ShotHistogram:
-    """Draw measurement outcomes from an ideal statevector.
-
-    Optional per-qubit symmetric readout flip probabilities may be
-    given; the flip draws share the same deterministic stream.
-    """
+def sample(state: Statevector, shots: int, seed: int = 0, stream: int = 0) -> ShotHistogram:
+    """Draw measurement outcomes from an ideal statevector."""
     if shots < 1:
         raise ValueError("shots must be positive")
     rng = make_rng(seed, 101, stream)
@@ -543,8 +434,6 @@ def sample(
     cum = np.cumsum(probs / probs.sum())
     outcomes = np.searchsorted(cum, rng.random(shots), side="right")
     outcomes = np.minimum(outcomes, probs.size - 1).astype(np.int64)
-    if readout is not None:
-        outcomes = _apply_readout_flips(outcomes, np.asarray(readout, float), rng)
     return ShotHistogram(state.n_qubits, shots, np.bincount(outcomes, minlength=probs.size))
 
 
@@ -650,7 +539,6 @@ class NoiseModel:
     t1_ns: dict[int, float] | None = None
     t2_ns: dict[int, float] | None = None
     damping: bool = False
-    label: str = "custom"
 
     @classmethod
     def from_calibration(cls, cal: DeviceCalibration, n_qubits: int, damping: bool = False):
@@ -666,23 +554,16 @@ class NoiseModel:
             two[(q, q + 1)] = cal.cx_error(q, q + 1)
         t1 = {q: cal.qubit(q).t1_us * 1000.0 for q in range(n_qubits)}
         t2 = {q: cal.qubit(q).t2_us * 1000.0 for q in range(n_qubits)}
-        return cls(one, two, ro, t1, t2, damping, cal.name)
+        return cls(one, two, ro, t1, t2, damping)
 
     @classmethod
-    def uniform(
-        cls,
-        n_qubits: int,
-        p1: float = 0.0,
-        p2: float = 0.0,
-        readout: float = 0.0,
-        label: str = "uniform",
-    ):
+    def uniform(cls, n_qubits: int, p1: float = 0.0, p2: float = 0.0, readout: float = 0.0):
         one = {q: p1 for q in range(n_qubits)}
         ro = {q: readout for q in range(n_qubits)}
         two = {
             (a, b): p2 for a in range(n_qubits) for b in range(n_qubits) if a != b
         }
-        return cls(one, two, ro, None, None, False, label)
+        return cls(one, two, ro)
 
     def p_gate(self, gate: Gate) -> float:
         if gate.name == "cx":
@@ -718,16 +599,15 @@ class TrajectoryEnsemble:
             vals = sum(_expect_one(self.amps2, t) for t in op)
         return float(np.mean(vals.real))
 
-    def sample(self, readout: bool = True) -> ShotHistogram:
+    def sample(self) -> ShotHistogram:
         """One measurement per trajectory, consuming the ensemble's stream."""
         probs = np.abs(self.amps2) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
         u = self._rng.random(self.n_trajectories)
         outcomes = _kernels.sample_rows(probs, u)
-        if readout:
-            ro = self.noise.readout_vector(self.n_qubits)
-            if np.any(ro > 0):
-                outcomes = _apply_readout_flips(outcomes, ro, self._rng)
+        ro = self.noise.readout_vector(self.n_qubits)
+        if np.any(ro > 0):
+            outcomes = _apply_readout_flips(outcomes, ro, self._rng)
         counts = np.bincount(outcomes, minlength=1 << self.n_qubits)
         return ShotHistogram(self.n_qubits, self.n_trajectories, counts)
 
@@ -874,8 +754,6 @@ def run_noisy(
     shots: int,
     seed: int = 0,
     stream: int = 0,
-    readout: bool = True,
 ) -> ShotHistogram:
     """Noisy circuit execution: one sampled outcome per trajectory."""
-    ens = run_trajectories(circuit, noise, shots, seed, stream)
-    return ens.sample(readout=readout)
+    return run_trajectories(circuit, noise, shots, seed, stream).sample()

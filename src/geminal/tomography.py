@@ -7,7 +7,7 @@ of r.  Samplers count their preparations so that budget is testable.
 
 Phase estimator for window k (qubits 2k..2k+3): with circuit A rotating
 every qubit to the X basis and circuit B rotating alpha qubits to X and
-beta qubits to Y (pattern C2; C3 swaps the roles),
+beta qubits to Y,
 
     est_k = (parity_A(window) + parity_B(window)) / 4
 
@@ -19,7 +19,7 @@ to the classically propagated sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,6 @@ class PreparationCounter:
 
     def bump(self) -> None:
         self.count += 1
-
-    def reset(self) -> None:
-        self.count = 0
 
 
 def measure_circuit(
@@ -66,9 +63,10 @@ class ShotSampler:
 
     Each ``run`` is one circuit preparation: the preparation circuit plus
     an optional basis-rotation circuit, executed for ``shots`` shots, or
-    exactly when ``shots`` is None.  Streams advance per run so repeated
-    calls draw fresh randomness while the whole object stays
-    deterministic in (seed, base_stream).
+    exactly when ``shots`` is None.  Each run draws the stream numbered by
+    the preparations ``counter`` has counted so far, so samplers sharing a
+    counter never reuse a stream and the whole sequence is deterministic
+    in the seed.
     """
 
     def __init__(
@@ -77,7 +75,6 @@ class ShotSampler:
         shots: int | None,
         seed: int = 0,
         noise: NoiseModel | None = None,
-        base_stream: int = 0,
         counter: PreparationCounter | None = None,
     ):
         self.circuit = circuit
@@ -85,19 +82,13 @@ class ShotSampler:
         self.seed = int(seed)
         self.noise = noise
         self.counter = counter if counter is not None else PreparationCounter()
-        self._stream = int(base_stream)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.circuit.n_qubits
 
     def run(self, basis: Circuit | None = None) -> ShotHistogram:
         total = self.circuit.copy()
         if basis is not None:
             total.extend(basis)
+        stream = self.counter.count
         self.counter.bump()
-        stream = self._stream
-        self._stream += 1
         return measure_circuit(total, self.shots, self.seed, stream, self.noise)
 
 
@@ -109,23 +100,14 @@ class ShotSampler:
 class OccupationEstimate:
     n_alpha: np.ndarray
     n_beta: np.ndarray
-    stderr_alpha: np.ndarray
-    stderr_beta: np.ndarray
     retained_fraction: float = 1.0
-    histogram: ShotHistogram | None = field(default=None, repr=False)
 
 
 def occupations_from_counts(record: ShotHistogram, r: int) -> OccupationEstimate:
     """Per-orbital alpha/beta occupations from a Z-basis record."""
     na = np.array([record.occupation(2 * p) for p in range(r)])
     nb = np.array([record.occupation(2 * p + 1) for p in range(r)])
-    if record.shots is None:
-        sa = np.zeros(r)
-        sb = np.zeros(r)
-    else:
-        sa = np.sqrt(np.clip(na * (1 - na), 0, None) / record.shots)
-        sb = np.sqrt(np.clip(nb * (1 - nb), 0, None) / record.shots)
-    return OccupationEstimate(na, nb, sa, sb, 1.0, record)
+    return OccupationEstimate(na, nb)
 
 
 def filter_symmetries(
@@ -158,24 +140,20 @@ def measure_occupations(
 # phases
 # ---------------------------------------------------------------------------
 
-def phase_measurement_circuits(r: int, pattern: str = "C2") -> tuple[Circuit, Circuit]:
+def phase_measurement_circuits(r: int) -> tuple[Circuit, Circuit]:
     """Basis rotations for the two coherence circuits on all 2r qubits.
 
-    Circuit A rotates every qubit to the X basis.  Circuit B uses the
-    qubit-wise consistent mixed pattern: C2 puts alpha (even) qubits in
-    X and beta (odd) qubits in Y, C3 the complement.  One (A, B) pair
+    Circuit A rotates every qubit to the X basis.  Circuit B puts alpha
+    (even) qubits in X and beta (odd) qubits in Y.  One (A, B) pair
     serves every window simultaneously.
     """
-    if pattern not in ("C2", "C3"):
-        raise ValueError(f"unknown phase pattern {pattern!r}")
     n = 2 * r
     circ_a = Circuit(n)
     for q in range(n):
         circ_a.h(q)
     circ_b = Circuit(n)
     for q in range(n):
-        y_basis = (q % 2 == 1) if pattern == "C2" else (q % 2 == 0)
-        if y_basis:
+        if q % 2 == 1:
             circ_b.sdg(q).h(q)
         else:
             circ_b.h(q)
@@ -194,9 +172,9 @@ def window_mask(k: int) -> int:
     return 0b1111 << (2 * k)
 
 
-def estimate_phases(sampler, r: int, pattern: str = "C2") -> PhaseEstimate:
+def estimate_phases(sampler, r: int) -> PhaseEstimate:
     """Two rotated-basis preparations giving all r-1 window signs."""
-    circ_a, circ_b = phase_measurement_circuits(r, pattern)
+    circ_a, circ_b = phase_measurement_circuits(r)
     rec_a = sampler.run(circ_a)
     rec_b = sampler.run(circ_b)
     vals = np.empty(r - 1)
@@ -214,16 +192,14 @@ def phase_signs(values: np.ndarray, stderr: np.ndarray) -> tuple[np.ndarray, np.
     return xi, np.abs(values) < 2.0 * stderr
 
 
-def classical_phase_assignment(t: np.ndarray) -> PhaseEstimate:
-    """Signs propagated from the known rotation angles (no circuits).
+def classical_phase_assignment(t: np.ndarray) -> np.ndarray:
+    """Signs +-1 propagated from the known rotation angles (no circuits).
 
     xi_k = sign(amp_k amp_{k+1}) for the ideal chain amplitudes; an
-    exactly vanishing product keeps sign +1 but is flagged ambiguous.
+    exactly vanishing product keeps sign +1.
     """
     from geminal.ansatz import givens_chain_amplitudes
 
     amps = givens_chain_amplitudes(np.asarray(t, dtype=float))
     prods = amps[:-1] * amps[1:]
-    xi = np.where(prods >= 0, 1, -1).astype(int)
-    ambiguous = np.abs(prods) < 1e-12
-    return PhaseEstimate(prods, np.zeros_like(prods), xi, ambiguous)
+    return np.where(prods >= 0, 1, -1).astype(int)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geminal import ansatz, chem, qsim
+from geminal import ansatz, chem
 from geminal.qsim import Circuit, PauliString, Statevector, run_circuit
 
 
@@ -22,6 +22,14 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
         for k in range(dim)
     ]
     return np.array(cols).T
+
+
+def generic_chain(r: int, t: np.ndarray) -> Circuit:
+    """The ansatz chain built from the compiled 12-CNOT pair gates."""
+    circ = ansatz.hf_circuit(r)
+    for k in range(r - 1):
+        circ.extend(ansatz.generic_pair_gate(k, float(t[k]), r))
+    return circ
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +65,7 @@ def test_jw_anticommutation():
 
 
 def test_hf_state_is_pair_zero():
-    st = ansatz.hf_state(3)
+    st = run_circuit(ansatz.hf_circuit(3))
     want = np.zeros(64)
     want[0b000011] = 1.0
     assert np.allclose(st.amps, want)
@@ -71,7 +79,7 @@ def test_hf_state_is_pair_zero():
 def test_jw_hamiltonian_reproduces_rhf_energy(h2_system):
     ints, rhf, fci, h, eri = h2_system
     H = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc)
-    got = qsim.expectation_pauli(ansatz.hf_state(2), H)
+    got = run_circuit(ansatz.hf_circuit(2)).expectation(H).real
     assert got == pytest.approx(rhf.energy, abs=1e-12)
 
 
@@ -81,7 +89,7 @@ def test_jw_hamiltonian_reaches_fci_at_optimal_angle(h2_system):
     g, _ = chem.pair_spectrum(fci.coeff)  # MO basis is natural here
     t = math.atan2(g[1], g[0])
     state = run_circuit(ansatz.build_ansatz_circuit(2, [t]))
-    got = qsim.expectation_pauli(state, H)
+    got = state.expectation(H).real
     assert got == pytest.approx(fci.energy, abs=1e-12)
 
 
@@ -103,7 +111,7 @@ def test_jw_hamiltonian_h3plus_hf_energy():
     ints, rhf, fci = chem.scf_reference(chem.h3plus_molecule(1.65))
     h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
     H = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc)
-    got = qsim.expectation_pauli(ansatz.hf_state(3), H)
+    got = run_circuit(ansatz.hf_circuit(3)).expectation(H).real
     assert got == pytest.approx(rhf.energy, abs=1e-12)
 
 
@@ -195,16 +203,16 @@ def test_rotation_convention_cos_sin():
 def test_chain_amplitudes_match_statevector():
     rng = np.random.default_rng(17)
     for r in (2, 3, 4):
-        for style in ("optimized", "generic"):
+        for build in (ansatz.build_ansatz_circuit, generic_chain):
             t = rng.uniform(-math.pi, math.pi, size=r - 1)
-            state = run_circuit(ansatz.build_ansatz_circuit(r, t, style=style))
+            state = run_circuit(build(r, t))
             got = ansatz.statevector_pair_amplitudes(state, r)
             want = ansatz.givens_chain_amplitudes(t)
             # overall sign is unobservable; align on the largest entry
             j = int(np.argmax(np.abs(want)))
             if got[j] * want[j] < 0:
                 got = -got
-            assert np.allclose(got, want, atol=1e-10), (r, style)
+            assert np.allclose(got, want, atol=1e-10), (r, build.__name__)
             # no leakage out of the paired subspace
             inside = np.sum(np.abs(state.amps[ansatz.paired_subspace_indices(r)]) ** 2)
             assert inside == pytest.approx(1.0, abs=1e-12)
@@ -223,8 +231,6 @@ def test_chain_amplitudes_formula():
 def test_ansatz_validation():
     with pytest.raises(ValueError):
         ansatz.build_ansatz_circuit(3, [0.1])  # wrong angle count
-    with pytest.raises(ValueError):
-        ansatz.build_ansatz_circuit(2, [0.1], style="fancy")
     with pytest.raises(ValueError):
         ansatz.hf_circuit(0)
 

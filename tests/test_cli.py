@@ -95,6 +95,7 @@ def test_nonpositive_shots_and_jobs_are_usage_errors(argv, capsys):
         (["integrals", "--shots", "5"], "--shots 5"),
         (["vtable", "--mitigate", "none"], "--mitigate none"),
         (["scan", "--strict"], "--strict"),
+        (["curve", "--geometry", "h2.xyz"], "--geometry h2.xyz"),
     ],
 )
 def test_options_a_command_does_not_read_are_usage_errors(argv, unread, capsys):
@@ -169,6 +170,37 @@ def test_curve_strict_fails_on_flagged_point(tmp_path, monkeypatch):
     argv = ["curve", "--exact", "--scan", "1.0:1.0:1", "--out", str(tmp_path)]
     assert run_cli(argv) == 0
     assert run_cli(argv + ["--strict"]) == 1
+
+
+def curve_rows(out_dir):
+    lines = (out_dir / "curve.txt").read_text().splitlines()
+    return [line.split() for line in lines if not line.startswith("#")]
+
+
+def test_curve_all_shots_rejected_is_flagged_row(tmp_path):
+    argv = ["curve", "--system", "h2", "--scan", "1.4:1.4:1", "--noise", "ibm-5",
+            "--shots", "2", "--seed", "1", "--out", str(tmp_path)]
+    assert run_cli(argv + ["--strict"]) == 1
+    (row,) = curve_rows(tmp_path)
+    assert "all-shots-rejected-outer-1" in row[-1].split(",")
+    assert "outer-iteration-cap" not in row[-1]
+
+
+def test_curve_goes_on_past_a_rejected_point(tmp_path, monkeypatch):
+    quantum_step = hybrid.quantum_step
+
+    def reject_at_one_bohr(h, eri, enuc, config, t0=None):
+        if enuc == pytest.approx(1.0):  # the R = 1.0 bohr point
+            raise cli.mitigation.AllShotsRejectedError("symmetry filters rejected every shot")
+        return quantum_step(h, eri, enuc, config, t0=t0)
+
+    monkeypatch.setattr(hybrid, "quantum_step", reject_at_one_bohr)
+    argv = ["curve", "--exact", "--scan", "1.0:2.0:2", "--out", str(tmp_path), "--strict"]
+    assert run_cli(argv) == 1
+    rows = curve_rows(tmp_path)
+    assert [float(row[0]) for row in rows] == [1.0, 2.0]
+    assert "all-shots-rejected-outer-1" in rows[0][-1]
+    assert rows[1][-1] == "-"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geminal import ansatz, chem, hybrid, qsim
+from geminal import ansatz, chem, hybrid, mitigation, qsim
 from geminal.hybrid import (
     GeminalState,
     HybridConfig,
@@ -101,8 +101,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="phase mode"):
             HybridConfig(phase_mode="psychic")
-        with pytest.raises(ValueError, match="positive"):
-            HybridConfig(outer_threshold=0.0)
         with pytest.raises(ValueError, match="one optimization run"):
             HybridConfig(restarts=0)
         with pytest.raises(ValueError, match="shots"):
@@ -238,7 +236,7 @@ class TestOrbitalStep:
         g, basis = chem.pair_spectrum(fci.coeff)
         C_natural = rhf.mo_coeff @ basis
         state = GeminalState(g**2, np.sign(g[:-1] * g[1:]).astype(int))
-        res = orbital_step(ints, C_natural, state, HybridConfig())
+        res = orbital_step(ints, C_natural, state)
         assert res.energy == pytest.approx(fci.energy, abs=1e-8)
         assert res.converged
 
@@ -249,7 +247,7 @@ class TestOrbitalStep:
             rhf.mo_coeff @ basis, [(0, 1, 0.07)]
         )
         state = GeminalState(g**2, np.sign(g[:-1] * g[1:]).astype(int))
-        res = orbital_step(ints, C_twisted, state, HybridConfig())
+        res = orbital_step(ints, C_twisted, state)
         assert res.energy == pytest.approx(fci.energy, abs=1e-6)
 
     def test_h3plus_rhf_orbitals_relax_to_fci(self, h3_reference):
@@ -258,7 +256,7 @@ class TestOrbitalStep:
         state = GeminalState(g**2, np.sign(g[:-1] * g[1:]).astype(int))
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
         start = assemble_2dm_energy(state, h, eri, ints.enuc)
-        res = orbital_step(ints, rhf.mo_coeff, state, HybridConfig())
+        res = orbital_step(ints, rhf.mo_coeff, state)
         assert res.energy <= start
         assert res.energy == pytest.approx(fci.energy, abs=1e-6)
 
@@ -267,7 +265,7 @@ class TestOrbitalStep:
         state = GeminalState(np.array([0.9, 0.06, 0.04]), np.array([-1, 1]))
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
         start = assemble_2dm_energy(state, h, eri, ints.enuc)
-        res = orbital_step(ints, rhf.mo_coeff, state, HybridConfig())
+        res = orbital_step(ints, rhf.mo_coeff, state)
         assert res.energy <= start + 1e-12
 
 
@@ -309,7 +307,7 @@ class TestRunHybrid:
         def fake_quantum_step(h, eri, enuc, config, t0):
             return hybrid.QuantumStepResult(t0, state, e_rhf + offset, 1, True, 0.5)
 
-        def fake_orbital_step(ints, C, state, config):
+        def fake_orbital_step(ints, C, state):
             return hybrid.OrbitalStepResult(C, e_rhf + offset, True)
 
         monkeypatch.setattr(hybrid, "quantum_step", fake_quantum_step)
@@ -318,6 +316,26 @@ class TestRunHybrid:
         assert ("no-gain-over-rhf" in point.flags) == flagged
         assert point.energy == min(e_rhf, e_rhf + offset)
         assert point.retained_fraction == (1.0 if flagged else 0.5)
+
+    def test_all_shots_rejected_stops_with_best_energy_so_far(self, monkeypatch):
+        e_rhf = chem.scf_reference(chem.h2_molecule(1.4))[1].energy
+        state = GeminalState(np.array([0.9, 0.1]), np.array([-1]))
+        steps = []
+
+        def fake_quantum_step(h, eri, enuc, config, t0):
+            steps.append(len(steps) + 1)
+            if len(steps) == 2:
+                raise mitigation.AllShotsRejectedError("symmetry filters rejected every shot")
+            return hybrid.QuantumStepResult(t0, state, e_rhf - 0.01, 5, True, 0.5)
+
+        monkeypatch.setattr(hybrid, "quantum_step", fake_quantum_step)
+        point = run_hybrid(chem.h2_molecule(1.4), HybridConfig(shots=64))
+        assert steps == [1, 2]
+        assert point.flags == ["all-shots-rejected-outer-2"]
+        assert point.energy <= e_rhf - 0.01
+        assert point.outer_iterations == 1
+        assert point.n_evals == 5
+        assert not point.converged
 
 
 class TestDissociationCurve:

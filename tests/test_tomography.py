@@ -89,8 +89,6 @@ class TestSamplers:
         exact_sampler(bell_circuit(), counter).run()
         exact_sampler(bell_circuit(), counter).run()
         assert counter.count == 2
-        counter.reset()
-        assert counter.count == 0
 
 
 class TestOccupations:
@@ -102,7 +100,6 @@ class TestOccupations:
         np.testing.assert_allclose(est.n_alpha, amps**2, atol=1e-12)
         np.testing.assert_allclose(est.n_beta, amps**2, atol=1e-12)
         assert est.retained_fraction == 1.0
-        assert np.all(est.stderr_alpha == 0.0)
 
     def test_sampled_occupations_unbiased(self):
         t = np.array([-0.9])
@@ -112,7 +109,6 @@ class TestOccupations:
         sigma = np.sqrt(amps**2 * (1 - amps**2) / 20000)
         assert np.all(np.abs(est.n_alpha - amps**2) < 5 * sigma)
         assert np.all(np.abs(est.n_beta - amps**2) < 5 * sigma)
-        assert np.all(est.stderr_alpha > 0)
 
     def test_symmetry_filter_improves_noisy_estimate(self):
         # occupations far from 1/2, where symmetric readout bias is largest
@@ -144,8 +140,8 @@ class TestPhaseCircuits:
         assert [g.name for g in circ_a.gates] == ["h"] * 6
 
     def test_circuit_b_patterns(self):
-        _, b2 = phase_measurement_circuits(2, "C2")
-        # C2: X basis (h) on alpha/even qubits, Y basis (sdg, h) on beta/odd
+        _, b2 = phase_measurement_circuits(2)
+        # X basis (h) on alpha/even qubits, Y basis (sdg, h) on beta/odd
         assert [(g.name, g.qubits[0]) for g in b2.gates] == [
             ("h", 0),
             ("sdg", 1),
@@ -154,19 +150,6 @@ class TestPhaseCircuits:
             ("sdg", 3),
             ("h", 3),
         ]
-        _, b3 = phase_measurement_circuits(2, "C3")
-        assert [(g.name, g.qubits[0]) for g in b3.gates] == [
-            ("sdg", 0),
-            ("h", 0),
-            ("h", 1),
-            ("sdg", 2),
-            ("h", 2),
-            ("h", 3),
-        ]
-
-    def test_unknown_pattern_rejected(self):
-        with pytest.raises(ValueError, match="pattern"):
-            phase_measurement_circuits(2, "C9")
 
     def test_window_mask(self):
         assert window_mask(0) == 0b1111
@@ -181,11 +164,10 @@ class TestPhaseEstimation:
                 t = rng.uniform(-np.pi, np.pi, size=r - 1)
                 amps = ansatz.givens_chain_amplitudes(t)
                 expected = amps[:-1] * amps[1:]
-                for pattern in ("C2", "C3"):
-                    sampler = exact_sampler(ansatz.build_ansatz_circuit(r, t))
-                    est = estimate_phases(sampler, r, pattern)
-                    np.testing.assert_allclose(est.values, expected, atol=1e-12)
-                    assert sampler.counter.count == 2
+                sampler = exact_sampler(ansatz.build_ansatz_circuit(r, t))
+                est = estimate_phases(sampler, r)
+                np.testing.assert_allclose(est.values, expected, atol=1e-12)
+                assert sampler.counter.count == 2
 
     def test_exact_signs_and_no_ambiguity(self):
         t = np.array([-0.8])  # amplitudes (cos, sin) have opposite signs
@@ -221,11 +203,5 @@ class TestClassicalPhases:
     def test_matches_amplitude_products(self):
         t = np.array([-2.0, 0.7])
         amps = ansatz.givens_chain_amplitudes(t)
-        est = classical_phase_assignment(t)
-        np.testing.assert_allclose(est.values, amps[:-1] * amps[1:], atol=1e-15)
-        assert est.xi.tolist() == list(np.sign(amps[:-1] * amps[1:]).astype(int))
-        assert not est.ambiguous.any()
-
-    def test_zero_amplitude_flagged(self):
-        est = classical_phase_assignment(np.array([-np.pi / 2]))
-        assert est.ambiguous[0]
+        xi = classical_phase_assignment(t)
+        assert xi.tolist() == list(np.sign(amps[:-1] * amps[1:]).astype(int))
