@@ -469,6 +469,16 @@ def _check_trajectory_noise(quick):
     assert abs(got - want) < bound, f"<Z> = {got:.4f}, want {want:.4f} +- {bound:.4f}"
 
 
+def _check_density_noise(quick):
+    # X then a depolarising error with p: P(1) = 1 - 2p/3, exactly
+    p = 0.3
+    circuit = qsim.Circuit(1).x(0)
+    state = qsim.run_density(circuit, qsim.NoiseModel.uniform(1, p1=p))
+    got = state.probabilities()[1]
+    want = 1.0 - 2.0 * p / 3.0
+    assert abs(got - want) < 1e-12, f"P(1) = {got!r}, want {want!r}"
+
+
 def cmd_selftest(args) -> int:
     checks = [
         ("calibration-files", lambda: _check_calibrations(args.noise)),
@@ -478,6 +488,7 @@ def cmd_selftest(args) -> int:
         ("energy-assembly", lambda: _check_energy_assembly(args.quick)),
         ("fci-consistency", lambda: _check_fci_consistency(args.quick)),
         ("trajectory-noise", lambda: _check_trajectory_noise(args.quick)),
+        ("density-noise", lambda: _check_density_noise(args.quick)),
     ]
     failures = 0
     for name, check in checks:

@@ -208,8 +208,8 @@ class QuantumObjective:
         return GeminalState(n, xi)
 
     def __call__(self, t: np.ndarray) -> float:
+        self.n_evals += 1  # counted on entry, so an evaluation a rejection aborts counts too
         state = self.measure_state(t)
-        self.n_evals += 1
         return assemble_2dm_energy(state, self.h, self.eri, self.enuc)
 
 
@@ -315,22 +315,17 @@ class QuantumStepResult:
     retained_fraction: float = 1.0
 
 
-def quantum_step(
-    h: np.ndarray,
-    eri: np.ndarray,
-    enuc: float,
-    config: HybridConfig,
-    t0: np.ndarray | None = None,
-) -> QuantumStepResult:
+def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> QuantumStepResult:
     """Minimize the measured energy over rotation angles at fixed orbitals.
 
     Runs ``config.restarts`` independent Nelder-Mead searches (the first
-    from t0, later ones from jittered copies) and keeps the best.
+    from t0, later ones from jittered copies) and keeps the best.  The
+    caller owns ``objective``, so its evaluation count survives a step
+    that a symmetry-filter rejection aborts.
     """
-    r = h.shape[0]
+    config, r = objective.config, objective.r
     if t0 is None:
         t0 = np.zeros(r - 1)
-    objective = QuantumObjective(h, eri, enuc, config)
     jitter = make_rng(config.seed, 404)
     best = None
     converged = False
@@ -350,7 +345,7 @@ def quantum_step(
     # refresh the state at the winning angles with extra averaging so the
     # returned (n, xi) is less noisy than a single optimizer evaluation
     state = objective.measure_state(best.x, repeats=1 if config.shots is None else 4)
-    energy = assemble_2dm_energy(state, h, eri, enuc)
+    energy = assemble_2dm_energy(state, objective.h, objective.eri, objective.enuc)
     return QuantumStepResult(
         best.x,
         state,
@@ -443,7 +438,8 @@ def run_hybrid(
     determinant itself).  When the symmetry filters reject every shot of
     a preparation in outer step k, the loop stops there, the point keeps
     the best energy of the completed steps and carries the flag
-    ``all-shots-rejected-outer-<k>``.  When outer steps ran and none
+    ``all-shots-rejected-outer-<k>``; the evaluations of the aborted
+    step count in ``n_evals``.  When outer steps ran and none
     reached the RHF energy, the point reports the RHF start and carries
     the flag ``no-gain-over-rhf``.
     """
@@ -468,9 +464,11 @@ def run_hybrid(
 
     for outer in range(1, config.outer_max_iter + 1):
         h, eri = chem.transform_integrals(ints, C)
+        objective = QuantumObjective(h, eri, ints.enuc, config)
         try:
-            qres = quantum_step(h, eri, ints.enuc, config, t0=t)
+            qres = quantum_step(objective, t0=t)
         except mitigation.AllShotsRejectedError:
+            total_evals += objective.n_evals
             flags.append(f"all-shots-rejected-outer-{outer}")
             rejected = True
             break

@@ -1,4 +1,4 @@
-"""Statevector simulator with stochastic device-noise emulation.
+"""Statevector and density-matrix simulation with device-noise emulation.
 
 Conventions, used consistently by every consumer:
 
@@ -8,27 +8,35 @@ Conventions, used consistently by every consumer:
   X on qubit 0 and Y on qubit 1.
 * ``rz(t) = exp(-i t Z / 2)`` and likewise for rx/ry.
 
-Noise follows a trajectory (quantum-jump) picture: each shot is its own
-statevector, gate errors insert uniformly random non-identity Paulis on
-the gate's qubits (3 choices after a one-qubit gate, 15 after a CNOT),
-readout flips each measured bit independently, and optional T1/T2
-damping applies amplitude/phase relaxation for fixed gate durations.
-All randomness is drawn from a single numpy Generator in a fixed order,
-so results are reproducible bit-for-bit for a given (seed, stream).
+The noise model: gate errors are depolarising (a uniformly random
+non-identity Pauli on the gate's qubits, 3 choices after a one-qubit
+gate, 15 after a CNOT), readout flips each measured bit independently,
+and optional T1/T2 damping applies amplitude/phase relaxation for fixed
+gate durations.
 
-Shots with the same error history have the same state, so the
-trajectory engine keeps one state per distinct history.  It draws the
-same numbers in the same order as one statevector per shot would: a
-Pauli error moves the hit shots of a history to a new state made by one
-index gather, a damping jump or dephasing flip splits a history the same
-way, and the states are gathered back to one per shot before sampling.
+Noisy preparations run on the density-matrix engine (``run_density``,
+up to MAX_DENSITY_QUBITS qubits).  Each gate is one local superoperator
+that combines the unitary, the depolarising twirl and the damping, and
+a noisy histogram is one multinomial draw over the readout-confused
+diagonal of rho.  That is exactly the distribution of one shot per
+trajectory, so the result is reproducible bit-for-bit for a given
+(seed, stream).
+
+The trajectory engine (``run_trajectories``) is the independent
+reference: each shot is its own statevector in the quantum-jump
+picture, with all randomness drawn from one numpy Generator in a fixed
+order.  Shots with the same error history have the same state, so it
+keeps one state per distinct history: a Pauli error moves the hit shots
+of a history to a new state made by one index gather, a damping jump or
+dephasing flip splits a history the same way, and the states are
+gathered back to one per shot before sampling.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -38,6 +46,7 @@ from geminal import _kernels
 
 ONE_QUBIT_GATE_NS = 100.0
 CNOT_GATE_NS = 300.0
+MAX_DENSITY_QUBITS = 10  # rho then holds 2**20 complex entries (16 MiB)
 
 
 class CalibrationError(ValueError):
@@ -196,6 +205,10 @@ class Gate:
         """Local unitary; for cx the local index is bit(control) + 2 bit(target)."""
         if self.name in _FIXED_1Q:
             return _FIXED_1Q[self.name].copy()
+        if self.name == "cx":
+            m = np.eye(4, dtype=complex)
+            m[[1, 3]] = m[[3, 1]]  # |c=1,t=0> <-> |c=1,t=1>
+            return m
         t = self.param
         half = 0.5 * t
         c, s = math.cos(half), math.sin(half)
@@ -205,10 +218,6 @@ class Gate:
             return np.array([[c, -s], [s, c]], dtype=complex)
         if self.name == "rz":
             return np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=complex)
-        if self.name == "cx":
-            m = np.eye(4, dtype=complex)
-            m[[1, 3]] = m[[3, 1]]  # |c=1,t=0> <-> |c=1,t=1>
-            return m
         raise ValueError(f"unknown gate {self.name!r}")
 
 
@@ -271,9 +280,6 @@ class Circuit:
             raise ValueError("qubit counts differ")
         self.gates.extend(other.gates)
         return self
-
-    def copy(self) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates)
 
     @property
     def cx_count(self) -> int:
@@ -524,13 +530,19 @@ def load_calibration(source: str) -> DeviceCalibration:
 
 @dataclass
 class NoiseModel:
-    """Per-qubit error rates feeding the trajectory sampler.
+    """Per-qubit error rates feeding the density-matrix engine and the trajectories.
 
     ``one_qubit``/``readout`` map qubit index to probability;
     ``two_qubit`` maps ordered coupling pairs (looked up direction-
     agnostically).  ``t1_ns``/``t2_ns`` enable relaxation only when
     ``damping`` is set; the defaults emulate gate errors and readout
     only, which is the regime the error-rate tables describe.
+
+    The density-matrix engine keeps the superoperators it builds from
+    these rates in ``_channels``: one per parameter-free gate and one
+    noise channel per qubit set of a rotation, so the cache is bounded
+    by the qubit count and never holds an angle.  The rates are read
+    when a channel is first built; change them on a new model.
     """
 
     one_qubit: dict[int, float]
@@ -539,6 +551,7 @@ class NoiseModel:
     t1_ns: dict[int, float] | None = None
     t2_ns: dict[int, float] | None = None
     damping: bool = False
+    _channels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_calibration(cls, cal: DeviceCalibration, n_qubits: int, damping: bool = False):
@@ -577,6 +590,162 @@ class NoiseModel:
     def readout_vector(self, n_qubits: int) -> np.ndarray:
         return np.array([self.readout.get(q, 0.0) for q in range(n_qubits)])
 
+
+def _relaxation(duration_ns: float, t1_ns: float, t2_ns: float) -> tuple[float, float]:
+    """Amplitude-damping probability and pure-dephasing flip probability of one gate.
+
+    Pure dephasing is what T2 leaves beyond the T1 contribution,
+    1/T2 = 1/(2 T1) + 1/Tphi; a T2 above 2 T1 leaves none, so the flip
+    probability is clamped at 0.
+    """
+    gamma = 1.0 - math.exp(-duration_ns / t1_ns)
+    inv_tphi = 1.0 / t2_ns - 0.5 / t1_ns
+    pz = 0.5 * (1.0 - math.exp(-duration_ns * inv_tphi)) if inv_tphi > 0 else 0.0
+    return gamma, pz
+
+
+# ---------------------------------------------------------------------------
+# density-matrix engine
+# ---------------------------------------------------------------------------
+
+def _superoperator(*kraus: np.ndarray) -> np.ndarray:
+    """sum_K K (x) conj(K): the channel rho -> sum_K K rho K^dagger on row-major vec(rho)."""
+    d = kraus[0].shape[0]
+    # K (x) conj(K) by broadcasting: np.kron costs ten times more on a 2x2
+    return sum(k[:, None, :, None] * k.conj()[None, :, None, :] for k in kraus).reshape(d * d, -1)
+
+
+def _embed_local(op: np.ndarray, position: int, k: int) -> np.ndarray:
+    """One-qubit op on bit ``position`` of a k-qubit little-endian local index."""
+    return np.kron(np.eye(1 << (k - 1 - position)), np.kron(op, np.eye(1 << position)))
+
+
+def _noise_channel(noise: NoiseModel, gate: Gate) -> np.ndarray:
+    """Depolarising twirl, then damping per gate qubit, on the gate's local space.
+
+    The Pauli channel (1 - p) rho + p/(4^k - 1) sum_{P != I} P rho P
+    equals (1 - lam) rho + lam Tr_Q(rho) (x) I/2^k with
+    lam = p 4^k/(4^k - 1) (Nielsen & Chuang, section 8.3).
+    """
+    k = len(gate.qubits)
+    d = 1 << k
+    lam = noise.p_gate(gate) * d * d / (d * d - 1)
+    ident = np.eye(d).reshape(-1)
+    chan = (1.0 - lam) * np.eye(d * d) + (lam / d) * np.outer(ident, ident)
+    if noise.damping and noise.t1_ns is not None:
+        duration = CNOT_GATE_NS if gate.name == "cx" else ONE_QUBIT_GATE_NS
+        for m, q in enumerate(gate.qubits):
+            gamma, pz = _relaxation(duration, noise.t1_ns[q], noise.t2_ns[q])
+            k0 = np.diag([1.0, math.sqrt(1.0 - gamma)])
+            k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])
+            damp = _superoperator(_embed_local(k0, m, k), _embed_local(k1, m, k))
+            z = _embed_local(_FIXED_1Q["z"].real, m, k)
+            dephase = (1.0 - pz) * np.eye(d * d) + pz * _superoperator(z)
+            chan = dephase @ damp @ chan
+    return chan
+
+
+def _gate_channel(noise: NoiseModel, gate: Gate) -> np.ndarray:
+    """The gate's unitary, depolarising twirl and damping as one local superoperator."""
+    cache = noise._channels
+    if gate.param is None:
+        key = (gate.name, gate.qubits)
+        if key not in cache:
+            cache[key] = _noise_channel(noise, gate) @ _superoperator(gate.matrix())
+        return cache[key]
+    key = (None, gate.qubits)
+    if key not in cache:
+        cache[key] = _noise_channel(noise, gate)
+    return cache[key] @ _superoperator(gate.matrix())
+
+
+@functools.lru_cache(maxsize=32)
+def _local_first_order(n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of rho that bring the row and column bits of ``qubits`` first.
+
+    Gathering row-major rho with them gives a (4**k, rest) array whose
+    row index is (local row) * 2**k + (local column), the index a local
+    superoperator acts on; the same indices scatter the result back.
+    An entry holds 4**n indices: 32 KiB at 6 qubits, 8 MiB at 10.
+    """
+    n = n_qubits
+    rows = [n - 1 - q for q in reversed(qubits)]  # qubits[-1] is the local high bit
+    axes = rows + [n + a for a in rows]
+    rest = [a for a in range(2 * n) if a not in axes]
+    order = np.arange(1 << (2 * n), dtype=np.intp).reshape((2,) * (2 * n))
+    order = order.transpose(axes + rest).reshape(-1)
+    order.flags.writeable = False  # shared by every cached call
+    return order
+
+
+class DensityMatrix:
+    """Noisy n-qubit state rho, with the noise model that prepared it.
+
+    ``flat`` holds rho row-major, so ``flat.reshape(2**n, 2**n)`` is rho
+    in the little-endian basis.
+    """
+
+    def __init__(self, flat: np.ndarray, noise: NoiseModel):
+        self.flat = flat
+        self.noise = noise
+
+    @classmethod
+    def zero(cls, n_qubits: int, noise: NoiseModel) -> "DensityMatrix":
+        if not 1 <= n_qubits <= MAX_DENSITY_QUBITS:
+            raise ValueError(
+                f"the density-matrix engine covers 1 to {MAX_DENSITY_QUBITS} qubits, "
+                f"not {n_qubits}"
+            )
+        flat = np.zeros(1 << (2 * n_qubits), dtype=complex)
+        flat[0] = 1.0
+        return cls(flat, noise)
+
+    @property
+    def n_qubits(self) -> int:
+        return (self.flat.size.bit_length() - 1) // 2
+
+    def probabilities(self) -> np.ndarray:
+        """Z-basis outcome distribution: diag(rho) through each qubit's readout flips."""
+        probs = self.flat[:: (1 << self.n_qubits) + 1].real.copy()  # diag(rho)
+        for q, ro in enumerate(self.noise.readout_vector(self.n_qubits)):
+            if ro > 0.0:
+                view = probs.reshape(-1, 2, 1 << q)
+                probs = ((1.0 - ro) * view + ro * view[:, ::-1, :]).reshape(-1)
+        return probs
+
+    def sample(self, shots: int, seed: int = 0, stream: int = 0) -> ShotHistogram:
+        """``shots`` outcomes as one multinomial draw on the (seed, stream) generator."""
+        if shots < 1:
+            raise ValueError("shots must be positive")
+        probs = np.clip(self.probabilities(), 0.0, None)
+        counts = make_rng(seed, 202, stream).multinomial(shots, probs / probs.sum())
+        return ShotHistogram(self.n_qubits, shots, counts)
+
+
+def run_density(
+    circuit: Circuit, noise: NoiseModel, state: DensityMatrix | None = None
+) -> DensityMatrix:
+    """Evolve rho through the noisy circuit from |0...0><0...0| (or the given state).
+
+    Each gate applies as one superoperator on its qubits' row and
+    column bits; the given state is not modified.
+    """
+    n = circuit.n_qubits
+    if state is None:
+        state = DensityMatrix.zero(n, noise)
+    elif state.n_qubits != n:
+        raise ValueError("state and circuit qubit counts differ")
+    flat = state.flat.copy()
+    for gate in circuit.gates:
+        order = _local_first_order(n, gate.qubits)
+        chan = _gate_channel(noise, gate)
+        flat[order] = (chan @ flat[order].reshape(chan.shape[0], -1)).reshape(-1)
+    return DensityMatrix(flat, noise)
+
+
+# ---------------------------------------------------------------------------
+# trajectory engine (reference)
+# ---------------------------------------------------------------------------
 
 class TrajectoryEnsemble:
     """Batch of per-shot statevectors after a noisy circuit run."""
@@ -670,7 +839,7 @@ def _damp(states, cls, qubit, duration_ns, t1_ns, t2_ns, rng):
     and stay splits into a jump row and a stay row.
     """
     nt, (n_rows, dim) = cls.size, states.shape
-    gamma = 1.0 - math.exp(-duration_ns / t1_ns)
+    gamma, pz = _relaxation(duration_ns, t1_ns, t2_ns)
     k = np.arange(dim)
     hi = k[(k >> qubit) & 1 == 1]
     lo = hi ^ (1 << qubit)
@@ -692,9 +861,6 @@ def _damp(states, cls, qubit, duration_ns, t1_ns, t2_ns, rng):
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     if jumped is not None:
         states = np.concatenate((states, jumped))
-    # pure dephasing beyond the T1 contribution: 1/T2 = 1/(2 T1) + 1/Tphi
-    inv_tphi = 1.0 / t2_ns - 0.5 / t1_ns
-    pz = 0.5 * (1.0 - math.exp(-duration_ns * inv_tphi)) if inv_tphi > 0 else 0.0
     flips = np.nonzero(rng.random(nt) < pz)[0]
     z_table = _pauli_table(dim.bit_length() - 1, (qubit,))
     return _branch(states, cls, flips, np.full(flips.size, 3), z_table)
@@ -747,13 +913,3 @@ def run_trajectories(
                 )
     return TrajectoryEnsemble(states[cls], n, rng, noise)
 
-
-def run_noisy(
-    circuit: Circuit,
-    noise: NoiseModel,
-    shots: int,
-    seed: int = 0,
-    stream: int = 0,
-) -> ShotHistogram:
-    """Noisy circuit execution: one sampled outcome per trajectory."""
-    return run_trajectories(circuit, noise, shots, seed, stream).sample()

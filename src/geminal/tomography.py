@@ -12,9 +12,9 @@ beta qubits to Y,
     est_k = (parity_A(window) + parity_B(window)) / 4
 
 equals g_k g_{k+1} exactly on ideal paired states, where g_p are the
-signed pair amplitudes.  Only the sign enters the energy; an estimate
-within two standard errors of zero is flagged so callers can fall back
-to the classically propagated sign.
+signed pair amplitudes.  Only the sign enters the energy;
+``phase_signs`` flags an estimate within two standard errors of zero so
+callers can fall back to the classically propagated sign.
 """
 
 from __future__ import annotations
@@ -35,6 +35,23 @@ class PreparationCounter:
         self.count += 1
 
 
+def _evolve(circuit: Circuit, noise: NoiseModel | None, state=None):
+    """Statevector of the noiseless circuit, or density matrix of the noisy one."""
+    if noise is None:
+        return qsim.run_circuit(circuit, state)
+    return qsim.run_density(circuit, noise, state)
+
+
+def _measure(state, shots: int | None, seed: int, stream: int, noise) -> ShotHistogram:
+    if shots is None:
+        if noise is not None:
+            raise ValueError("exact mode (shots=None) is noiseless; a noise model needs shots")
+        return ShotHistogram(state.n_qubits, None, state.probabilities())
+    if noise is None:
+        return qsim.sample(state, shots, seed, stream)
+    return state.sample(shots, seed, stream)
+
+
 def measure_circuit(
     circuit: Circuit,
     shots: int | None,
@@ -47,15 +64,9 @@ def measure_circuit(
     ``shots=None`` returns the exact outcome probabilities of the
     noiseless circuit and rejects a noise model; otherwise ``shots``
     outcomes are drawn from the (seed, stream) generator, through the
-    trajectory noise model if one is given.
+    density-matrix engine if a noise model is given.
     """
-    if shots is None:
-        if noise is not None:
-            raise ValueError("exact mode (shots=None) is noiseless; a noise model needs shots")
-        return ShotHistogram(circuit.n_qubits, None, qsim.run_circuit(circuit).probabilities())
-    if noise is not None:
-        return qsim.run_noisy(circuit, noise, shots, seed, stream)
-    return qsim.sample(qsim.run_circuit(circuit), shots, seed, stream)
+    return _measure(_evolve(circuit, noise), shots, seed, stream, noise)
 
 
 class ShotSampler:
@@ -63,10 +74,13 @@ class ShotSampler:
 
     Each ``run`` is one circuit preparation: the preparation circuit plus
     an optional basis-rotation circuit, executed for ``shots`` shots, or
-    exactly when ``shots`` is None.  Each run draws the stream numbered by
-    the preparations ``counter`` has counted so far, so samplers sharing a
-    counter never reuse a stream and the whole sequence is deterministic
-    in the seed.
+    exactly when ``shots`` is None.  The preparation circuit is simulated
+    once, as a statevector or, under a noise model, a density matrix,
+    and each basis rotation runs on a copy; that gives the numbers of
+    simulating both circuits together.  Each run draws the stream
+    numbered by the preparations ``counter`` has counted so far, so
+    samplers sharing a counter never reuse a stream and the whole
+    sequence is deterministic in the seed.
     """
 
     def __init__(
@@ -82,14 +96,17 @@ class ShotSampler:
         self.seed = int(seed)
         self.noise = noise
         self.counter = counter if counter is not None else PreparationCounter()
+        self._prepared = None
 
     def run(self, basis: Circuit | None = None) -> ShotHistogram:
-        total = self.circuit.copy()
+        if self._prepared is None:
+            self._prepared = _evolve(self.circuit, self.noise)
+        state = self._prepared
         if basis is not None:
-            total.extend(basis)
+            state = _evolve(basis, self.noise, state)
         stream = self.counter.count
         self.counter.bump()
-        return measure_circuit(total, self.shots, self.seed, stream, self.noise)
+        return _measure(state, self.shots, self.seed, stream, self.noise)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +179,8 @@ def phase_measurement_circuits(r: int) -> tuple[Circuit, Circuit]:
 
 @dataclass
 class PhaseEstimate:
-    values: np.ndarray  # raw estimates of g_k g_{k+1}
+    values: np.ndarray  # raw estimates of g_k g_{k+1}; phase_signs turns them into signs
     stderr: np.ndarray
-    xi: np.ndarray  # +-1 signs
-    ambiguous: np.ndarray  # True where |value| < 2 * stderr
 
 
 def window_mask(k: int) -> int:
@@ -183,7 +198,7 @@ def estimate_phases(sampler, r: int) -> PhaseEstimate:
         mask = window_mask(k)
         vals[k] = 0.25 * (rec_a.parity(mask) + rec_b.parity(mask))
         errs[k] = 0.25 * np.hypot(rec_a.parity_stderr(mask), rec_b.parity_stderr(mask))
-    return PhaseEstimate(vals, errs, *phase_signs(vals, errs))
+    return PhaseEstimate(vals, errs)
 
 
 def phase_signs(values: np.ndarray, stderr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -159,6 +159,21 @@ def test_curve_parallel_matches_serial(tmp_path):
     assert rows_a == rows_b
 
 
+def test_noisy_curve_parallel_is_byte_identical_to_serial(tmp_path):
+    # 8 shots keep it short: each point runs outer step 1, then its filters reject every shot
+    base = ["curve", "--system", "h2", "--scan", "1.0:1.4:2", "--noise", "ibm-5",
+            "--shots", "8", "--seed", "5"]
+    run_cli(base + ["--out", str(tmp_path / "a")])
+    run_cli(base + ["--jobs", "2", "--out", str(tmp_path / "b")])
+    rows_a = [line for line in (tmp_path / "a" / "curve.txt").read_text().splitlines()
+              if not line.startswith("#")]
+    rows_b = [line for line in (tmp_path / "b" / "curve.txt").read_text().splitlines()
+              if not line.startswith("#")]
+    assert len(rows_a) == 2 and rows_a == rows_b
+    json_a = (tmp_path / "a" / "curve_points.json").read_bytes()
+    assert json_a == (tmp_path / "b" / "curve_points.json").read_bytes()
+
+
 def test_curve_strict_fails_on_flagged_point(tmp_path, monkeypatch):
     flagged = hybrid.CurvePoint(
         parameter=1.0, energy=-1.0, energy_fci=-1.0, energy_rhf=-0.9,
@@ -189,10 +204,10 @@ def test_curve_all_shots_rejected_is_flagged_row(tmp_path):
 def test_curve_goes_on_past_a_rejected_point(tmp_path, monkeypatch):
     quantum_step = hybrid.quantum_step
 
-    def reject_at_one_bohr(h, eri, enuc, config, t0=None):
-        if enuc == pytest.approx(1.0):  # the R = 1.0 bohr point
+    def reject_at_one_bohr(objective, t0=None):
+        if objective.enuc == pytest.approx(1.0):  # the R = 1.0 bohr point
             raise cli.mitigation.AllShotsRejectedError("symmetry filters rejected every shot")
-        return quantum_step(h, eri, enuc, config, t0=t0)
+        return quantum_step(objective, t0=t0)
 
     monkeypatch.setattr(hybrid, "quantum_step", reject_at_one_bohr)
     argv = ["curve", "--exact", "--scan", "1.0:2.0:2", "--out", str(tmp_path), "--strict"]
@@ -325,7 +340,8 @@ def test_vtable_requires_two_orbitals():
 def test_selftest_quick_passes(capsys):
     assert run_cli(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok") == 7
+    assert out.count("ok") == 8
+    assert "ok    density-noise" in out
 
 
 def test_selftest_flags_corrupt_calibration(tmp_path, capsys):

@@ -204,7 +204,7 @@ class TestQuantumStep:
         ints, rhf, fci = h2_reference
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
         config = HybridConfig(shots=None)
-        res = quantum_step(h, eri, ints.enuc, config)
+        res = quantum_step(QuantumObjective(h, eri, ints.enuc, config))
         assert res.energy == pytest.approx(fci.energy, abs=1e-7)
 
         # brute-force scan of the same objective as an independent oracle
@@ -218,14 +218,14 @@ class TestQuantumStep:
         base = HybridConfig(shots=None, nm_max_iter=4, restarts=1)
         more = HybridConfig(shots=None, nm_max_iter=4, restarts=6)
         t0 = np.array([2.5])  # deliberately poor start
-        e1 = quantum_step(h, eri, ints.enuc, base, t0=t0).energy
-        e6 = quantum_step(h, eri, ints.enuc, more, t0=t0).energy
+        e1 = quantum_step(QuantumObjective(h, eri, ints.enuc, base), t0=t0).energy
+        e6 = quantum_step(QuantumObjective(h, eri, ints.enuc, more), t0=t0).energy
         assert e6 <= e1 + 1e-12
 
     def test_returned_state_matches_angles(self, h3_reference):
         ints, rhf, _ = h3_reference
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
-        res = quantum_step(h, eri, ints.enuc, HybridConfig(shots=None))
+        res = quantum_step(QuantumObjective(h, eri, ints.enuc, HybridConfig(shots=None)))
         amps = ansatz.givens_chain_amplitudes(res.t)
         np.testing.assert_allclose(res.state.n, amps**2, atol=1e-10)
 
@@ -304,7 +304,7 @@ class TestRunHybrid:
         e_rhf = chem.scf_reference(chem.h2_molecule(1.4))[1].energy
         state = GeminalState(np.array([0.9, 0.1]), np.array([-1]))
 
-        def fake_quantum_step(h, eri, enuc, config, t0):
+        def fake_quantum_step(objective, t0):
             return hybrid.QuantumStepResult(t0, state, e_rhf + offset, 1, True, 0.5)
 
         def fake_orbital_step(ints, C, state):
@@ -322,9 +322,11 @@ class TestRunHybrid:
         state = GeminalState(np.array([0.9, 0.1]), np.array([-1]))
         steps = []
 
-        def fake_quantum_step(h, eri, enuc, config, t0):
+        def fake_quantum_step(objective, t0):
             steps.append(len(steps) + 1)
             if len(steps) == 2:
+                for angle in (0.1, 0.2, 0.3):  # three real evaluations before the rejection
+                    objective(np.array([angle]))
                 raise mitigation.AllShotsRejectedError("symmetry filters rejected every shot")
             return hybrid.QuantumStepResult(t0, state, e_rhf - 0.01, 5, True, 0.5)
 
@@ -334,7 +336,7 @@ class TestRunHybrid:
         assert point.flags == ["all-shots-rejected-outer-2"]
         assert point.energy <= e_rhf - 0.01
         assert point.outer_iterations == 1
-        assert point.n_evals == 5
+        assert point.n_evals == 5 + 3
         assert not point.converged
 
 

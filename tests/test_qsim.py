@@ -6,6 +6,10 @@ the simulator's own kernels or Pauli machinery appear on the oracle side.
 The exception is ``per_trajectory_reference``: the one-statevector-per-
 shot loop that the class-shared trajectory engine replaced, kept with the
 same kernels so that the two must agree bit for bit.
+
+The density-matrix engine, which runs every noisy preparation, is checked
+twice: against ``density_matrix_outcomes`` (an explicit Kraus-sum oracle)
+to 1e-12, and against trajectory histograms by a chi-square test.
 """
 
 import math
@@ -269,7 +273,7 @@ def test_sampling_is_deterministic_and_unbiased():
 
 def test_sampling_readout_flips():
     readout_only = NoiseModel({}, {}, {0: 0.25, 1: 0.0, 2: 0.5})
-    hist = qsim.run_noisy(Circuit(3), readout_only, 20000, seed=3)
+    hist = qsim.run_density(Circuit(3), readout_only).sample(20000, seed=3)
     assert hist.occupation(0) == pytest.approx(0.25, abs=0.02)
     assert hist.occupation(1) == 0.0
     assert hist.occupation(2) == pytest.approx(0.5, abs=0.02)
@@ -380,18 +384,20 @@ def test_single_cnot_error_one_mean():
 def test_noisy_sampling_reproducible():
     circ = Circuit(2).h(0).cx(0, 1)
     nm = NoiseModel.uniform(2, p1=0.01, p2=0.05, readout=0.03)
-    h1 = qsim.run_noisy(circ, nm, shots=512, seed=21, stream=3)
-    h2 = qsim.run_noisy(circ, nm, shots=512, seed=21, stream=3)
+    h1 = qsim.run_density(circ, nm).sample(512, seed=21, stream=3)
+    h2 = qsim.run_density(circ, nm).sample(512, seed=21, stream=3)
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.counts.sum() == 512
-    h3 = qsim.run_noisy(circ, nm, shots=512, seed=22, stream=3)
+    h3 = qsim.run_density(circ, nm).sample(512, seed=22, stream=3)
     assert not np.array_equal(h3.counts, h1.counts)
+    h4 = qsim.run_density(circ, nm).sample(512, seed=21, stream=4)
+    assert not np.array_equal(h4.counts, h1.counts)
 
 
 def test_readout_noise_on_prepared_state():
     circ = Circuit(2).x(0)
     nm = NoiseModel.uniform(2, readout=0.2)
-    hist = qsim.run_noisy(circ, nm, shots=20000, seed=5)
+    hist = qsim.run_density(circ, nm).sample(20000, seed=5)
     assert hist.occupation(0) == pytest.approx(0.8, abs=0.02)
     assert hist.occupation(1) == pytest.approx(0.2, abs=0.02)
 
@@ -523,24 +529,33 @@ def cnot_ladder(n_qubits: int, n_cnots: int) -> Circuit:
     return circ
 
 
+# ibm-14 qubit 2 has T2 > 2 T1 (168 vs 75 us), where pure dephasing is clamped at 0
 ENGINE_CASES = {
     "r2-ibm-5": (lambda: ansatz.build_ansatz_circuit(2, np.array([-0.8])), "ibm-5", False),
     "r3-ibm-14": (lambda: ansatz.build_ansatz_circuit(3, np.array([0.45, -1.1])), "ibm-14", False),
     "r2-ibm-14-damping": (lambda: ansatz.build_ansatz_circuit(2, np.array([0.9])), "ibm-14", True),
+    "r3-ibm-14-damping": (
+        lambda: ansatz.build_ansatz_circuit(3, np.array([-0.6, 1.3])), "ibm-14", True
+    ),
     "uniform-p2-1": (lambda: cnot_ladder(3, 12), None, False),
 }
+
+
+def engine_case(case: str):
+    """(circuit, calibration, noise model) of one ENGINE_CASES entry."""
+    build, device, damping = ENGINE_CASES[case]
+    circ = build()
+    if device is None:  # every CNOT fails
+        cal = chain_calibration(circ.n_qubits, 0.02, 0.05, 1.0)
+    else:
+        cal = qsim.load_calibration(device)
+    return circ, cal, NoiseModel.from_calibration(cal, circ.n_qubits, damping=damping)
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
 @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
 def test_class_engine_bit_identical_to_per_trajectory_loop(case, seed):
-    build, device, damping = ENGINE_CASES[case]
-    circ = build()
-    if device is None:
-        noise = NoiseModel.uniform(circ.n_qubits, p1=0.02, p2=1.0, readout=0.05)
-    else:
-        cal = qsim.load_calibration(device)
-        noise = NoiseModel.from_calibration(cal, circ.n_qubits, damping=damping)
+    circ, _, noise = engine_case(case)
     got = qsim.run_trajectories(circ, noise, 2048, seed=seed, stream=4)
     want = per_trajectory_reference(circ, noise, 2048, seed=seed, stream=4)
     assert np.array_equal(got.amps2, want.amps2)
@@ -588,7 +603,8 @@ def density_matrix_outcomes(
     With ``damping``, each gate qubit then relaxes for the gate duration:
     the amplitude-damping Kraus pair K0 = diag(1, sqrt(1 - gamma)),
     K1 = sqrt(gamma) |0><1| with gamma = 1 - exp(-t/T1), followed by a
-    phase flip with probability pz = (1 - exp(-t (1/T2 - 1/(2 T1)))) / 2.
+    phase flip with probability pz = (1 - exp(-t (1/T2 - 1/(2 T1)))) / 2,
+    or none where T2 > 2 T1 makes that negative.
     """
     n = circ.n_qubits
     dim = 1 << n
@@ -619,7 +635,8 @@ def density_matrix_outcomes(
             k0 = embed(np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex), q, n)
             k1 = embed(np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex), q, n)
             rho = k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
-            pz = 0.5 * (1.0 - math.exp(-duration * (1.0 / t2 - 0.5 / t1)))
+            # T2 > 2 T1 leaves no pure dephasing: the flip probability is clamped at 0
+            pz = max(0.0, 0.5 * (1.0 - math.exp(-duration * (1.0 / t2 - 0.5 / t1))))
             zq = embed(Z, q, n)
             rho = (1.0 - pz) * rho + pz * zq @ rho @ zq
     probs = np.real(np.diag(rho)).copy()
@@ -675,7 +692,7 @@ def test_trajectory_histogram_matches_density_matrix(device, angles, seed):
     noise = NoiseModel.from_calibration(cal, circ.n_qubits)
     probs = density_matrix_outcomes(circ, cal)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    hist = qsim.run_noisy(circ, noise, shots, seed=seed)
+    hist = qsim.run_trajectories(circ, noise, shots, seed=seed).sample()
     stat, dof = chi_square_statistic(hist.counts, probs)
     assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)
 
@@ -690,6 +707,51 @@ def test_damped_trajectory_histogram_matches_density_matrix(angles, seed):
     noise = NoiseModel.from_calibration(cal, circ.n_qubits, damping=True)
     probs = density_matrix_outcomes(circ, cal, damping=True)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    hist = qsim.run_noisy(circ, noise, shots, seed=seed)
+    hist = qsim.run_trajectories(circ, noise, shots, seed=seed).sample()
     stat, dof = chi_square_statistic(hist.counts, probs)
     assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)
+
+
+# ---------------------------------------------------------------------------
+# density-matrix engine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_density_engine_matches_kraus_oracle(case):
+    circ, cal, noise = engine_case(case)
+    got = qsim.run_density(circ, noise).probabilities()
+    want = density_matrix_outcomes(circ, cal, damping=noise.damping)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_trajectory_histogram_matches_density_engine(case):
+    circ, _, noise = engine_case(case)
+    probs = qsim.run_density(circ, noise).probabilities()
+    hist = qsim.run_trajectories(circ, noise, 20000, seed=59, stream=2).sample()
+    stat, dof = chi_square_statistic(hist.counts, probs)
+    assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)
+
+
+def test_density_sample_is_one_multinomial_draw_on_its_stream():
+    circ, _, noise = engine_case("r2-ibm-5")
+    state = qsim.run_density(circ, noise)
+    hist = state.sample(2048, seed=7, stream=3)
+    want = qsim.make_rng(7, 202, 3).multinomial(2048, state.probabilities())
+    np.testing.assert_array_equal(hist.counts, want)
+
+
+def test_density_engine_leaves_its_input_state_unchanged():
+    circ, _, noise = engine_case("r2-ibm-14-damping")
+    prepared = qsim.run_density(circ, noise)
+    before = prepared.flat.copy()
+    basis = Circuit(circ.n_qubits).h(0).sdg(1).h(1)
+    rotated = qsim.run_density(basis, noise, prepared)
+    np.testing.assert_array_equal(prepared.flat, before)
+    whole = Circuit(circ.n_qubits, circ.gates + basis.gates)
+    np.testing.assert_array_equal(rotated.flat, qsim.run_density(whole, noise).flat)
+
+
+def test_density_engine_rejects_more_than_ten_qubits():
+    with pytest.raises(ValueError, match="1 to 10 qubits"):
+        qsim.run_density(Circuit(11).x(0), NoiseModel.uniform(11))

@@ -77,6 +77,17 @@ class TestSamplers:
         assert hist.occupation(0) == pytest.approx(0.25, abs=0.04)
         assert hist.occupation(1) == pytest.approx(0.25, abs=0.04)
 
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_shared_preparation_gives_the_whole_circuit_counts(self, noisy):
+        circuit = ansatz.build_ansatz_circuit(2, np.array([-0.8]))
+        noise = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4) if noisy else None
+        sampler = ShotSampler(circuit, shots=512, seed=6, noise=noise)
+        for stream, basis in enumerate((Circuit(4), *phase_measurement_circuits(2))):
+            whole = Circuit(4, circuit.gates + basis.gates)
+            want = tomography.measure_circuit(whole, 512, seed=6, stream=stream, noise=noise)
+            assert sampler.run(basis if basis.gates else None) == want
+        assert sampler.counter.count == 3
+
     def test_exact_sampler_basis_rotation(self):
         sampler = exact_sampler(bell_circuit())
         dist = sampler.run(Circuit(2).h(0).h(1))
@@ -173,15 +184,17 @@ class TestPhaseEstimation:
         t = np.array([-0.8])  # amplitudes (cos, sin) have opposite signs
         sampler = exact_sampler(ansatz.build_ansatz_circuit(2, t))
         est = estimate_phases(sampler, 2)
-        assert est.xi.tolist() == [-1]
-        assert not est.ambiguous.any()
+        xi, ambiguous = phase_signs(est.values, est.stderr)
+        assert xi.tolist() == [-1]
+        assert not ambiguous.any()
 
     def test_sampled_sign_recovery(self):
         t = np.array([-0.8])
         sampler = ShotSampler(ansatz.build_ansatz_circuit(2, t), shots=4096, seed=11)
         est = estimate_phases(sampler, 2)
-        assert est.xi.tolist() == [-1]
-        assert not est.ambiguous.any()
+        xi, ambiguous = phase_signs(est.values, est.stderr)
+        assert xi.tolist() == [-1]
+        assert not ambiguous.any()
         assert est.stderr[0] > 0
 
     def test_phase_signs_rule(self):
@@ -196,7 +209,7 @@ class TestPhaseEstimation:
         t = np.array([-np.pi / 2])  # first amplitude crosses zero
         sampler = ShotSampler(ansatz.build_ansatz_circuit(2, t), shots=2048, seed=3)
         est = estimate_phases(sampler, 2)
-        assert est.ambiguous[0]
+        assert phase_signs(est.values, est.stderr)[1][0]
 
 
 class TestClassicalPhases:
