@@ -28,7 +28,7 @@ STO3G_COEFFS = (0.15432897, 0.53532814, 0.44463454)
 
 
 class GeometryError(ValueError):
-    """Raised for malformed geometry text or unsupported elements."""
+    """Raised for malformed geometry text, unsupported elements, or unusable nuclei."""
 
 
 # ---------------------------------------------------------------------------
@@ -40,13 +40,24 @@ class Molecule:
     """A set of point nuclei with a total charge.
 
     ``coords`` is an (n_atoms, 3) array in bohr.  ``label`` is free-form
-    text carried through to output headers.
+    text carried through to output headers.  Non-finite coordinates or
+    coincident nuclei raise GeometryError.
     """
 
     symbols: tuple[str, ...]
     coords: np.ndarray
     charge: int = 0
     label: str = ""
+
+    def __post_init__(self):
+        coords = np.asarray(self.coords, dtype=float)
+        name = self.label or "molecule"
+        if not np.all(np.isfinite(coords)):
+            raise GeometryError(f"non-finite nuclear coordinates in {name}")
+        for a in range(self.n_atoms):
+            for b in range(a + 1, self.n_atoms):
+                if np.array_equal(coords[a], coords[b]):
+                    raise GeometryError(f"atoms {a} and {b} coincide in {name}")
 
     @property
     def n_atoms(self) -> int:

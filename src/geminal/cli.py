@@ -78,10 +78,7 @@ def resolve_molecule_builder(args):
         path = Path(args.geometry)
         if not path.exists():
             raise SystemExit(f"geometry file not found: {path}")
-        try:
-            molecule = chem.parse_geometry(path.read_text())
-        except chem.GeometryError as exc:
-            raise SystemExit(f"bad geometry file {path}: {exc}") from exc
+        molecule = chem.parse_geometry(path.read_text())
         return (lambda _=0.0: molecule), molecule.label or path.stem
     return SYSTEM_BUILDERS[args.system], args.system
 
@@ -113,6 +110,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def finite_float(text: str) -> float:
+    """argparse type for factors that must be finite numbers."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
 
 
@@ -584,7 +589,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_sampling_arguments(scan)
     scan.add_argument(
         "--contract",
-        type=float,
+        type=finite_float,
         help="synthetic contraction factor applied to measured occupations",
     )
     scan.set_defaults(func=cmd_scan)
@@ -613,7 +618,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except chem.GeometryError as exc:  # raised where a command builds its molecules
+        source = f" file {args.geometry}" if vars(args).get("geometry") else ""
+        raise SystemExit(f"bad geometry{source}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -232,10 +232,17 @@ def bootstrap_v_interval(
 
 
 def hull_area_ratio(points: np.ndarray, ideal_points: np.ndarray) -> float:
-    """Area of the measured 2D scan hull relative to the ideal hull."""
-    from scipy.spatial import ConvexHull
+    """Area of the measured 2D scan hull relative to the ideal hull.
 
-    measured = ConvexHull(np.asarray(points, dtype=float))
+    Measured points that span no area (all on one line or one point)
+    give 0.0.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        measured = ConvexHull(np.asarray(points, dtype=float))
+    except QhullError:
+        return 0.0
     ideal = ConvexHull(np.asarray(ideal_points, dtype=float))
     # scipy's 2D convention: .volume is the area, .area the perimeter
     return float(measured.volume / ideal.volume)

@@ -23,13 +23,11 @@ trajectory, so the result is reproducible bit-for-bit for a given
 (seed, stream).
 
 The trajectory engine (``run_trajectories``) is the independent
-reference: each shot is its own statevector in the quantum-jump
-picture, with all randomness drawn from one numpy Generator in a fixed
-order.  Shots with the same error history have the same state, so it
-keeps one state per distinct history: a Pauli error moves the hit shots
-of a history to a new state made by one index gather, a damping jump or
-dephasing flip splits a history the same way, and the states are
-gathered back to one per shot before sampling.
+reference that tests check the density-matrix engine against; no
+production path runs it.  Each shot is its own statevector in the
+quantum-jump picture, with all randomness drawn from one numpy Generator
+in a fixed order.  Both engines take their damping rates from
+``_relaxation``.
 """
 
 from __future__ import annotations
@@ -570,12 +568,11 @@ class NoiseModel:
         return cls(one, two, ro, t1, t2, damping)
 
     @classmethod
-    def uniform(cls, n_qubits: int, p1: float = 0.0, p2: float = 0.0, readout: float = 0.0):
+    def uniform(cls, n_qubits: int, p1: float = 0.0):
+        """One-qubit error rate p1 on every qubit; every coupling exists, error-free."""
         one = {q: p1 for q in range(n_qubits)}
-        ro = {q: readout for q in range(n_qubits)}
-        two = {
-            (a, b): p2 for a in range(n_qubits) for b in range(n_qubits) if a != b
-        }
+        ro = {q: 0.0 for q in range(n_qubits)}
+        two = {(a, b): 0.0 for a in range(n_qubits) for b in range(n_qubits) if a != b}
         return cls(one, two, ro)
 
     def p_gate(self, gate: Gate) -> float:
@@ -781,89 +778,47 @@ class TrajectoryEnsemble:
         return ShotHistogram(self.n_qubits, self.n_trajectories, counts)
 
 
-@functools.lru_cache(maxsize=256)
-def _pauli_table(n_qubits: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Gather maps of every Pauli on ``qubits``, indexed by error code.
+def _apply_pauli_errors(amps2, hit, codes, qubits) -> None:
+    """Apply Pauli error ``codes[i]`` to row ``hit[i]``, one code at a time.
 
-    A code holds one letter 0..3 (I, X, Y, Z) per qubit in base 4, the
-    first qubit in the most significant digit, so CNOT error e is e // 4
-    on the control and e % 4 on the target.  For P = i**ny X^x Z^z,
-    ``(P psi)[j] = phase[code, j] * psi[perm[code, j]]``: an x-mask
-    permutation, a z-parity sign and an i**ny phase.  Each factor has
-    parts in {0, +-1}, so applying it is exact.
+    A code holds one letter 0..3 (I, X, Y, Z) per gate qubit in base 4,
+    the first qubit in the most significant digit, so CNOT error e is
+    e // 4 on the control and e % 4 on the target.
     """
-    dim = 1 << n_qubits
-    codes = np.arange(4 ** len(qubits))
-    x = np.zeros(codes.size, dtype=np.int64)
-    z = np.zeros(codes.size, dtype=np.int64)
-    ny = np.zeros(codes.size, dtype=np.int64)
-    for digit, q in enumerate(reversed(qubits)):
-        letter = (codes >> (2 * digit)) & 3
-        x |= ((letter == 1) | (letter == 2)).astype(np.int64) << q
-        z |= (letter >= 2).astype(np.int64) << q
-        ny += letter == 2
-    perm = np.arange(dim)[None, :] ^ x[:, None]
-    signs = _kernels.parity_signs(dim, dim - 1)[perm & z[:, None]]
-    phase = np.array([1, 1j, -1, -1j])[ny % 4][:, None] * signs
-    perm.flags.writeable = phase.flags.writeable = False  # shared by every cached call
-    return perm, phase
+    for code in range(1, 4 ** len(qubits)):
+        rows = hit[codes == code]
+        if rows.size == 0:
+            continue
+        sub = amps2[rows]
+        for digit, q in enumerate(reversed(qubits)):
+            letter = (code >> (2 * digit)) & 3
+            if letter:
+                _kernels.apply_1q_batch(sub, _FIXED_1Q["xyz"[letter - 1]], q)
+        amps2[rows] = sub
 
 
-def _branch(states, cls, hit, codes, table):
-    """Move hit trajectories to one new row per (class, Pauli) pair.
+def _relax_rows(amps2, qubit, gamma, pz, rng) -> None:
+    """Amplitude damping then pure dephasing of one qubit, row by row.
 
-    Rows that no trajectory references any more are dropped, so the
-    table never holds more rows than there are trajectories.
+    A row jumps to its qubit-decayed state with probability gamma times
+    its excited population, otherwise its excited amplitudes shrink by
+    sqrt(1 - gamma); then each row takes a Z flip with probability pz.
     """
-    if hit.size == 0:
-        return states, cls
-    perm, phase = table
-    n_rows, n_codes = states.shape[0], perm.shape[0]
-    keys, inverse = np.unique(cls[hit] * n_codes + codes, return_inverse=True)
-    src, code = np.divmod(keys, n_codes)
-    new = states[src[:, None], perm[code]]
-    new *= phase[code]
-    cls[hit] = n_rows + inverse
-    live = np.bincount(cls, minlength=n_rows + keys.size) > 0
-    if live[:n_rows].all():
-        return np.concatenate((states, new)), cls
-    index = np.cumsum(live) - 1
-    return np.concatenate((states[live[:n_rows]], new)), index[cls]
-
-
-def _damp(states, cls, qubit, duration_ns, t1_ns, t2_ns, rng):
-    """Amplitude damping plus pure dephasing on one qubit, per class.
-
-    Trajectories of one class share their state and so their jump
-    probability ``gamma * p1``.  A class whose trajectories both jump
-    and stay splits into a jump row and a stay row.
-    """
-    nt, (n_rows, dim) = cls.size, states.shape
-    gamma, pz = _relaxation(duration_ns, t1_ns, t2_ns)
+    nt, dim = amps2.shape
     k = np.arange(dim)
     hi = k[(k >> qubit) & 1 == 1]
     lo = hi ^ (1 << qubit)
-    p1 = np.sum(np.abs(states[:, hi]) ** 2, axis=1)
-    jump = rng.random(nt) < gamma * p1[cls]
-    jumped = None
-    if np.any(jump):
-        from_rows = np.bincount(cls[jump], minlength=n_rows) > 0
-        stay_rows = np.bincount(cls[~jump], minlength=n_rows) > 0
-        jumped = np.zeros((np.count_nonzero(from_rows), dim), dtype=complex)
-        jumped[:, lo] = states[from_rows][:, hi]
-        jumped /= np.linalg.norm(jumped, axis=1, keepdims=True)
-        n_stay = np.count_nonzero(stay_rows)
-        cls = np.where(
-            jump, n_stay + np.cumsum(from_rows)[cls] - 1, np.cumsum(stay_rows)[cls] - 1
-        )
-        states = states[stay_rows]
-    states[:, hi] *= math.sqrt(1.0 - gamma)
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    if jumped is not None:
-        states = np.concatenate((states, jumped))
+    p1 = np.sum(np.abs(amps2[:, hi]) ** 2, axis=1)
+    jump = rng.random(nt) < gamma * p1
+    rows = np.nonzero(jump)[0]
+    sub = np.zeros_like(amps2[rows])
+    sub[:, lo] = amps2[rows][:, hi]
+    amps2[rows] = sub / np.linalg.norm(sub, axis=1, keepdims=True)
+    stay = np.nonzero(~jump)[0]
+    amps2[np.ix_(stay, hi)] *= math.sqrt(1.0 - gamma)
+    amps2[stay] /= np.linalg.norm(amps2[stay], axis=1, keepdims=True)
     flips = np.nonzero(rng.random(nt) < pz)[0]
-    z_table = _pauli_table(dim.bit_length() - 1, (qubit,))
-    return _branch(states, cls, flips, np.full(flips.size, 3), z_table)
+    _apply_pauli_errors(amps2, flips, np.full(flips.size, 3), (qubit,))
 
 
 def run_trajectories(
@@ -881,22 +836,17 @@ def run_trajectories(
     order regardless of which errors fire, so a given (seed, stream)
     reproduces exactly.
 
-    Trajectories with the same error history share one row of a state
-    table (``cls`` maps trajectory to row), so each gate runs once per
-    distinct history; the rows are gathered back to one statevector per
-    trajectory before sampling.
+    Each trajectory is its own statevector, a row of ``amps2``.
     """
     nt = int(n_traj)
     if nt < 1:
         raise ValueError("need at least one trajectory")
     rng = make_rng(seed, 202, stream)
-    n = circuit.n_qubits
-    states = np.zeros((1, 1 << n), dtype=complex)
-    states[0, 0] = 1.0
-    cls = np.zeros(nt, dtype=np.int64)
+    amps2 = np.zeros((nt, 1 << circuit.n_qubits), dtype=complex)
+    amps2[:, 0] = 1.0
     damping = noise.damping and noise.t1_ns is not None
     for gate in circuit.gates:
-        _apply_gate_raw(states, gate, batched=True)
+        _apply_gate_raw(amps2, gate, batched=True)
         p = noise.p_gate(gate)
         if p > 0.0:
             hit = np.nonzero(rng.random(nt) < p)[0]
@@ -904,12 +854,10 @@ def run_trajectories(
                 codes = rng.integers(1, 16, size=hit.size)
             else:
                 codes = rng.integers(0, 3, size=hit.size) + 1  # X, Y, Z
-            states, cls = _branch(states, cls, hit, codes, _pauli_table(n, gate.qubits))
+            _apply_pauli_errors(amps2, hit, codes, gate.qubits)
         if damping:
             dur = CNOT_GATE_NS if gate.name == "cx" else ONE_QUBIT_GATE_NS
             for q in gate.qubits:
-                states, cls = _damp(
-                    states, cls, q, dur, noise.t1_ns[q], noise.t2_ns[q], rng
-                )
-    return TrajectoryEnsemble(states[cls], n, rng, noise)
-
+                gamma, pz = _relaxation(dur, noise.t1_ns[q], noise.t2_ns[q])
+                _relax_rows(amps2, q, gamma, pz, rng)
+    return TrajectoryEnsemble(amps2, circuit.n_qubits, rng, noise)

@@ -6,11 +6,12 @@ checks compare whole files byte for byte.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from geminal import cli, hybrid, qsim
+from geminal import chem, cli, hybrid, qsim
 
 
 def run_cli(argv):
@@ -105,6 +106,57 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, unread, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: geminal")
     assert f"unrecognized arguments: {unread}" in err
+
+
+def refuse_work(monkeypatch):
+    """Make the first step of every command's real work raise."""
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the geometry check")
+
+    monkeypatch.setattr(chem, "scf_reference", no_work)  # integrals, and each curve point
+    monkeypatch.setattr(cli, "measure_scan_point", no_work)  # scan, vtable
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integrals", "--at", "0"], "atoms 0 and 1 coincide in H2 R=0"),
+        (["integrals", "--at", "nan"], "non-finite nuclear coordinates in H2 R=nan"),
+        (["scan", "--at", "0"], "atoms 0 and 1 coincide"),
+        (["vtable", "--at", "nan"], "non-finite nuclear coordinates"),
+        (["curve", "--scan", "0:1:2"], "atoms 0 and 1 coincide in H2 R=0"),
+        (["curve", "--scan", "nan:1:2"], "non-finite nuclear coordinates"),
+        (["curve", "--scan", "1.4:0:2"], "atoms 0 and 1 coincide in H2 R=0"),
+        (
+            ["curve", "--system", "h3plus", "--scan", "1:0:3", "--jobs", "2"],
+            "atoms 0 and 1 coincide in H3+ a=0",
+        ),
+    ],
+)
+def test_unusable_geometry_is_clean_exit_before_work(tmp_path, monkeypatch, argv, message):
+    refuse_work(monkeypatch)
+    with pytest.raises(SystemExit, match=f"^bad geometry: {re.escape(message)}"):
+        run_cli(argv + ["--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        ("H 0 0 0\nH 0 0 0\n", "atoms 0 and 1 coincide"),
+        ("H 0 0 0\nH 0 0 1.4\nH 0 0 1.4\n", "atoms 1 and 2 coincide"),
+        ("H 0 0 0\nH 0 nan 1.4\n", "non-finite nuclear coordinates"),
+        ("H 0 0 0\nXx 0 0 1.4\n", "line 2: unsupported element 'Xx'"),
+    ],
+)
+def test_unusable_geometry_file_is_clean_exit_before_work(tmp_path, monkeypatch, atoms, message):
+    refuse_work(monkeypatch)
+    geom = tmp_path / "mol.txt"
+    geom.write_text(atoms)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=re.escape(f"bad geometry file {geom}: {message}")):
+        run_cli(["integrals", "--geometry", str(geom), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_missing_geometry_file_is_clean_error(tmp_path):
@@ -265,6 +317,30 @@ def test_scan_r3_contraction_shrinks_hull(tmp_path):
               for line in summary.splitlines() if "hull_area_ratio" in line]
     for ratio in ratios:  # linear contraction by 0.7 scales area by 0.49
         assert ratio == pytest.approx(0.49, abs=1e-6)
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+def test_scan_non_finite_contraction_is_usage_error(factor, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["scan", f"--contract={factor}"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geminal")
+    assert f"argument --contract: must be a finite number, got {factor}" in err
+
+
+def test_scan_r3_zero_contraction_reports_zero_hull(tmp_path):
+    # every point contracts to the same occupations, whose hull has no area
+    code = run_cli(
+        ["scan", "--system", "h3plus", "--at", "1.65", "--exact",
+         "--contract", "0", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    summary = (tmp_path / "scan_summary.txt").read_text().splitlines()
+    assert [line for line in summary if "hull_area_ratio" in line] == [
+        "half_set_1 hull_area_ratio = 0.0000",
+        "half_set_2 hull_area_ratio = 0.0000",
+    ]
 
 
 def test_scan_rejects_unsupported_size(tmp_path):

@@ -363,3 +363,12 @@ class TestScanMetrics:
         shrunk = centroid + 0.7 * (pts - centroid)
         assert hull_area_ratio(shrunk, pts) == pytest.approx(0.49, abs=1e-9)
         assert hull_area_ratio(pts, pts) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "measured",
+        [[[0.5, 0.5]] * 4, [[0.2, 0.1], [0.4, 0.2], [0.6, 0.3]]],
+        ids=["one-point", "collinear"],
+    )
+    def test_hull_area_ratio_is_zero_for_arealess_points(self, measured):
+        ideal = np.array([[1.0, 0.0], [0.5, 0.5], [0.4, 0.3]])
+        assert hull_area_ratio(np.array(measured), ideal) == 0.0

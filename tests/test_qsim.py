@@ -3,24 +3,22 @@
 The oracle embeds local unitaries by explicit Kronecker products over the
 little-endian layout and uses scipy's expm for rotation gates, so none of
 the simulator's own kernels or Pauli machinery appear on the oracle side.
-The exception is ``per_trajectory_reference``: the one-statevector-per-
-shot loop that the class-shared trajectory engine replaced, kept with the
-same kernels so that the two must agree bit for bit.
 
-The density-matrix engine, which runs every noisy preparation, is checked
-twice: against ``density_matrix_outcomes`` (an explicit Kraus-sum oracle)
-to 1e-12, and against trajectory histograms by a chi-square test.
+The trajectory engine, one statevector per shot, is checked against
+closed-form decay laws.  The density-matrix engine, which runs every
+noisy preparation, is checked against ``density_matrix_outcomes`` (an
+explicit Kraus-sum oracle) to 1e-12; trajectory histograms pass a
+chi-square test against both, so the two engines check each other.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
 
-from geminal import _kernels, ansatz, qsim
+from geminal import ansatz, chem, cli, hybrid, qsim
 from geminal.qsim import (
     CalibrationError,
     Circuit,
@@ -369,7 +367,7 @@ def test_cnot_error_one_fully_depolarises():
     # in sequence drive both qubits' <Z> to zero
     nt = 30000
     circ = Circuit(2).cx(0, 1).cx(0, 1).cx(0, 1)
-    ens = qsim.run_trajectories(circ, NoiseModel.uniform(2, p2=1.0), nt, seed=4)
+    ens = qsim.run_trajectories(circ, chain_noise(2, 0.0, 0.0, 1.0), nt, seed=4)
     assert abs(ens.expectation(PauliString.from_label("ZI"))) < 0.03
     assert abs(ens.expectation(PauliString.from_label("IZ"))) < 0.03
 
@@ -377,13 +375,13 @@ def test_cnot_error_one_fully_depolarises():
 def test_single_cnot_error_one_mean():
     nt = 60000
     circ = Circuit(2).cx(0, 1)
-    ens = qsim.run_trajectories(circ, NoiseModel.uniform(2, p2=1.0), nt, seed=8)
+    ens = qsim.run_trajectories(circ, chain_noise(2, 0.0, 0.0, 1.0), nt, seed=8)
     assert ens.expectation(PauliString.from_label("IZ")) == pytest.approx(-1.0 / 15.0, abs=0.02)
 
 
 def test_noisy_sampling_reproducible():
     circ = Circuit(2).h(0).cx(0, 1)
-    nm = NoiseModel.uniform(2, p1=0.01, p2=0.05, readout=0.03)
+    nm = chain_noise(2, 0.01, 0.03, 0.05)
     h1 = qsim.run_density(circ, nm).sample(512, seed=21, stream=3)
     h2 = qsim.run_density(circ, nm).sample(512, seed=21, stream=3)
     assert np.array_equal(h1.counts, h2.counts)
@@ -396,7 +394,7 @@ def test_noisy_sampling_reproducible():
 
 def test_readout_noise_on_prepared_state():
     circ = Circuit(2).x(0)
-    nm = NoiseModel.uniform(2, readout=0.2)
+    nm = chain_noise(2, 0.0, 0.2, 0.0)
     hist = qsim.run_density(circ, nm).sample(20000, seed=5)
     assert hist.occupation(0) == pytest.approx(0.8, abs=0.02)
     assert hist.occupation(1) == pytest.approx(0.2, abs=0.02)
@@ -438,85 +436,26 @@ def test_dephasing_shrinks_coherence():
     assert x == pytest.approx(want, abs=0.05)
 
 
+def test_production_noisy_paths_never_run_trajectories(monkeypatch):
+    # trajectories are the reference only: the hybrid loop and the CLI
+    # tables prepare every noisy state on the density-matrix engine
+    def reference_only(*_args, **_kwargs):
+        raise AssertionError("a production path ran the trajectory reference")
+
+    monkeypatch.setattr(qsim, "run_trajectories", reference_only)
+    monkeypatch.setattr(qsim.TrajectoryEnsemble, "sample", reference_only)
+    ibm5 = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+    config = hybrid.HybridConfig(
+        noise=ibm5, seed=1, restarts=1, nm_max_iter=60, outer_max_iter=2
+    )
+    assert hybrid.run_hybrid(chem.h2_molecule(1.4), config).n_evals > 0
+    rows = cli.vtable_rows(2, 2048, 1, cli.load_noise("ibm-14", 4, damping=True))
+    assert [row["setting"] for row in rows] == ["none", "N", "Sz", "N+Sz"]
+
+
 # ---------------------------------------------------------------------------
-# per-trajectory reference for the class-shared trajectory engine
+# noisy cases shared by the engine checks
 # ---------------------------------------------------------------------------
-
-PAULI_1Q = (X, Y, Z)
-
-
-def apply_1q_rows(amps2, rows, m, q):
-    sub = amps2[rows]
-    _kernels.apply_1q_batch(sub, m, q)
-    amps2[rows] = sub
-
-
-def reference_damping(amps2, qubit, duration_ns, t1_ns, t2_ns, rng):
-    """Trajectory amplitude damping plus pure dephasing on one qubit."""
-    nt, dim = amps2.shape
-    gamma = 1.0 - math.exp(-duration_ns / t1_ns)
-    k = np.arange(dim)
-    hi = k[(k >> qubit) & 1 == 1]
-    lo = hi ^ (1 << qubit)
-    p1 = np.sum(np.abs(amps2[:, hi]) ** 2, axis=1)
-    jump = rng.random(nt) < gamma * p1
-    if np.any(jump):
-        rows = np.nonzero(jump)[0]
-        sub = np.zeros_like(amps2[rows])
-        sub[:, lo] = amps2[rows][:, hi]
-        norm = np.linalg.norm(sub, axis=1, keepdims=True)
-        amps2[rows] = sub / norm
-    stay = np.nonzero(~jump)[0]
-    if stay.size:
-        amps2[np.ix_(stay, hi)] *= math.sqrt(1.0 - gamma)
-        norm = np.linalg.norm(amps2[stay], axis=1, keepdims=True)
-        amps2[stay] /= norm
-    inv_tphi = 1.0 / t2_ns - 0.5 / t1_ns
-    pz = 0.5 * (1.0 - math.exp(-duration_ns * inv_tphi)) if inv_tphi > 0 else 0.0
-    flips = np.nonzero(rng.random(nt) < pz)[0]
-    if flips.size:
-        apply_1q_rows(amps2, flips, PAULI_1Q[2], qubit)
-
-
-def per_trajectory_reference(circuit, noise, n_traj, seed=0, stream=0):
-    """One statevector per trajectory, each Pauli class applied row by row.
-
-    This is the trajectory loop the class-shared engine replaced, kept
-    unchanged: same draws in the same order, same arithmetic per row.
-    """
-    nt = int(n_traj)
-    rng = qsim.make_rng(seed, 202, stream)
-    dim = 1 << circuit.n_qubits
-    amps2 = np.zeros((nt, dim), dtype=complex)
-    amps2[:, 0] = 1.0
-    for gate in circuit.gates:
-        qsim._apply_gate_raw(amps2, gate, batched=True)
-        p = noise.p_gate(gate)
-        if p > 0.0:
-            hit = np.nonzero(rng.random(nt) < p)[0]
-            if gate.name == "cx":
-                errs = rng.integers(1, 16, size=hit.size)
-                for e in range(1, 16):
-                    rows = hit[errs == e]
-                    if rows.size == 0:
-                        continue
-                    ec, et = e // 4, e % 4
-                    if ec:
-                        apply_1q_rows(amps2, rows, PAULI_1Q[ec - 1], gate.qubits[0])
-                    if et:
-                        apply_1q_rows(amps2, rows, PAULI_1Q[et - 1], gate.qubits[1])
-            else:
-                errs = rng.integers(0, 3, size=hit.size)
-                for e in range(3):
-                    rows = hit[errs == e]
-                    if rows.size:
-                        apply_1q_rows(amps2, rows, PAULI_1Q[e], gate.qubits[0])
-        if noise.damping and noise.t1_ns is not None:
-            dur = qsim.CNOT_GATE_NS if gate.name == "cx" else qsim.ONE_QUBIT_GATE_NS
-            for q in gate.qubits:
-                reference_damping(amps2, q, dur, noise.t1_ns[q], noise.t2_ns[q], rng)
-    return qsim.TrajectoryEnsemble(amps2, circuit.n_qubits, rng, noise)
-
 
 def cnot_ladder(n_qubits: int, n_cnots: int) -> Circuit:
     circ = Circuit(n_qubits)
@@ -550,33 +489,6 @@ def engine_case(case: str):
     else:
         cal = qsim.load_calibration(device)
     return circ, cal, NoiseModel.from_calibration(cal, circ.n_qubits, damping=damping)
-
-
-@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-@pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
-def test_class_engine_bit_identical_to_per_trajectory_loop(case, seed):
-    circ, _, noise = engine_case(case)
-    got = qsim.run_trajectories(circ, noise, 2048, seed=seed, stream=4)
-    want = per_trajectory_reference(circ, noise, 2048, seed=seed, stream=4)
-    assert np.array_equal(got.amps2, want.amps2)
-    assert got.sample() == want.sample()
-
-
-def test_class_engine_state_table_stays_within_trajectory_footprint():
-    # with every CNOT failing, histories branch 15 ways per CNOT; without
-    # dropping unreferenced rows the table would grow by ~n_traj per CNOT
-    n, nt = 4, 2048
-    circ = cnot_ladder(n, 40)
-    noise = NoiseModel.uniform(n, p2=1.0)
-    qsim.run_trajectories(circ, noise, 8, seed=9)  # lazy imports are not state
-    tracemalloc.start()
-    try:
-        ens = qsim.run_trajectories(circ, noise, nt, seed=9)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert ens.amps2.shape == (nt, 1 << n)
-    assert peak < 4 * nt * (1 << n) * 16, peak
 
 
 def test_noise_model_missing_coupling_raises():
@@ -667,6 +579,11 @@ def chain_calibration(
         + "".join(f"qubit {q} {u2} {u2} {readout} {t1_us} {t2_us}\n" for q in range(n))
         + "".join(f"cx {q} {q + 1} {cx}\n" for q in range(n - 1))
     )
+
+
+def chain_noise(n: int, u2: float, readout: float, cx: float) -> NoiseModel:
+    """Noise model of chain_calibration's rates, without damping."""
+    return NoiseModel.from_calibration(chain_calibration(n, u2, readout, cx), n)
 
 
 def test_density_matrix_oracle_without_noise_is_the_statevector():

@@ -14,6 +14,7 @@ from geminal.tomography import (
     phase_signs,
     window_mask,
 )
+from test_qsim import chain_noise
 
 
 def bell_circuit() -> Circuit:
@@ -42,7 +43,7 @@ class TestExactDistribution:
         assert first == second
 
     def test_exact_record_rejects_noise_model(self):
-        noise = NoiseModel.uniform(2, p2=0.05)
+        noise = chain_noise(2, 0.0, 0.0, 0.05)
         with pytest.raises(ValueError, match="noiseless"):
             tomography.measure_circuit(bell_circuit(), None, noise=noise)
         with pytest.raises(ValueError, match="noiseless"):
@@ -70,7 +71,7 @@ class TestSamplers:
         assert runs[0] == runs[1]
 
     def test_shot_sampler_noise_path(self):
-        noise = NoiseModel.uniform(2, p1=0.0, p2=0.0, readout=0.25)
+        noise = chain_noise(2, 0.0, 0.25, 0.0)
         sampler = ShotSampler(Circuit(2), shots=4000, seed=9, noise=noise)
         hist = sampler.run()
         # |00> through 25% readout flips: each bit reads 1 a quarter of the time
@@ -125,7 +126,7 @@ class TestOccupations:
         # occupations far from 1/2, where symmetric readout bias is largest
         t = np.array([-0.3])
         ideal = ansatz.givens_chain_amplitudes(t) ** 2
-        noise = NoiseModel.uniform(4, p1=0.0, p2=0.0, readout=0.08)
+        noise = chain_noise(4, 0.0, 0.08, 0.0)
         circuit = ansatz.build_ansatz_circuit(2, t)
 
         raw = measure_occupations(
