@@ -1,10 +1,11 @@
-"""Vectorised numpy statevector kernels.
+"""Vectorised numpy kernels on little-endian layouts (qubit q is bit q).
 
-The simulator's inner loops (single-qubit gate application, CNOT, and
-per-trajectory measurement sampling) work on little-endian amplitude
-layouts, where qubit q is bit q of the basis index.  Each gate kernel
-reshapes or index-permutes the amplitude array in place; the ``_batch``
-variants act on a 2-D array with one statevector per row.
+``parity_signs`` serves Pauli expectations and histogram parities.  The
+gate kernels and ``sample_rows`` serve only the trajectory reference,
+one statevector per row of a 2-D array: ``apply_1q_batch`` reshapes,
+``apply_cnot_batch`` swaps index pairs.  Production engines apply gates
+through ``qsim._apply_local`` instead, so the reference shares no gate
+code with what it checks.
 
 ``BACKEND`` names the kernel implementation and is recorded with
 benchmark results.
@@ -29,29 +30,12 @@ def parity_signs(dim: int, mask: int) -> np.ndarray:
     return 1.0 - 2.0 * (v & np.uint64(1)).astype(np.float64)
 
 
-def apply_1q(amps: np.ndarray, m: np.ndarray, q: int) -> None:
-    view = amps.reshape(-1, 2, 1 << q)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
-    view[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
-
-
 def apply_1q_batch(amps2: np.ndarray, m: np.ndarray, q: int) -> None:
     view = amps2.reshape(amps2.shape[0], -1, 2, 1 << q)
     a0 = view[:, :, 0, :].copy()
     a1 = view[:, :, 1, :]
     view[:, :, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
     view[:, :, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
-
-
-def apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    dim = amps.shape[0]
-    k = np.arange(dim)
-    sel = ((k >> control) & 1 == 1) & ((k >> target) & 1 == 0)
-    src = k[sel]
-    dst = src | (1 << target)
-    amps[src], amps[dst] = amps[dst].copy(), amps[src].copy()
 
 
 def apply_cnot_batch(amps2: np.ndarray, control: int, target: int) -> None:

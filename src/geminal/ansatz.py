@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from geminal.qsim import Circuit, PauliString, PauliSum, Statevector
+from geminal.qsim import Circuit, PauliString, PauliSum
 
 # window-local Pauli letters of the two surviving generator terms; letter
 # i acts on window qubit i
@@ -281,14 +281,3 @@ def givens_chain_amplitudes(t: np.ndarray, r: int | None = None) -> np.ndarray:
         running *= math.sin(t[p])
     amps[r - 1] = running
     return amps
-
-
-def statevector_pair_amplitudes(state: Statevector, r: int) -> np.ndarray:
-    """Real pair-basis amplitudes of a (phase-aligned) paired state."""
-    idx = paired_subspace_indices(r)
-    vals = state.amps[idx]
-    # rotate away any global phase using the largest component
-    ref = vals[np.argmax(np.abs(vals))]
-    if abs(ref) > 0:
-        vals = vals * (ref.conjugate() / abs(ref))
-    return vals.real

@@ -317,14 +317,16 @@ def run_rhf(
     Fixed-point iteration from the core-Hamiltonian guess in the
     symmetrically orthogonalised basis.  When the density residual grows
     between iterations, the density update is damped by 0.5 until the
-    residual shrinks again.  Non-convergence is flagged, not raised.
+    residual shrinks again.  Non-convergence is flagged, not raised; a
+    numerically singular overlap (nearly coincident nuclei) raises
+    GeometryError.
     """
     if integrals.n_electrons != 2:
         raise ValueError("run_rhf supports exactly two electrons")
     S, h, eri = integrals.overlap, integrals.hcore, integrals.eri
     w, U = np.linalg.eigh(S)
     if w.min() < 1e-10:
-        raise ValueError("overlap matrix is numerically singular")
+        raise GeometryError("overlap matrix is numerically singular")
     X = U @ np.diag(w ** -0.5) @ U.T
 
     def solve(F):

@@ -8,6 +8,13 @@ Conventions, used consistently by every consumer:
   X on qubit 0 and Y on qubit 1.
 * ``rz(t) = exp(-i t Z / 2)`` and likewise for rx/ry.
 
+Both production engines apply a gate by one rule (``_apply_local``):
+gather the flat state by a cached index order that brings the gate's
+bits first (``_local_order``), multiply by the gate's local matrix, and
+scatter back.  The statevector engine (``run_circuit``) multiplies by
+``Gate.matrix()``, the only definition of each gate, and the
+density-matrix engine by a superoperator built from it.
+
 The noise model: gate errors are depolarising (a uniformly random
 non-identity Pauli on the gate's qubits, 3 choices after a one-qubit
 gate, 15 after a CNOT), readout flips each measured bit independently,
@@ -24,10 +31,11 @@ trajectory, so the result is reproducible bit-for-bit for a given
 
 The trajectory engine (``run_trajectories``) is the independent
 reference that tests check the density-matrix engine against; no
-production path runs it.  Each shot is its own statevector in the
-quantum-jump picture, with all randomness drawn from one numpy Generator
-in a fixed order.  Both engines take their damping rates from
-``_relaxation``.
+production path runs it, and it applies gates with its own batch
+kernels from ``_kernels``, not with the production rule.  Each shot is
+its own statevector in the quantum-jump picture, with all randomness
+drawn from one numpy Generator in a fixed order.  Both engines take
+their damping rates from ``_relaxation``.
 """
 
 from __future__ import annotations
@@ -116,11 +124,6 @@ class PauliString:
         phase = (1j) ** k * (-1.0) ** (self.zmask & other.xmask).bit_count()
         return PauliString(self.n_qubits, x, z, self.coeff * other.coeff * phase)
 
-    def commutes(self, other: "PauliString") -> bool:
-        a = (self.xmask & other.zmask).bit_count()
-        b = (self.zmask & other.xmask).bit_count()
-        return (a + b) % 2 == 0
-
     def scaled(self, factor: complex) -> "PauliString":
         return PauliString(self.n_qubits, self.xmask, self.zmask, self.coeff * factor)
 
@@ -181,16 +184,26 @@ class PauliSum:
 # ---------------------------------------------------------------------------
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_FIXED_1Q = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+
+
+def _constant(rows) -> np.ndarray:
+    m = np.array(rows, dtype=complex)
+    m.flags.writeable = False  # Gate.matrix() hands this one array to every caller
+    return m
+
+
+_FIXED = {
+    "x": _constant([[0, 1], [1, 0]]),
+    "y": _constant([[0, -1j], [1j, 0]]),
+    "z": _constant([[1, 0], [0, -1]]),
+    "h": _constant([[_SQ2, _SQ2], [_SQ2, -_SQ2]]),
+    "s": _constant([[1, 0], [0, 1j]]),
+    "sdg": _constant([[1, 0], [0, -1j]]),
+    # local index bit(control) + 2 bit(target): |c=1,t=0> <-> |c=1,t=1>
+    "cx": _constant([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]),
 }
 _PARAMETRIC_1Q = {"rx", "ry", "rz"}
-GATE_NAMES = set(_FIXED_1Q) | _PARAMETRIC_1Q | {"cx"}
+GATE_NAMES = set(_FIXED) | _PARAMETRIC_1Q
 
 
 @dataclass(frozen=True)
@@ -200,13 +213,12 @@ class Gate:
     param: float | None = None
 
     def matrix(self) -> np.ndarray:
-        """Local unitary; for cx the local index is bit(control) + 2 bit(target)."""
-        if self.name in _FIXED_1Q:
-            return _FIXED_1Q[self.name].copy()
-        if self.name == "cx":
-            m = np.eye(4, dtype=complex)
-            m[[1, 3]] = m[[3, 1]]  # |c=1,t=0> <-> |c=1,t=1>
-            return m
+        """Local unitary; for cx the local index is bit(control) + 2 bit(target).
+
+        A parameter-free gate returns its shared read-only constant.
+        """
+        if self.name in _FIXED:
+            return _FIXED[self.name]
         t = self.param
         half = 0.5 * t
         c, s = math.cos(half), math.sin(half)
@@ -338,29 +350,40 @@ def _expect_one(amps2: np.ndarray, ps: PauliString) -> np.ndarray:
     return ps.coeff * (1j**ps.n_y) * vals
 
 
-def _apply_gate_raw(amps, gate: Gate, batched: bool) -> None:
-    if gate.name == "cx":
-        if batched:
-            _kernels.apply_cnot_batch(amps, gate.qubits[0], gate.qubits[1])
-        else:
-            _kernels.apply_cnot(amps, gate.qubits[0], gate.qubits[1])
-    else:
-        m = gate.matrix()
-        if batched:
-            _kernels.apply_1q_batch(amps, m, gate.qubits[0])
-        else:
-            _kernels.apply_1q(amps, m, gate.qubits[0])
+@functools.lru_cache(maxsize=64)
+def _local_order(n_bits: int, bits: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of a 2**n_bits array that bring ``bits`` first.
+
+    Gathering with them gives a (2**k, rest) array whose row index holds
+    bit ``bits[j]`` as its bit j, so ``bits[-1]`` is the local high bit;
+    the same indices scatter the result back (``_apply_local``).  The
+    cache holds the 42 keys that noiseless and noisy r = 2 and r = 3
+    evaluations use together; an entry holds 2**n_bits indices, 32 KiB
+    for rho at 6 qubits and 8 MiB at 10.
+    """
+    axes = [n_bits - 1 - b for b in reversed(bits)]
+    rest = [a for a in range(n_bits) if a not in axes]
+    order = np.arange(1 << n_bits, dtype=np.intp).reshape((2,) * n_bits)
+    order = order.transpose(axes + rest).reshape(-1)
+    order.flags.writeable = False  # shared by every cached call
+    return order
+
+
+def _apply_local(flat: np.ndarray, op: np.ndarray, order: np.ndarray) -> None:
+    """The one gate rule of both engines: gather by ``order``, multiply by ``op``, scatter."""
+    flat[order] = (op @ flat[order].reshape(op.shape[0], -1)).reshape(-1)
 
 
 def run_circuit(circuit: Circuit, state: Statevector | None = None) -> Statevector:
     """Run the circuit from |0...0> (or the given state) without noise."""
+    n = circuit.n_qubits
     if state is None:
-        state = Statevector.zero(circuit.n_qubits)
-    elif state.n_qubits != circuit.n_qubits:
+        state = Statevector.zero(n)
+    elif state.n_qubits != n:
         raise ValueError("state and circuit qubit counts differ")
     out = state.copy()
     for gate in circuit.gates:
-        _apply_gate_raw(out.amps, gate, batched=False)
+        _apply_local(out.amps, gate.matrix(), _local_order(n, gate.qubits))
     return out
 
 
@@ -636,7 +659,7 @@ def _noise_channel(noise: NoiseModel, gate: Gate) -> np.ndarray:
             k0 = np.diag([1.0, math.sqrt(1.0 - gamma)])
             k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])
             damp = _superoperator(_embed_local(k0, m, k), _embed_local(k1, m, k))
-            z = _embed_local(_FIXED_1Q["z"].real, m, k)
+            z = _embed_local(_FIXED["z"].real, m, k)
             dephase = (1.0 - pz) * np.eye(d * d) + pz * _superoperator(z)
             chan = dephase @ damp @ chan
     return chan
@@ -654,25 +677,6 @@ def _gate_channel(noise: NoiseModel, gate: Gate) -> np.ndarray:
     if key not in cache:
         cache[key] = _noise_channel(noise, gate)
     return cache[key] @ _superoperator(gate.matrix())
-
-
-@functools.lru_cache(maxsize=32)
-def _local_first_order(n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of rho that bring the row and column bits of ``qubits`` first.
-
-    Gathering row-major rho with them gives a (4**k, rest) array whose
-    row index is (local row) * 2**k + (local column), the index a local
-    superoperator acts on; the same indices scatter the result back.
-    An entry holds 4**n indices: 32 KiB at 6 qubits, 8 MiB at 10.
-    """
-    n = n_qubits
-    rows = [n - 1 - q for q in reversed(qubits)]  # qubits[-1] is the local high bit
-    axes = rows + [n + a for a in rows]
-    rest = [a for a in range(2 * n) if a not in axes]
-    order = np.arange(1 << (2 * n), dtype=np.intp).reshape((2,) * (2 * n))
-    order = order.transpose(axes + rest).reshape(-1)
-    order.flags.writeable = False  # shared by every cached call
-    return order
 
 
 class DensityMatrix:
@@ -734,9 +738,9 @@ def run_density(
         raise ValueError("state and circuit qubit counts differ")
     flat = state.flat.copy()
     for gate in circuit.gates:
-        order = _local_first_order(n, gate.qubits)
-        chan = _gate_channel(noise, gate)
-        flat[order] = (chan @ flat[order].reshape(chan.shape[0], -1)).reshape(-1)
+        # row-major vec(rho): column bit q is flat bit q, row bit q is flat bit n + q
+        bits = gate.qubits + tuple([n + q for q in gate.qubits])
+        _apply_local(flat, _gate_channel(noise, gate), _local_order(2 * n, bits))
     return DensityMatrix(flat, noise)
 
 
@@ -793,7 +797,7 @@ def _apply_pauli_errors(amps2, hit, codes, qubits) -> None:
         for digit, q in enumerate(reversed(qubits)):
             letter = (code >> (2 * digit)) & 3
             if letter:
-                _kernels.apply_1q_batch(sub, _FIXED_1Q["xyz"[letter - 1]], q)
+                _kernels.apply_1q_batch(sub, _FIXED["xyz"[letter - 1]], q)
         amps2[rows] = sub
 
 
@@ -846,7 +850,10 @@ def run_trajectories(
     amps2[:, 0] = 1.0
     damping = noise.damping and noise.t1_ns is not None
     for gate in circuit.gates:
-        _apply_gate_raw(amps2, gate, batched=True)
+        if gate.name == "cx":
+            _kernels.apply_cnot_batch(amps2, *gate.qubits)
+        else:
+            _kernels.apply_1q_batch(amps2, gate.matrix(), gate.qubits[0])
         p = noise.p_gate(gate)
         if p > 0.0:
             hit = np.nonzero(rng.random(nt) < p)[0]

@@ -141,6 +141,15 @@ def test_unusable_geometry_is_clean_exit_before_work(tmp_path, monkeypatch, argv
 
 
 @pytest.mark.parametrize(
+    "argv", [["integrals", "--at", "1e-8"], ["curve", "--exact", "--scan", "1e-8:1e-8:1"]]
+)
+def test_nearly_coincident_nuclei_are_clean_exit_before_any_file(tmp_path, argv):
+    with pytest.raises(SystemExit, match="^bad geometry: overlap matrix is numerically singular"):
+        run_cli(argv + ["--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "atoms, message",
     [
         ("H 0 0 0\nH 0 0 0\n", "atoms 0 and 1 coincide"),

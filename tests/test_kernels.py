@@ -1,14 +1,17 @@
-"""Statevector kernels against oracles built independently here.
+"""Gate rules and the sampler against oracles built independently here.
 
-Gate kernels are checked row by row against dense matrices assembled by
-explicit Kronecker products (``embed`` and ``dense_cnot`` from the
-simulator tests), and the sampler against a per-row ``np.searchsorted``
-inverse CDF, so no kernel code appears on the oracle side.
+The production gate rule (``qsim._local_order`` plus ``qsim._apply_local``)
+and the trajectory reference's batch kernels are checked row by row
+against dense matrices assembled by explicit Kronecker products
+(``embed`` and ``dense_cnot`` from the simulator tests), and the sampler
+against a per-row ``np.searchsorted`` inverse CDF, so no kernel code
+appears on the oracle side.
 """
 
 import numpy as np
 
 from geminal import _kernels as K
+from geminal import qsim
 from test_qsim import dense_cnot, embed
 
 
@@ -49,7 +52,7 @@ def test_apply_1q_matches_dense_oracle():
             m = random_unitary(rng, 2)
             a = random_batch(rng, 1, n)[0]
             want = embed(m, q, n) @ a
-            K.apply_1q(a, m, q)
+            qsim._apply_local(a, m, qsim._local_order(n, (q,)))
             assert np.allclose(a, want, atol=1e-13), (n, q)
 
 
@@ -75,7 +78,8 @@ def test_apply_cnot_matches_dense_oracle():
             dense = dense_cnot(c, t, n)
             a = random_batch(rng, 1, n)[0]
             want = dense @ a
-            K.apply_cnot(a, c, t)
+            cx = qsim.Gate("cx", (c, t)).matrix()
+            qsim._apply_local(a, cx, qsim._local_order(n, (c, t)))
             assert np.allclose(a, want, atol=1e-14), (c, t)
 
             a2 = random_batch(rng, 6, n)

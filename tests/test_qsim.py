@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from geminal import ansatz, chem, cli, hybrid, qsim
+from geminal import ansatz, chem, cli, hybrid, qsim, tomography
 from geminal.qsim import (
     CalibrationError,
     Circuit,
@@ -102,8 +102,10 @@ def test_pauli_product_matches_dense():
 
 
 def test_pauli_commutes():
-    assert PauliString.from_label("XX").commutes(PauliString.from_label("YY"))
-    assert not PauliString.from_label("XI").commutes(PauliString.from_label("ZI"))
+    xx, yy = PauliString.from_label("XX").dense(), PauliString.from_label("YY").dense()
+    xi, zi = PauliString.from_label("XI").dense(), PauliString.from_label("ZI").dense()
+    assert np.allclose(xx @ yy, yy @ xx)
+    assert not np.allclose(xi @ zi, zi @ xi)
 
 
 def test_pauli_sum_simplify():
@@ -438,19 +440,24 @@ def test_dephasing_shrinks_coherence():
 
 def test_production_noisy_paths_never_run_trajectories(monkeypatch):
     # trajectories are the reference only: the hybrid loop and the CLI
-    # tables prepare every noisy state on the density-matrix engine
+    # tables prepare every noisy state on the density-matrix engine, and
+    # no production engine applies a gate with the reference's kernels
     def reference_only(*_args, **_kwargs):
         raise AssertionError("a production path ran the trajectory reference")
 
     monkeypatch.setattr(qsim, "run_trajectories", reference_only)
     monkeypatch.setattr(qsim.TrajectoryEnsemble, "sample", reference_only)
+    monkeypatch.setattr(qsim._kernels, "apply_1q_batch", reference_only)
+    monkeypatch.setattr(qsim._kernels, "apply_cnot_batch", reference_only)
     ibm5 = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
-    config = hybrid.HybridConfig(
-        noise=ibm5, seed=1, restarts=1, nm_max_iter=60, outer_max_iter=2
-    )
-    assert hybrid.run_hybrid(chem.h2_molecule(1.4), config).n_evals > 0
-    rows = cli.vtable_rows(2, 2048, 1, cli.load_noise("ibm-14", 4, damping=True))
-    assert [row["setting"] for row in rows] == ["none", "N", "Sz", "N+Sz"]
+    for noise in (None, ibm5):
+        config = hybrid.HybridConfig(
+            noise=noise, seed=1, restarts=1, nm_max_iter=60, outer_max_iter=2
+        )
+        assert hybrid.run_hybrid(chem.h2_molecule(1.4), config).n_evals > 0
+    for noise in (None, cli.load_noise("ibm-14", 4, damping=True)):
+        rows = cli.vtable_rows(2, 2048, 1, noise)
+        assert [row["setting"] for row in rows] == ["none", "N", "Sz", "N+Sz"]
 
 
 # ---------------------------------------------------------------------------
@@ -672,3 +679,23 @@ def test_density_engine_leaves_its_input_state_unchanged():
 def test_density_engine_rejects_more_than_ten_qubits():
     with pytest.raises(ValueError, match="1 to 10 qubits"):
         qsim.run_density(Circuit(11).x(0), NoiseModel.uniform(11))
+
+
+def test_gate_order_cache_holds_every_evaluation_key():
+    # one objective evaluation per mode: the ansatz preparation, then the
+    # Z-basis and both rotated-basis measurements
+    def evaluate_each_mode():
+        for r in (2, 3):
+            circuit = ansatz.build_ansatz_circuit(r, np.full(r - 1, 0.4))
+            ibm14 = NoiseModel.from_calibration(
+                qsim.load_calibration("ibm-14"), 2 * r, damping=True
+            )
+            for noise in (None, ibm14):
+                sampler = tomography.ShotSampler(circuit, 64, seed=1, noise=noise)
+                tomography.measure_occupations(sampler, r)
+                tomography.estimate_phases(sampler, r)
+
+    evaluate_each_mode()
+    misses = qsim._local_order.cache_info().misses
+    evaluate_each_mode()
+    assert qsim._local_order.cache_info().misses == misses
