@@ -122,9 +122,7 @@ def finite_float(text: str) -> float:
 
 
 def requested_shots(args) -> int | None:
-    """Shots per preparation, or None for --exact, which has no noise model."""
-    if args.exact and args.noise != "off":
-        raise SystemExit(f"--exact is noiseless and cannot be combined with --noise {args.noise}")
+    """Shots per preparation, or None for --exact (the exact outcome distribution)."""
     return None if args.exact else args.shots
 
 
@@ -218,9 +216,9 @@ def filter_scan_point(record, symmetries, index: int, t) -> tuple[qsim.ShotHisto
         ) from exc
 
 
-def effective_shots(shots: int | None, retained_fraction: float) -> int:
-    """Shots behind a filtered estimate, for the bootstrap; exact runs count as 4096."""
-    return max(int((shots or 4096) * retained_fraction), 1)
+def effective_shots(shots: int | None, retained_fraction: float) -> int | None:
+    """Shots behind a filtered estimate, for the bootstrap; None for an exact run."""
+    return None if shots is None else max(int(shots * retained_fraction), 1)
 
 
 def cmd_scan(args) -> int:

@@ -76,8 +76,8 @@ OUTER_THRESHOLD = 1e-3  # hartree; two successive outer energies this close end 
 class HybridConfig:
     """Settings for one hybrid optimization.
 
-    shots=None runs exact (infinite-shot) noiseless tomography and so
-    takes no noise model.  phase_mode 'auto' measures the signs for r=2
+    shots=None runs exact (infinite-shot) tomography, with or without
+    a noise model.  phase_mode 'auto' measures the signs for r=2
     and propagates them classically for larger r; 'measured' and
     'classical' force either route.  The Nelder-Mead budget
     (``nm_max_iter``, ``restarts``) and the outer-loop cap
@@ -105,8 +105,6 @@ class HybridConfig:
             raise ValueError("need at least one optimization run")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be positive or None for exact mode")
-        if self.shots is None and self.noise is not None:
-            raise ValueError("exact mode (shots=None) is noiseless; a noise model needs shots")
 
     @property
     def effective_nm_ftol(self) -> float:

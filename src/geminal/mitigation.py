@@ -39,9 +39,9 @@ def symmetry_verify(
 
     N keeps outcomes with exactly two set bits (the electron pair); Sz
     keeps outcomes with equal alpha (even qubit) and beta (odd qubit)
-    counts.  ``hist`` is a sampled record.  Returns the filtered
-    histogram and the retained shot fraction; raises
-    AllShotsRejectedError when no shot survives.
+    counts.  Returns the filtered record and the retained fraction of
+    its weight; raises AllShotsRejectedError when none is kept.  An
+    exact record (``shots=None``) is renormalised to total weight 1.
     """
     bits = (np.arange(hist.counts.size)[:, None] >> np.arange(hist.n_qubits)) & 1
     n_alpha, n_beta = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
@@ -51,10 +51,13 @@ def symmetry_verify(
     if check_sz:
         keep &= n_alpha == n_beta
     kept = np.where(keep, hist.counts, 0)
-    retained = int(kept.sum())
-    if retained == 0:
+    weight = kept.sum()
+    if weight <= 0:
         raise AllShotsRejectedError("symmetry filters rejected every shot")
-    return ShotHistogram(hist.n_qubits, retained, kept), retained / hist.shots
+    if hist.shots is None:
+        fraction = float(weight / hist.counts.sum())
+        return ShotHistogram(hist.n_qubits, None, kept / fraction), fraction
+    return ShotHistogram(hist.n_qubits, int(weight), kept), int(weight) / hist.shots
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +215,29 @@ def bootstrap_v_interval(
     angles: np.ndarray,
     n1: np.ndarray,
     n2: np.ndarray,
-    shots: int,
+    shots: int | None,
     n_resamples: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float, float]:
     """V with a binomial-resampling 95 percent confidence interval.
 
     Each occupation estimate is treated as a proportion over ``shots``
-    effective shots; resampled curves feed the same V integral.
+    effective shots; resampled curves feed the same V integral.  The
+    resampled values are shifted by their bias, mean - V, which
+    |n2 - n1| >= 0 makes positive, and the interval is clipped at 0.
+    Exact estimates (``shots=None``) give the interval (V, V).
     """
-    rng = np.random.default_rng([int(seed), 303])
     n1 = np.clip(np.asarray(n1, dtype=float), 0.0, 1.0)
     n2 = np.clip(np.asarray(n2, dtype=float), 0.0, 1.0)
+    v = v_metric(angles, n1, n2)
+    if shots is None:
+        return v, v, v
+    rng = np.random.default_rng([int(seed), 303])
     draws1 = rng.binomial(shots, n1, size=(n_resamples, n1.size)) / shots
     draws2 = rng.binomial(shots, n2, size=(n_resamples, n2.size)) / shots
     vals = np.trapezoid(np.abs(draws2 - draws1), np.asarray(angles), axis=1)
-    lo, hi = np.percentile(vals, [2.5, 97.5])
-    return v_metric(angles, n1, n2), float(lo), float(hi)
+    lo, hi = np.maximum(np.percentile(vals - (vals.mean() - v), [2.5, 97.5]), 0.0)
+    return v, float(lo), float(hi)
 
 
 def hull_area_ratio(points: np.ndarray, ideal_points: np.ndarray) -> float:

@@ -23,11 +23,11 @@ gate durations.
 
 Noisy preparations run on the density-matrix engine (``run_density``,
 up to MAX_DENSITY_QUBITS qubits).  Each gate is one local superoperator
-that combines the unitary, the depolarising twirl and the damping, and
-a noisy histogram is one multinomial draw over the readout-confused
-diagonal of rho.  That is exactly the distribution of one shot per
-trajectory, so the result is reproducible bit-for-bit for a given
-(seed, stream).
+that combines the unitary, the depolarising twirl and the damping.
+Both engines are measured by one rule (``sample``): one multinomial
+draw over ``state.probabilities()``, for rho its readout-confused
+diagonal, which is exactly the distribution of one shot per trajectory.
+A histogram is reproducible bit-for-bit for a given (seed, stream).
 
 The trajectory engine (``run_trajectories``) is the independent
 reference that tests check the density-matrix engine against; no
@@ -452,16 +452,13 @@ def _apply_readout_flips(
     return outcomes ^ mask
 
 
-def sample(state: Statevector, shots: int, seed: int = 0, stream: int = 0) -> ShotHistogram:
-    """Draw measurement outcomes from an ideal statevector."""
+def sample(state, shots: int, seed: int = 0, stream: int = 0) -> ShotHistogram:
+    """One multinomial draw of ``shots`` outcomes from a Statevector or DensityMatrix."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    rng = make_rng(seed, 101, stream)
-    probs = state.probabilities()
-    cum = np.cumsum(probs / probs.sum())
-    outcomes = np.searchsorted(cum, rng.random(shots), side="right")
-    outcomes = np.minimum(outcomes, probs.size - 1).astype(np.int64)
-    return ShotHistogram(state.n_qubits, shots, np.bincount(outcomes, minlength=probs.size))
+    probs = np.clip(state.probabilities(), 0.0, None)
+    counts = make_rng(seed, 202, stream).multinomial(shots, probs / probs.sum())
+    return ShotHistogram(state.n_qubits, shots, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +710,6 @@ class DensityMatrix:
                 view = probs.reshape(-1, 2, 1 << q)
                 probs = ((1.0 - ro) * view + ro * view[:, ::-1, :]).reshape(-1)
         return probs
-
-    def sample(self, shots: int, seed: int = 0, stream: int = 0) -> ShotHistogram:
-        """``shots`` outcomes as one multinomial draw on the (seed, stream) generator."""
-        if shots < 1:
-            raise ValueError("shots must be positive")
-        probs = np.clip(self.probabilities(), 0.0, None)
-        counts = make_rng(seed, 202, stream).multinomial(shots, probs / probs.sum())
-        return ShotHistogram(self.n_qubits, shots, counts)
 
 
 def run_density(

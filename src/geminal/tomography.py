@@ -42,14 +42,10 @@ def _evolve(circuit: Circuit, noise: NoiseModel | None, state=None):
     return qsim.run_density(circuit, noise, state)
 
 
-def _measure(state, shots: int | None, seed: int, stream: int, noise) -> ShotHistogram:
+def _measure(state, shots: int | None, seed: int, stream: int) -> ShotHistogram:
     if shots is None:
-        if noise is not None:
-            raise ValueError("exact mode (shots=None) is noiseless; a noise model needs shots")
         return ShotHistogram(state.n_qubits, None, state.probabilities())
-    if noise is None:
-        return qsim.sample(state, shots, seed, stream)
-    return state.sample(shots, seed, stream)
+    return qsim.sample(state, shots, seed, stream)
 
 
 def measure_circuit(
@@ -61,12 +57,12 @@ def measure_circuit(
 ) -> ShotHistogram:
     """One preparation of ``circuit`` measured in the Z basis.
 
-    ``shots=None`` returns the exact outcome probabilities of the
-    noiseless circuit and rejects a noise model; otherwise ``shots``
-    outcomes are drawn from the (seed, stream) generator, through the
-    density-matrix engine if a noise model is given.
+    The circuit runs on the statevector engine, or on the density-matrix
+    engine if a noise model is given.  ``shots=None`` returns the exact
+    outcome probabilities of that state, noiseless or noisy; otherwise
+    ``shots`` outcomes are drawn from the (seed, stream) generator.
     """
-    return _measure(_evolve(circuit, noise), shots, seed, stream, noise)
+    return _measure(_evolve(circuit, noise), shots, seed, stream)
 
 
 class ShotSampler:
@@ -106,7 +102,7 @@ class ShotSampler:
             state = _evolve(basis, self.noise, state)
         stream = self.counter.count
         self.counter.bump()
-        return _measure(state, self.shots, self.seed, stream, self.noise)
+        return _measure(state, self.shots, self.seed, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +129,10 @@ def filter_symmetries(
     """Symmetry-filtered record and its retained shot fraction.
 
     ``symmetries`` may contain 'N' (two-electron count) and 'Sz' (equal
-    alpha and beta counts).  Exact records come from noiseless circuits,
-    where filtering is a no-op, and pass through unchanged.
+    alpha and beta counts).  Sampled and exact records are filtered
+    alike; an exact record keeps the weight of the allowed outcomes.
     """
-    if not symmetries or record.shots is None:
+    if not symmetries:
         return record, 1.0
     return mitigation.symmetry_verify(
         record, check_n="N" in symmetries, check_sz="Sz" in symmetries

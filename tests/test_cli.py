@@ -57,17 +57,41 @@ def test_load_noise_off_and_bad_file(tmp_path):
         cli.load_noise(str(bad), 4, False)
 
 
-@pytest.mark.parametrize(
-    "command, noise", [("curve", "ibm-5"), ("scan", "ibm-14"), ("vtable", "ibm-14")]
-)
-def test_exact_with_noise_is_clean_exit_before_work(tmp_path, monkeypatch, command, noise):
-    def no_work(*_args, **_kwargs):
-        raise AssertionError("work started before the option check")
+def data_rows(out) -> dict[str, list[str]]:
+    """Every output file of a run, without its header lines."""
+    return {
+        path.name: [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        for path in sorted(out.iterdir())
+    }
 
-    monkeypatch.setattr(cli, "resolve_molecule_builder", no_work)
-    with pytest.raises(SystemExit, match=f"--exact .* --noise {noise}$"):
-        run_cli([command, "--exact", "--noise", noise, "--out", str(tmp_path)])
-    assert not list(tmp_path.iterdir())
+
+@pytest.mark.parametrize(
+    "command, noise, extra",
+    [
+        ("curve", "ibm-5", ["--scan", "1.4:1.4:1"]),
+        ("scan", "ibm-14", ["--system", "h3plus", "--at", "1.65"]),
+        ("vtable", "ibm-14", ["--damping"]),
+    ],
+    ids=["curve-ibm-5", "scan-ibm-14", "vtable-ibm-14"],
+)
+def test_exact_with_noise_rows_do_not_depend_on_the_seed(tmp_path, command, noise, extra):
+    runs = []
+    for seed in (0, 1):
+        out = tmp_path / f"seed{seed}"
+        run_cli([command, "--exact", "--noise", noise, *extra, "--seed", str(seed),
+                 "--out", str(out)])
+        runs.append(data_rows(out))
+    assert runs[0] == runs[1]
+    assert runs[0] and all(runs[0].values())
+
+
+def test_exact_noisy_h2_point_is_flagged_no_gain_over_rhf(tmp_path):
+    # ibm-5 noise holds every quantum energy at 1.4 bohr above RHF
+    run_cli(["curve", "--exact", "--noise", "ibm-5", "--scan", "1.4:1.4:1",
+             "--out", str(tmp_path)])
+    (point,) = json.loads((tmp_path / "curve_points.json").read_text())
+    assert point["energy"] == point["energy_rhf"]
+    assert "no-gain-over-rhf" in point["flags"]
 
 
 @pytest.mark.parametrize(
@@ -352,6 +376,17 @@ def test_scan_r3_zero_contraction_reports_zero_hull(tmp_path):
     ]
 
 
+def test_scan_intervals_contain_their_v(tmp_path):
+    # two equal curves give V = 0, while every resampled V is positive
+    code = run_cli(["scan", "--system", "h2", "--contract", "0", "--out", str(tmp_path)])
+    assert code == 0
+    summary = (tmp_path / "scan_summary.txt").read_text()
+    intervals = re.findall(r" V = (\S+)  ci95 = \[(\S+), (\S+)\]", summary)
+    assert len(intervals) == 4
+    for v, lo, hi in intervals:
+        assert float(lo) <= float(v) <= float(hi)
+
+
 def test_scan_rejects_unsupported_size(tmp_path):
     geom = tmp_path / "chain.txt"
     geom.write_text("H 0 0 0\nH 0 0 1.6\nH 0 0 3.2\nH 0 0 4.8\n")
@@ -397,20 +432,45 @@ def test_vtable_noiseless_rows_near_two(tmp_path):
         assert float(row[7]) == pytest.approx(1.0)  # nothing filtered
 
 
-def test_vtable_noise_improves_with_filters(tmp_path):
-    run_cli(
-        ["vtable", "--system", "h2", "--seed", "5", "--noise", "ibm-14",
-         "--out", str(tmp_path)]
-    )
-    lines = (tmp_path / "vtable.txt").read_text().splitlines()
-    rows = {line.split()[0]: [float(x) for x in line.split()[1:]]
-            for line in lines if not line.startswith("#")}
+def vtable_by_setting(out) -> dict[str, list[float]]:
+    rows = data_rows(out)["vtable.txt"]
+    return {row.split()[0]: [float(x) for x in row.split()[1:]] for row in rows}
+
+
+def assert_criterion_3_order(rows):
     for half in (0, 3):  # V columns for the two half sets
         assert rows["none"][half] < rows["N"][half]
         assert rows["none"][half] < rows["Sz"][half]
         assert rows["N+Sz"][half] > rows["N"][half]
         assert rows["N+Sz"][half] > rows["Sz"][half]
     assert rows["N+Sz"][6] < 1.0  # filtering discards shots
+
+
+def test_vtable_noise_improves_with_filters(tmp_path):
+    run_cli(
+        ["vtable", "--system", "h2", "--seed", "5", "--noise", "ibm-14",
+         "--out", str(tmp_path)]
+    )
+    assert_criterion_3_order(vtable_by_setting(tmp_path))
+
+
+def test_vtable_exact_noise_keeps_the_order_with_no_shot_noise(tmp_path):
+    code = run_cli(
+        ["vtable", "--exact", "--noise", "ibm-14", "--damping", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    rows = vtable_by_setting(tmp_path)
+    assert_criterion_3_order(rows)
+    for v1, lo1, hi1, v2, lo2, hi2, _ in rows.values():
+        assert lo1 == v1 == hi1 and lo2 == v2 == hi2
+
+
+def test_vtable_exact_intervals_have_zero_width(tmp_path):
+    assert run_cli(["vtable", "--exact", "--out", str(tmp_path)]) == 0
+    rows = vtable_by_setting(tmp_path)
+    assert list(rows) == ["none", "N", "Sz", "N+Sz"]
+    for v1, lo1, hi1, v2, lo2, hi2, _ in rows.values():
+        assert lo1 == v1 == hi1 and lo2 == v2 == hi2
 
 
 def test_vtable_requires_two_orbitals():

@@ -1,5 +1,7 @@
 """Energy assembly, optimizers, and the alternating hybrid loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -106,11 +108,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="shots"):
             HybridConfig(shots=0)
 
-    def test_exact_mode_rejects_noise(self):
-        noise = qsim.NoiseModel.uniform(4, p1=0.01)
-        with pytest.raises(ValueError, match="noiseless"):
-            HybridConfig(shots=None, noise=noise)
-        assert HybridConfig(shots=64, noise=noise).noise is noise
+    def test_exact_mode_takes_noise(self, h2_reference):
+        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+        config = HybridConfig(shots=None, noise=noise)
+        assert config.noise is noise
+        ints, rhf, _ = h2_reference
+        h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
+        t = np.array([-0.5])
+        noisy = [
+            QuantumObjective(h, eri, ints.enuc, replace(config, seed=seed))(t)
+            for seed in (0, 1)
+        ]
+        assert noisy[0] == noisy[1]  # the exact noisy distribution has no shot noise
+        noiseless = QuantumObjective(h, eri, ints.enuc, HybridConfig(shots=None))(t)
+        assert noisy[0] > noiseless
 
 
 class TestQuantumObjective:

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from geminal import ansatz, mitigation, qsim
+from geminal import ansatz, mitigation, qsim, tomography
 from geminal.mitigation import (
     AffineMap,
     bootstrap_v_interval,
@@ -148,6 +148,23 @@ class TestSymmetryVerify:
         hist = histogram(4, 5, {0b0001: 5})
         with pytest.raises(ValueError, match="rejected"):
             symmetry_verify(hist)
+
+    def test_exact_noisy_record_keeps_and_renormalises_its_allowed_weight(self):
+        circuit = ansatz.build_ansatz_circuit(2, np.array([-0.8]))
+        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+        record = tomography.measure_circuit(circuit, None, noise=noise)
+        # one alpha (even qubit) and one beta (odd qubit) electron
+        allowed = [0b0011, 0b0110, 0b1001, 0b1100]
+        kept = record.counts[allowed]
+        filt, frac = symmetry_verify(record)
+        assert frac == pytest.approx(kept.sum() / record.counts.sum(), rel=1e-12)
+        assert 0.0 < frac < 1.0  # noise leaks weight out of the paired sector
+        assert filt.shots is None
+        np.testing.assert_allclose(filt.counts[allowed], kept / frac, rtol=1e-12)
+        assert not np.delete(filt.counts, allowed).any()
+        assert filt.counts.sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(mitigation.AllShotsRejectedError):
+            symmetry_verify(ShotHistogram(4, None, np.eye(16)[0b0001]))
 
 
 class TestPolytopeVertices:
@@ -351,6 +368,14 @@ class TestScanMetrics:
         assert (hi - lo) / 2 <= 0.05
         again = bootstrap_v_interval(grid, n1, n2, shots=2048, seed=4)
         assert (v, lo, hi) == again
+        assert bootstrap_v_interval(grid, n1, n2, shots=None) == (v, v, v)
+
+    def test_bootstrap_interval_of_equal_curves_contains_zero(self):
+        # every resample of two equal curves has V > 0; the bias shift undoes that
+        grid = scan_angles()
+        half = np.full(grid.size, 0.5)
+        v, lo, hi = bootstrap_v_interval(grid, half, half, shots=2048, seed=4)
+        assert v == lo == 0.0 < hi
 
     def test_hull_area_ratio_contraction(self):
         grid = scan_angles()

@@ -273,7 +273,7 @@ def test_sampling_is_deterministic_and_unbiased():
 
 def test_sampling_readout_flips():
     readout_only = NoiseModel({}, {}, {0: 0.25, 1: 0.0, 2: 0.5})
-    hist = qsim.run_density(Circuit(3), readout_only).sample(20000, seed=3)
+    hist = qsim.sample(qsim.run_density(Circuit(3), readout_only), 20000, seed=3)
     assert hist.occupation(0) == pytest.approx(0.25, abs=0.02)
     assert hist.occupation(1) == 0.0
     assert hist.occupation(2) == pytest.approx(0.5, abs=0.02)
@@ -384,20 +384,20 @@ def test_single_cnot_error_one_mean():
 def test_noisy_sampling_reproducible():
     circ = Circuit(2).h(0).cx(0, 1)
     nm = chain_noise(2, 0.01, 0.03, 0.05)
-    h1 = qsim.run_density(circ, nm).sample(512, seed=21, stream=3)
-    h2 = qsim.run_density(circ, nm).sample(512, seed=21, stream=3)
+    h1 = qsim.sample(qsim.run_density(circ, nm), 512, seed=21, stream=3)
+    h2 = qsim.sample(qsim.run_density(circ, nm), 512, seed=21, stream=3)
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.counts.sum() == 512
-    h3 = qsim.run_density(circ, nm).sample(512, seed=22, stream=3)
+    h3 = qsim.sample(qsim.run_density(circ, nm), 512, seed=22, stream=3)
     assert not np.array_equal(h3.counts, h1.counts)
-    h4 = qsim.run_density(circ, nm).sample(512, seed=21, stream=4)
+    h4 = qsim.sample(qsim.run_density(circ, nm), 512, seed=21, stream=4)
     assert not np.array_equal(h4.counts, h1.counts)
 
 
 def test_readout_noise_on_prepared_state():
     circ = Circuit(2).x(0)
     nm = chain_noise(2, 0.0, 0.2, 0.0)
-    hist = qsim.run_density(circ, nm).sample(20000, seed=5)
+    hist = qsim.sample(qsim.run_density(circ, nm), 20000, seed=5)
     assert hist.occupation(0) == pytest.approx(0.8, abs=0.02)
     assert hist.occupation(1) == pytest.approx(0.2, abs=0.02)
 
@@ -657,12 +657,14 @@ def test_trajectory_histogram_matches_density_engine(case):
     assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)
 
 
-def test_density_sample_is_one_multinomial_draw_on_its_stream():
+def test_sample_is_one_multinomial_draw_on_its_stream():
+    # the one measurement rule of both engines
     circ, _, noise = engine_case("r2-ibm-5")
-    state = qsim.run_density(circ, noise)
-    hist = state.sample(2048, seed=7, stream=3)
-    want = qsim.make_rng(7, 202, 3).multinomial(2048, state.probabilities())
-    np.testing.assert_array_equal(hist.counts, want)
+    for state in (qsim.run_circuit(circ), qsim.run_density(circ, noise)):
+        hist = qsim.sample(state, 2048, seed=7, stream=3)
+        want = qsim.make_rng(7, 202, 3).multinomial(2048, state.probabilities())
+        np.testing.assert_array_equal(hist.counts, want)
+        assert (hist.n_qubits, hist.shots) == (circ.n_qubits, 2048)
 
 
 def test_density_engine_leaves_its_input_state_unchanged():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from geminal import ansatz, qsim, tomography
 from geminal.qsim import Circuit, NoiseModel
@@ -14,7 +15,7 @@ from geminal.tomography import (
     phase_signs,
     window_mask,
 )
-from test_qsim import chain_noise
+from test_qsim import chain_noise, chi_square_statistic
 
 
 def bell_circuit() -> Circuit:
@@ -42,12 +43,19 @@ class TestExactDistribution:
         second = tomography.measure_circuit(bell_circuit(), None, seed=2, stream=5)
         assert first == second
 
-    def test_exact_record_rejects_noise_model(self):
-        noise = chain_noise(2, 0.0, 0.0, 0.05)
-        with pytest.raises(ValueError, match="noiseless"):
-            tomography.measure_circuit(bell_circuit(), None, noise=noise)
-        with pytest.raises(ValueError, match="noiseless"):
-            ShotSampler(bell_circuit(), shots=None, noise=noise).run()
+    def test_exact_record_under_noise_is_the_density_distribution(self):
+        circuit = ansatz.build_ansatz_circuit(2, np.array([-0.8]))
+        noise = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+        exact = tomography.measure_circuit(circuit, None, noise=noise)
+        assert exact.shots is None
+        np.testing.assert_array_equal(
+            exact.counts, qsim.run_density(circuit, noise).probabilities()
+        )
+        assert tomography.measure_circuit(circuit, None, seed=5, stream=2, noise=noise) == exact
+        assert ShotSampler(circuit, shots=None, seed=5, noise=noise).run() == exact
+        sampled = tomography.measure_circuit(circuit, 20000, seed=3, noise=noise)
+        stat, dof = chi_square_statistic(sampled.counts, exact.counts)
+        assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)
 
 
 class TestSamplers:
@@ -69,6 +77,20 @@ class TestSamplers:
             sampler = ShotSampler(bell_circuit(), shots=256, seed=4)
             runs.append(sampler.run())
         assert runs[0] == runs[1]
+
+    def test_noisy_run_is_one_sample_call(self, monkeypatch):
+        calls = []
+        draw = qsim.sample
+
+        def counted(state, *args):
+            calls.append(state)
+            return draw(state, *args)
+
+        monkeypatch.setattr(qsim, "sample", counted)
+        noise = chain_noise(2, 0.01, 0.02, 0.03)
+        hist = ShotSampler(bell_circuit(), shots=256, seed=4, noise=noise).run()
+        assert len(calls) == 1 and isinstance(calls[0], qsim.DensityMatrix)
+        assert hist == draw(qsim.run_density(bell_circuit(), noise), 256, 4, 0)
 
     def test_shot_sampler_noise_path(self):
         noise = chain_noise(2, 0.0, 0.25, 0.0)
