@@ -24,7 +24,8 @@ import math
 
 import numpy as np
 
-from geminal.qsim import Circuit, PauliString, PauliSum
+from geminal import qsim
+from geminal.qsim import Circuit, NoiseModel, PauliString, PauliSum
 
 # window-local Pauli letters of the two surviving generator terms; letter
 # i acts on window qubit i
@@ -248,18 +249,34 @@ def optimized_pair_gate(k: int, t: float, r: int) -> Circuit:
     return circ
 
 
+def _pair_chain(r: int, angles) -> Circuit:
+    circ = hf_circuit(r)
+    for k in range(r - 1):
+        circ.extend(optimized_pair_gate(k, angles[k], r))
+    return circ
+
+
 def build_ansatz_circuit(r: int, t: np.ndarray) -> Circuit:
     """Reference preparation plus the chain of 8-CNOT pair rotations.
 
-    ``t`` has r-1 entries; entry k drives the window-k rotation.
+    ``t`` has r-1 entries; entry k drives the window-k rotation.  This
+    gate-by-gate circuit is the reference the compiled ansatz is checked
+    against.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (r - 1,):
         raise ValueError(f"need {r - 1} angles for r = {r}")
-    circ = hf_circuit(r)
-    for k in range(r - 1):
-        circ.extend(optimized_pair_gate(k, float(t[k]), r))
-    return circ
+    return _pair_chain(r, [float(v) for v in t])
+
+
+def ansatz_template(r: int) -> Circuit:
+    """The ansatz circuit with the window-k angle left open as ``qsim.Angle(k)``."""
+    return _pair_chain(r, [qsim.Angle(k) for k in range(r - 1)])
+
+
+def compiled_ansatz(r: int, noise: NoiseModel | None = None) -> qsim.Program:
+    """The ansatz compiled once per (r, noise model); ``run(t)`` prepares it at angles t."""
+    return qsim.compiled(ansatz_template, r, noise=noise)
 
 
 def givens_chain_amplitudes(t: np.ndarray, r: int | None = None) -> np.ndarray:

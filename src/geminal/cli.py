@@ -89,11 +89,12 @@ def output_dir(args) -> Path:
     return out
 
 
-def header_lines(args, extra: dict | None = None) -> list[str]:
+def header_lines(args, extra: dict | None = None, unused: tuple[str, ...] = ()) -> list[str]:
+    """The version line and a config line echoing every argument but the ``unused`` ones."""
     settings = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("func",) and value is not None
+        if key not in ("func", *unused) and value is not None
     }
     if extra:
         settings.update(extra)
@@ -124,6 +125,7 @@ def finite_float(text: str) -> float:
 def requested_shots(args) -> int | None:
     """Shots per preparation, or None for --exact (the exact outcome distribution)."""
     return None if args.exact else args.shots
+
 
 
 def hybrid_config(args) -> hybrid.HybridConfig:
@@ -157,7 +159,8 @@ def cmd_curve(args) -> int:
     else:
         points = hybrid.dissociation_curve(builder, values, base)
 
-    lines = header_lines(args, {"system": label})
+    # an exact run draws no shot, but its restart jitter still draws from the seed
+    lines = header_lines(args, {"system": label}, ("shots",) if args.exact else ())
     lines.append("# R_bohr  E_hybrid  E_FCI  E_RHF  abs_error_mhartree  iterations  flags")
     for p in points:
         err_mha = abs(p.energy - p.energy_fci) * 1e3
@@ -201,8 +204,9 @@ def cmd_curve(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def measure_scan_point(circuit, shots, seed, stream, noise):
-    return tomography.measure_circuit(circuit, shots, seed, stream, noise)
+def measure_scan_point(program, t, shots, seed, stream):
+    """One preparation of the compiled ansatz at angles t, measured in the Z basis."""
+    return tomography.measure(program.run(t), shots, seed, stream)
 
 
 def filter_scan_point(record, symmetries, index: int, t) -> tuple[qsim.ShotHistogram, float]:
@@ -234,12 +238,12 @@ def cmd_scan(args) -> int:
 
     grid = mitigation.scan_angles()
     points = list(itertools.product(grid, repeat=r - 1))
+    program = ansatz.compiled_ansatz(r, noise)
 
     stages = {"raw": [], "verified": [], "projected": []}
     retained = []
     for i, t in enumerate(points):
-        circuit = ansatz.build_ansatz_circuit(r, np.array(t))
-        record = measure_scan_point(circuit, shots, args.seed, i, noise)
+        record = measure_scan_point(program, np.array(t), shots, args.seed, i)
         filtered, frac = filter_scan_point(record, symmetries, i, t)
         retained.append(frac)
 
@@ -263,8 +267,9 @@ def cmd_scan(args) -> int:
     occ_names = "  ".join(
         f"{half}_n{p}" for half in ("alpha", "beta") for p in range(r)
     )
+    unused = ("shots", "seed") if args.exact else ()  # an exact scan draws nothing
     for stage, rows in stages.items():
-        lines = header_lines(args, {"system": label, "stage": stage})
+        lines = header_lines(args, {"system": label, "stage": stage}, unused)
         lines.append(f"# {angle_names}  {occ_names}")
         for t, (alpha, beta) in zip(points, rows):
             tcols = "  ".join(f"{v:11.8f}" for v in t)
@@ -272,7 +277,7 @@ def cmd_scan(args) -> int:
             lines.append(f"{tcols}  {ocols}")
         write_lines(out / f"scan_{stage}.txt", lines)
 
-    summary = header_lines(args, {"system": label})
+    summary = header_lines(args, {"system": label}, unused)
     summary.append(f"# mean retained fraction: {np.mean(retained):.6f}")
 
     if r == 2:
@@ -321,10 +326,10 @@ VTABLE_SETTINGS = [
 def vtable_rows(r, shots, seed, noise):
     """V per symmetry setting and half-set on the standard r=2 scan."""
     grid = mitigation.scan_angles()
-    records = []
-    for i, t in enumerate(grid):
-        circuit = ansatz.build_ansatz_circuit(r, np.array([t]))
-        records.append(measure_scan_point(circuit, shots, seed, i, noise))
+    program = ansatz.compiled_ansatz(r, noise)
+    records = [
+        measure_scan_point(program, np.array([t]), shots, seed, i) for i, t in enumerate(grid)
+    ]
 
     rows = []
     for name, symmetries in VTABLE_SETTINGS:
@@ -362,7 +367,7 @@ def cmd_vtable(args) -> int:
     noise = load_noise(args.noise, 4, args.damping)
 
     rows = vtable_rows(2, shots, args.seed, noise)
-    lines = header_lines(args, {"system": label})
+    lines = header_lines(args, {"system": label}, ("shots", "seed") if args.exact else ())
     lines.append("# symmetries  V_half1  ci95_lo  ci95_hi  V_half2  ci95_lo  ci95_hi  retained")
     for row in rows:
         v1, v2 = row["v1"], row["v2"]
@@ -482,10 +487,27 @@ def _check_density_noise(quick):
     assert abs(got - want) < 1e-12, f"P(1) = {got!r}, want {want!r}"
 
 
+def _check_compiled_preparation(quick):
+    # the compiled ansatz against the gate-by-gate engines at random angles
+    rng = np.random.default_rng(2)
+    calibration = qsim.load_calibration("ibm-14")
+    for r in (2,) if quick else (2, 3):
+        noise = qsim.NoiseModel.from_calibration(calibration, 2 * r, damping=True)
+        t = rng.uniform(-np.pi, np.pi, size=r - 1)
+        circuit = ansatz.build_ansatz_circuit(r, t)
+        for got, want in (
+            (ansatz.compiled_ansatz(r).run(t).amps, qsim.run_circuit(circuit).amps),
+            (ansatz.compiled_ansatz(r, noise).run(t).flat, qsim.run_density(circuit, noise).flat),
+        ):
+            distance = np.max(np.abs(got - want))
+            assert distance < 1e-12, f"r={r}: distance {distance}"
+
+
 def cmd_selftest(args) -> int:
     checks = [
         ("calibration-files", lambda: _check_calibrations(args.noise)),
         ("circuit-equivalence", lambda: _check_circuit_equivalence(args.quick)),
+        ("compiled-preparation", lambda: _check_compiled_preparation(args.quick)),
         ("pauli-reduction", lambda: _check_pauli_reduction(args.quick)),
         ("polytope-projection", lambda: _check_polytope(args.quick)),
         ("energy-assembly", lambda: _check_energy_assembly(args.quick)),

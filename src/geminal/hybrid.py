@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from geminal import ansatz, chem, mitigation, tomography
 from geminal.chem import IntegralSet, Molecule
@@ -124,7 +123,7 @@ class HybridConfig:
 class QuantumObjective:
     """Energy estimate of the ansatz at angles t, measured not computed.
 
-    Each call prepares the circuit for t, estimates occupations (one
+    Each call prepares the compiled ansatz at t, estimates occupations (one
     Z-basis preparation) and, in measured phase mode, window signs (two
     rotated-basis preparations), mitigates, and assembles the energy.
     Preparation counts are tracked per call so the constant-cost
@@ -138,24 +137,17 @@ class QuantumObjective:
         self.config = config
         self.r = h.shape[0]
         self.phase_mode = config.resolve_phase_mode(self.r)
+        self.program = ansatz.compiled_ansatz(self.r, config.noise)
         self.counter = tomography.PreparationCounter()
         self.n_evals = 0
         self.last_eval_preparations = 0
         self.last_retained = 1.0
 
-    def _sampler(self, circuit):
-        return tomography.ShotSampler(
-            circuit,
-            self.config.shots,
-            seed=self.config.seed,
-            noise=self.config.noise,
-            counter=self.counter,
-        )
-
     def _measure_raw(self, t: np.ndarray):
         """One tomography batch: raw occupations plus phase estimates."""
-        circuit = ansatz.build_ansatz_circuit(self.r, t)
-        sampler = self._sampler(circuit)
+        sampler = tomography.ShotSampler(
+            self.program, self.config.shots, self.config.seed, self.counter, angles=t
+        )
         occ = tomography.measure_occupations(sampler, self.r, self.config.symmetries)
         n = 0.5 * (occ.n_alpha + occ.n_beta)
         if self.phase_mode == "measured":
@@ -361,6 +353,51 @@ class OrbitalStepResult:
     converged: bool
 
 
+def bfgs(f, grad, x0: np.ndarray) -> OptimizeOutcome:
+    """Quasi-Newton minimisation of ``f`` from ``x0`` with gradient ``grad``.
+
+    The inverse-Hessian estimate starts at the identity and takes the
+    standard BFGS update after each step (Nocedal & Wright, eq. 6.17),
+    skipped when a step shows no positive curvature.  Each step
+    backtracks from the full quasi-Newton step until the Armijo
+    condition holds.  Converged when the inf-norm of the gradient is at
+    most BFGS_GTOL; it stops unconverged after BFGS_MAX_ITER steps, or
+    when no step length down to 2**-40 lowers ``f``, which is where
+    rounding hides the descent.  ``f`` never ends above its value at
+    ``x0``.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    fx, g = f(x), grad(x)
+    nfev, ident = 1, np.eye(x.size)
+    hess_inv = ident
+    nit = 0
+    while np.max(np.abs(g), initial=0.0) > BFGS_GTOL and nit < BFGS_MAX_ITER:
+        nit += 1
+        p = -hess_inv @ g
+        slope = g @ p
+        if slope >= 0.0:  # rounding spoilt the estimate: restart from steepest descent
+            hess_inv, p, slope = ident, -g, -(g @ g)
+        for halvings in range(41):
+            step = 0.5**halvings
+            f_new = f(x + step * p)
+            nfev += 1
+            if f_new <= fx + 1e-4 * step * slope:
+                break
+        else:
+            break
+        s = step * p
+        g_new = grad(x + s)
+        y = g_new - g
+        sy = s @ y
+        if sy > 0.0:
+            rho = 1.0 / sy
+            left = ident - rho * np.outer(s, y)
+            hess_inv = left @ hess_inv @ left.T + rho * np.outer(s, s)
+        x, fx, g = x + s, f_new, g_new
+    converged = bool(np.max(np.abs(g), initial=0.0) <= BFGS_GTOL)
+    return OptimizeOutcome(x, float(fx), nfev, nit, converged)
+
+
 def orbital_step(
     integrals: IntegralSet,
     C: np.ndarray,
@@ -368,9 +405,9 @@ def orbital_step(
 ) -> OrbitalStepResult:
     """Relax orbitals under the fixed measured 2-DM.
 
-    BFGS over the r(r-1)/2 Givens angles with central finite-difference
-    gradients.  The returned energy never exceeds the starting energy:
-    on any optimizer misstep the input orbitals are kept.
+    ``bfgs`` over the r(r-1)/2 Givens angles with central finite-difference
+    gradients.  It takes only steps that lower the energy, so the
+    returned energy never exceeds the starting energy.
     """
     r = state.n.size
     pairs = list(itertools.combinations(range(r), 2))
@@ -392,18 +429,8 @@ def orbital_step(
             grad[i] = (energy_at(up) - energy_at(down)) / (2 * BFGS_STEP)
         return grad
 
-    x0 = np.zeros(len(pairs))
-    e0 = energy_at(x0)
-    res = optimize.minimize(
-        energy_at,
-        x0,
-        jac=gradient,
-        method="BFGS",
-        options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAX_ITER},
-    )
-    if res.fun <= e0:
-        return OrbitalStepResult(rotated(res.x), float(res.fun), bool(res.success))
-    return OrbitalStepResult(C.copy(), float(e0), False)
+    res = bfgs(energy_at, gradient, np.zeros(len(pairs)))
+    return OrbitalStepResult(rotated(res.x), res.fun, res.converged)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ rotation-angle grid; its ideal value on the standard grid is 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from geminal import _kernels
 from geminal.qsim import ShotHistogram
 
 
@@ -43,14 +45,7 @@ def symmetry_verify(
     its weight; raises AllShotsRejectedError when none is kept.  An
     exact record (``shots=None``) is renormalised to total weight 1.
     """
-    bits = (np.arange(hist.counts.size)[:, None] >> np.arange(hist.n_qubits)) & 1
-    n_alpha, n_beta = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
-    keep = np.ones(hist.counts.size, dtype=bool)
-    if check_n:
-        keep &= n_alpha + n_beta == 2
-    if check_sz:
-        keep &= n_alpha == n_beta
-    kept = np.where(keep, hist.counts, 0)
+    kept = np.where(_allowed_outcomes(hist.n_qubits, check_n, check_sz), hist.counts, 0)
     weight = kept.sum()
     if weight <= 0:
         raise AllShotsRejectedError("symmetry filters rejected every shot")
@@ -58,6 +53,20 @@ def symmetry_verify(
         fraction = float(weight / hist.counts.sum())
         return ShotHistogram(hist.n_qubits, None, kept / fraction), fraction
     return ShotHistogram(hist.n_qubits, int(weight), kept), int(weight) / hist.shots
+
+
+@functools.lru_cache(maxsize=16)
+def _allowed_outcomes(n_qubits: int, check_n: bool, check_sz: bool) -> np.ndarray:
+    """Read-only mask of the outcomes the N and Sz filters keep."""
+    bits = _kernels.outcome_bits(n_qubits)
+    n_alpha, n_beta = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
+    keep = np.ones(bits.shape[0], dtype=bool)
+    if check_n:
+        keep &= n_alpha + n_beta == 2
+    if check_sz:
+        keep &= n_alpha == n_beta
+    keep.flags.writeable = False  # shared by every cached call
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +249,42 @@ def bootstrap_v_interval(
     return v, float(lo), float(hi)
 
 
+def _hull_area(points: np.ndarray) -> float:
+    """Area of the convex hull of 2-D points; 0.0 when they span no area.
+
+    Monotone chain (Andrew 1979) gives the hull in counter-clockwise
+    order and the shoelace formula its area.  An area within rounding of
+    zero, relative to the squared extent of the points, counts as none.
+    """
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    if len(hull) < 3:
+        return 0.0
+    x, y = np.array(hull).T
+    area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    extent = max(np.ptp(x), np.ptp(y))
+    return float(area) if area > 1e-12 * extent * extent else 0.0
+
+
 def hull_area_ratio(points: np.ndarray, ideal_points: np.ndarray) -> float:
     """Area of the measured 2D scan hull relative to the ideal hull.
 
     Measured points that span no area (all on one line or one point)
-    give 0.0.
+    give 0.0; ideal points that span none raise ValueError.
     """
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        measured = ConvexHull(np.asarray(points, dtype=float))
-    except QhullError:
-        return 0.0
-    ideal = ConvexHull(np.asarray(ideal_points, dtype=float))
-    # scipy's 2D convention: .volume is the area, .area the perimeter
-    return float(measured.volume / ideal.volume)
+    ideal = _hull_area(ideal_points)
+    if ideal == 0.0:
+        raise ValueError("the ideal scan points span no area")
+    return _hull_area(points) / ideal

@@ -8,12 +8,20 @@ Conventions, used consistently by every consumer:
   X on qubit 0 and Y on qubit 1.
 * ``rz(t) = exp(-i t Z / 2)`` and likewise for rx/ry.
 
-Both production engines apply a gate by one rule (``_apply_local``):
-gather the flat state by a cached index order that brings the gate's
-bits first (``_local_order``), multiply by the gate's local matrix, and
-scatter back.  The statevector engine (``run_circuit``) multiplies by
+Both engines apply a gate by one rule (``_apply_local``): gather the
+flat state by a cached index order that brings the gate's bits first
+(``_local_order``), multiply by the gate's local matrix, and scatter
+back.  The statevector engine (``run_circuit``) multiplies by
 ``Gate.matrix()``, the only definition of each gate, and the
-density-matrix engine by a superoperator built from it.
+density-matrix engine (``run_density``) by a superoperator built from
+it.
+
+Production preparations run as compiled programs (``Program``, cached
+by ``compiled``): consecutive gates fuse into blocks on at most two
+qubits, each block's fixed gates are multiplied once into one local
+operator, and rotation angles left open as ``Angle`` are bound per run.
+Blocks apply by the same rule, and ``run_circuit`` and ``run_density``,
+gate by gate, are the references they are checked against.
 
 The noise model: gate errors are depolarising (a uniformly random
 non-identity Pauli on the gate's qubits, 3 choices after a one-qubit
@@ -207,10 +215,17 @@ GATE_NAMES = set(_FIXED) | _PARAMETRIC_1Q
 
 
 @dataclass(frozen=True)
+class Angle:
+    """A rotation parameter left open: entry ``index`` of the angles a Program binds per run."""
+
+    index: int
+
+
+@dataclass(frozen=True)
 class Gate:
     name: str
     qubits: tuple[int, ...]
-    param: float | None = None
+    param: float | Angle | None = None
 
     def matrix(self) -> np.ndarray:
         """Local unitary; for cx the local index is bit(control) + 2 bit(target).
@@ -254,7 +269,8 @@ class Circuit:
         if name in _PARAMETRIC_1Q:
             if param is None:
                 raise ValueError(f"{name} requires a parameter")
-            param = float(param)
+            if not isinstance(param, Angle):
+                param = float(param)
         elif param is not None:
             raise ValueError(f"{name} takes no parameter")
         self.gates.append(Gate(name, tuple(int(q) for q in qubits), param))
@@ -356,10 +372,13 @@ def _local_order(n_bits: int, bits: tuple[int, ...]) -> np.ndarray:
 
     Gathering with them gives a (2**k, rest) array whose row index holds
     bit ``bits[j]`` as its bit j, so ``bits[-1]`` is the local high bit;
-    the same indices scatter the result back (``_apply_local``).  The
-    cache holds the 42 keys that noiseless and noisy r = 2 and r = 3
-    evaluations use together; an entry holds 2**n_bits indices, 32 KiB
-    for rho at 6 qubits and 8 MiB at 10.
+    the same indices scatter the result back (``_apply_local``).  A
+    compiled Program keeps the orders of its blocks, so its runs look up
+    only those of their bound gates, in the blocks' local spaces: 4 keys
+    for noiseless and noisy r = 2 and r = 3 evaluations together, while
+    compiling those programs and their basis rotations takes 32.  The
+    gate-by-gate engines look up one key per gate.  An entry holds
+    2**n_bits indices, 32 KiB for rho at 6 qubits and 8 MiB at 10.
     """
     axes = [n_bits - 1 - b for b in reversed(bits)]
     rest = [a for a in range(n_bits) if a not in axes]
@@ -416,10 +435,13 @@ class ShotHistogram:
         """Total weight of the counts: the shot count, or 1 for probabilities."""
         return 1.0 if self.shots is None else self.shots
 
+    def occupations(self) -> np.ndarray:
+        """Mean of every bit over shots, qubit q at entry q: one product with the cached bit table."""
+        return self.counts @ _kernels.outcome_bits(self.n_qubits) / self._norm
+
     def occupation(self, qubit: int) -> float:
         """Mean of bit `qubit` over shots."""
-        k = np.arange(self.counts.size)
-        return float(np.sum(self.counts[(k >> qubit) & 1 == 1])) / self._norm
+        return float(self.occupations()[qubit])
 
     def parity(self, mask: int) -> float:
         """Mean of (-1)**popcount(outcome & mask)."""
@@ -556,10 +578,11 @@ class NoiseModel:
     ``damping`` is set; the defaults emulate gate errors and readout
     only, which is the regime the error-rate tables describe.
 
-    The density-matrix engine keeps the superoperators it builds from
-    these rates in ``_channels``: one per parameter-free gate and one
-    noise channel per qubit set of a rotation, so the cache is bounded
-    by the qubit count and never holds an angle.  The rates are read
+    The density-matrix engine keeps what it builds from these rates in
+    ``_channels``: one superoperator per parameter-free gate, one noise
+    channel per qubit set of a rotation, and the programs ``compiled``
+    for this model, so the cache is bounded by the qubit count and the
+    circuits compiled, and never holds an angle.  The rates are read
     when a channel is first built; change them on a new model.
     """
 
@@ -727,10 +750,145 @@ def run_density(
         raise ValueError("state and circuit qubit counts differ")
     flat = state.flat.copy()
     for gate in circuit.gates:
-        # row-major vec(rho): column bit q is flat bit q, row bit q is flat bit n + q
-        bits = gate.qubits + tuple([n + q for q in gate.qubits])
+        bits = _rho_bits(gate.qubits, n)
         _apply_local(flat, _gate_channel(noise, gate), _local_order(2 * n, bits))
     return DensityMatrix(flat, noise)
+
+
+def _rho_bits(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Flat bits of ``qubits`` in row-major vec(rho): the column bits q, then the row bits n + q."""
+    return qubits + tuple([n + q for q in qubits])
+
+
+# ---------------------------------------------------------------------------
+# compiled programs
+# ---------------------------------------------------------------------------
+
+def _fusion_blocks(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
+    """Consecutive gates fused greedily into blocks on at most two qubits."""
+    blocks: list[tuple[tuple[int, ...], list[Gate]]] = []
+    for gate in gates:
+        if blocks:
+            qubits, members = blocks[-1]
+            joint = qubits + tuple(q for q in gate.qubits if q not in qubits)
+            if len(joint) <= 2:
+                blocks[-1] = (joint, members + [gate])
+                continue
+        blocks.append((gate.qubits, [gate]))
+    return blocks
+
+
+class Program:
+    """A circuit compiled for one engine, its ``Angle`` parameters bound per run.
+
+    Consecutive gates fuse greedily into blocks on at most two qubits.
+    The fixed gates of a block are multiplied once, here, into one local
+    operator: a unitary from ``Gate.matrix()`` for the statevector engine
+    (``noise`` None), a superoperator from ``_gate_channel`` for the
+    density-matrix engine.  A block that holds gates on an ``Angle``
+    keeps the products of the fixed runs around them, and ``run``
+    multiplies only the bound gates in.  Products and blocks alike apply
+    through ``_apply_local``; a product treats its local operator as a
+    register whose column index rides along as spectator bits.
+
+    ``run`` gives the state of ``run_circuit`` or ``run_density`` on the
+    bound circuit; fusion reorders the arithmetic, so amplitudes agree to
+    rounding, not bit for bit.
+    """
+
+    def __init__(self, circuit: Circuit, noise: NoiseModel | None = None):
+        n = self.n_qubits = circuit.n_qubits
+        self.noise = noise
+        angles = [g.param.index for g in circuit.gates if isinstance(g.param, Angle)]
+        self.n_angles = max(angles) + 1 if angles else 0
+        self._blocks = []  # (order in the state, fixed operator or None, local dimension, steps)
+        for qubits, gates in _fusion_blocks(circuit.gates):
+            where = {q: j for j, q in enumerate(qubits)}
+            dim = 1 << self._bit_count(len(qubits))
+            steps = []  # in circuit order: fixed products, and (bound gate, its order)
+            for gate in gates:
+                order = self._operator_order(gate, where)
+                if isinstance(gate.param, Angle):
+                    steps.append((gate, order))
+                    continue
+                if not steps or not isinstance(steps[-1], np.ndarray):
+                    steps.append(np.eye(dim, dtype=complex))
+                _apply_local(steps[-1].reshape(-1), self._operator(gate), order)
+            for step in steps:
+                if isinstance(step, np.ndarray):
+                    step.flags.writeable = False  # shared by every run
+            fused = steps[0] if len(steps) == 1 and isinstance(steps[0], np.ndarray) else None
+            order = _local_order(self._bit_count(n), self._bits(qubits, n))
+            self._blocks.append((order, fused, dim, steps))
+
+    def _bit_count(self, n: int) -> int:
+        """Flat-state bits of an n-qubit register of this engine."""
+        return n if self.noise is None else 2 * n
+
+    def _bits(self, qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
+        """Flat-state bits of ``qubits`` on an n-qubit register of this engine."""
+        return qubits if self.noise is None else _rho_bits(qubits, n)
+
+    def _operator(self, gate: Gate) -> np.ndarray:
+        return gate.matrix() if self.noise is None else _gate_channel(self.noise, gate)
+
+    def _operator_order(self, gate: Gate, where: dict) -> np.ndarray:
+        """Order that applies ``gate`` to the rows of a block operator.
+
+        The block's qubits are numbered by ``where``.  A row-major
+        operator holds its row index in the high bits of its flat array,
+        so the gate acts on those and the column bits ride along.
+        """
+        width = self._bit_count(len(where))
+        bits = self._bits(tuple(where[q] for q in gate.qubits), len(where))
+        return _local_order(2 * width, tuple(b + width for b in bits))
+
+    def _bound(self, dim: int, steps: list, t) -> np.ndarray:
+        """A block's operator with its bound gates at the angles ``t``."""
+        acc = None
+        for step in steps:
+            if isinstance(step, np.ndarray):
+                acc = step.copy() if acc is None else step @ acc
+                continue
+            gate, order = step
+            if acc is None:
+                acc = np.eye(dim, dtype=complex)
+            bound = Gate(gate.name, gate.qubits, float(t[gate.param.index]))
+            _apply_local(acc.reshape(-1), self._operator(bound), order)
+        return acc
+
+    def run(self, t=(), state=None):
+        """The state after the program at angles ``t``, from |0...0> or a copy of ``state``."""
+        if len(t) != self.n_angles:
+            raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
+        n = self.n_qubits
+        if state is None:
+            state = Statevector.zero(n) if self.noise is None else DensityMatrix.zero(n, self.noise)
+        elif state.n_qubits != n:
+            raise ValueError("state and program qubit counts differ")
+        flat = (state.amps if self.noise is None else state.flat).copy()
+        for order, fused, dim, steps in self._blocks:
+            _apply_local(flat, self._bound(dim, steps, t) if fused is None else fused, order)
+        return Statevector(flat) if self.noise is None else DensityMatrix(flat, self.noise)
+
+
+_NOISELESS_PROGRAMS: dict = {}
+
+
+def compiled(build, *args, noise: NoiseModel | None = None) -> Program:
+    """``Program(build(*args), noise)``, compiled on first use and then reused.
+
+    ``build`` is a module-level circuit builder and ``args`` its hashable
+    arguments.  A noisy program is kept in its noise model's cache with
+    the model's channels, so it lives as long as the model does; a
+    noiseless one in a module table.
+    """
+    cache = _NOISELESS_PROGRAMS if noise is None else noise._channels
+    key = (build, *args)
+    program = cache.get(key)
+    if program is None:
+        program = cache[key] = Program(build(*args), noise)
+    return program
 
 
 # ---------------------------------------------------------------------------

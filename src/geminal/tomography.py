@@ -4,6 +4,8 @@ Everything the hybrid loop needs from the device is a Z-basis histogram
 (occupations) plus two rotated-basis histograms (pair-coherence signs),
 so one objective evaluation costs three circuit preparations regardless
 of r.  Samplers count their preparations so that budget is testable.
+The ansatz and both basis rotations run as programs compiled once per
+(r, noise model); the rotations act on a copy of the prepared state.
 
 Phase estimator for window k (qubits 2k..2k+3): with circuit A rotating
 every qubit to the X basis and circuit B rotating alpha qubits to X and
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from geminal import mitigation, qsim
-from geminal.qsim import Circuit, NoiseModel, ShotHistogram
+from geminal.qsim import Circuit, NoiseModel, Program, ShotHistogram
 
 
 @dataclass
@@ -35,74 +37,56 @@ class PreparationCounter:
         self.count += 1
 
 
-def _evolve(circuit: Circuit, noise: NoiseModel | None, state=None):
-    """Statevector of the noiseless circuit, or density matrix of the noisy one."""
-    if noise is None:
-        return qsim.run_circuit(circuit, state)
-    return qsim.run_density(circuit, noise, state)
+def measure(state, shots: int | None, seed: int = 0, stream: int = 0) -> ShotHistogram:
+    """Z-basis record of a prepared state.
 
-
-def _measure(state, shots: int | None, seed: int, stream: int) -> ShotHistogram:
+    ``shots=None`` returns the exact outcome probabilities of the state,
+    noiseless or noisy; otherwise ``shots`` outcomes are drawn from the
+    (seed, stream) generator.
+    """
     if shots is None:
         return ShotHistogram(state.n_qubits, None, state.probabilities())
     return qsim.sample(state, shots, seed, stream)
 
 
-def measure_circuit(
-    circuit: Circuit,
-    shots: int | None,
-    seed: int = 0,
-    stream: int = 0,
-    noise: NoiseModel | None = None,
-) -> ShotHistogram:
-    """One preparation of ``circuit`` measured in the Z basis.
-
-    The circuit runs on the statevector engine, or on the density-matrix
-    engine if a noise model is given.  ``shots=None`` returns the exact
-    outcome probabilities of that state, noiseless or noisy; otherwise
-    ``shots`` outcomes are drawn from the (seed, stream) generator.
-    """
-    return _measure(_evolve(circuit, noise), shots, seed, stream)
-
-
 class ShotSampler:
-    """Samples a fixed preparation circuit in caller-chosen bases.
+    """Samples one compiled preparation in caller-chosen bases.
 
-    Each ``run`` is one circuit preparation: the preparation circuit plus
-    an optional basis-rotation circuit, executed for ``shots`` shots, or
-    exactly when ``shots`` is None.  The preparation circuit is simulated
-    once, as a statevector or, under a noise model, a density matrix,
-    and each basis rotation runs on a copy; that gives the numbers of
-    simulating both circuits together.  Each run draws the stream
-    numbered by the preparations ``counter`` has counted so far, so
-    samplers sharing a counter never reuse a stream and the whole
-    sequence is deterministic in the seed.
+    Each ``run`` is one circuit preparation: ``program`` at ``angles``
+    plus an optional compiled basis rotation, executed for ``shots``
+    shots, or exactly when ``shots`` is None.  The preparation is
+    simulated once, as a statevector or, for a program compiled under a
+    noise model, a density matrix, and each basis rotation runs on a
+    copy; that gives the numbers of simulating both together.  Each run
+    draws the stream numbered by the preparations ``counter`` has
+    counted so far, so samplers sharing a counter never reuse a stream
+    and the whole sequence is deterministic in the seed.
     """
 
     def __init__(
         self,
-        circuit: Circuit,
+        program: Program,
         shots: int | None,
         seed: int = 0,
-        noise: NoiseModel | None = None,
         counter: PreparationCounter | None = None,
+        angles=(),
     ):
-        self.circuit = circuit
+        self.program = program
+        self.angles = angles
         self.shots = None if shots is None else int(shots)
         self.seed = int(seed)
-        self.noise = noise
         self.counter = counter if counter is not None else PreparationCounter()
         self._prepared = None
 
-    def run(self, basis: Circuit | None = None) -> ShotHistogram:
+    def run(self, basis: Program | None = None) -> ShotHistogram:
         if self._prepared is None:
-            self._prepared = _evolve(self.circuit, self.noise)
+            self._prepared = self.program.run(self.angles)
         state = self._prepared
         if basis is not None:
-            state = _evolve(basis, self.noise, state)
+            state = basis.run(state=state)
         stream = self.counter.count
         self.counter.bump()
-        return _measure(state, self.shots, self.seed, stream)
+        return measure(state, self.shots, self.seed, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +102,8 @@ class OccupationEstimate:
 
 def occupations_from_counts(record: ShotHistogram, r: int) -> OccupationEstimate:
     """Per-orbital alpha/beta occupations from a Z-basis record."""
-    na = np.array([record.occupation(2 * p) for p in range(r)])
-    nb = np.array([record.occupation(2 * p + 1) for p in range(r)])
-    return OccupationEstimate(na, nb)
+    occ = record.occupations()
+    return OccupationEstimate(occ[0 : 2 * r : 2], occ[1 : 2 * r : 2])
 
 
 def filter_symmetries(
@@ -153,6 +136,15 @@ def measure_occupations(
 # phases
 # ---------------------------------------------------------------------------
 
+def _phase_rotation(r: int, beta_in_y: bool) -> Circuit:
+    circ = Circuit(2 * r)
+    for q in range(2 * r):
+        if beta_in_y and q % 2 == 1:
+            circ.sdg(q)
+        circ.h(q)
+    return circ
+
+
 def phase_measurement_circuits(r: int) -> tuple[Circuit, Circuit]:
     """Basis rotations for the two coherence circuits on all 2r qubits.
 
@@ -160,17 +152,15 @@ def phase_measurement_circuits(r: int) -> tuple[Circuit, Circuit]:
     (even) qubits in X and beta (odd) qubits in Y.  One (A, B) pair
     serves every window simultaneously.
     """
-    n = 2 * r
-    circ_a = Circuit(n)
-    for q in range(n):
-        circ_a.h(q)
-    circ_b = Circuit(n)
-    for q in range(n):
-        if q % 2 == 1:
-            circ_b.sdg(q).h(q)
-        else:
-            circ_b.h(q)
-    return circ_a, circ_b
+    return _phase_rotation(r, False), _phase_rotation(r, True)
+
+
+def phase_measurement_programs(r: int, noise: NoiseModel | None = None) -> tuple[Program, Program]:
+    """The two basis rotations compiled once per (r, noise model)."""
+    return (
+        qsim.compiled(_phase_rotation, r, False, noise=noise),
+        qsim.compiled(_phase_rotation, r, True, noise=noise),
+    )
 
 
 @dataclass
@@ -185,9 +175,9 @@ def window_mask(k: int) -> int:
 
 def estimate_phases(sampler, r: int) -> PhaseEstimate:
     """Two rotated-basis preparations giving all r-1 window signs."""
-    circ_a, circ_b = phase_measurement_circuits(r)
-    rec_a = sampler.run(circ_a)
-    rec_b = sampler.run(circ_b)
+    rotation_a, rotation_b = phase_measurement_programs(r, sampler.program.noise)
+    rec_a = sampler.run(rotation_a)
+    rec_b = sampler.run(rotation_b)
     vals = np.empty(r - 1)
     errs = np.empty(r - 1)
     for k in range(r - 1):

@@ -6,7 +6,10 @@ checks compare whole files byte for byte.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +86,37 @@ def test_exact_with_noise_rows_do_not_depend_on_the_seed(tmp_path, command, nois
         runs.append(data_rows(out))
     assert runs[0] == runs[1]
     assert runs[0] and all(runs[0].values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vtable", "--exact", "--noise", "ibm-14", "--damping"],
+        ["scan", "--exact", "--system", "h3plus", "--at", "1.65"],
+    ],
+    ids=["vtable", "scan"],
+)
+def test_exact_tables_are_byte_identical_across_seeds(tmp_path, argv):
+    # an exact table draws nothing, so its header echoes neither seed nor shots
+    files = []
+    for seed in (0, 1):
+        run_cli([*argv, "--seed", str(seed), "--out", str(tmp_path)])
+        files.append({path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())})
+    assert files[0] == files[1]
+    for text in files[0].values():
+        config = text.decode().splitlines()[1]
+        assert config.startswith("# config: ") and "exact=True" in config
+        assert "seed=" not in config and "shots=" not in config
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, geminal.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_exact_noisy_h2_point_is_flagged_no_gain_over_rhf(tmp_path):
@@ -211,7 +245,8 @@ def test_curve_exact_two_points(tmp_path):
     assert code == 0
     table = (tmp_path / "curve.txt").read_text().splitlines()
     assert table[0].startswith("# geminal ")
-    assert "seed=3" in table[1]
+    assert "seed=3" in table[1]  # the restart jitter draws from it
+    assert "shots=" not in table[1]  # an exact run draws no shot
     data = [line for line in table if not line.startswith("#")]
     assert len(data) == 2
     points = json.loads((tmp_path / "curve_points.json").read_text())
@@ -394,11 +429,11 @@ def test_scan_rejects_unsupported_size(tmp_path):
         run_cli(["scan", "--geometry", str(geom), "--out", str(tmp_path)])
 
 
-def odd_electron_record(circuit, shots, seed, stream, noise):
+def odd_electron_record(program, t, shots, seed, stream):
     """A record whose every shot holds one electron, so the N filter rejects it all."""
-    counts = np.zeros(1 << circuit.n_qubits, dtype=np.int64)
+    counts = np.zeros(1 << program.n_qubits, dtype=np.int64)
     counts[0b0001] = shots
-    return qsim.ShotHistogram(circuit.n_qubits, shots, counts)
+    return qsim.ShotHistogram(program.n_qubits, shots, counts)
 
 
 def test_scan_all_shots_rejected_is_clean_exit(tmp_path, monkeypatch):
@@ -485,8 +520,9 @@ def test_vtable_requires_two_orbitals():
 def test_selftest_quick_passes(capsys):
     assert run_cli(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok") == 8
+    assert out.count("ok") == 9
     assert "ok    density-noise" in out
+    assert "ok    compiled-preparation" in out
 
 
 def test_selftest_flags_corrupt_calibration(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Energy assembly, optimizers, and the alternating hybrid loop."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from geminal import ansatz, chem, hybrid, mitigation, qsim
+from geminal import ansatz, chem, cli, hybrid, mitigation, qsim
 from geminal.hybrid import (
     GeminalState,
     HybridConfig,
@@ -242,6 +243,47 @@ class TestQuantumStep:
 
 
 class TestOrbitalStep:
+    @pytest.mark.parametrize(
+        "system, bond, n, xi, twist",
+        [
+            ("h2", 0.9, [0.97, 0.03], [-1], 0.2),
+            ("h2", 2.5, [0.7, 0.3], [-1], -0.3),
+            ("h3plus", 1.65, [0.9, 0.06, 0.04], [-1, 1], 0.0),
+            ("h3plus", 2.5, [0.7, 0.2, 0.1], [-1, -1], 0.1),
+            ("h3plus", 1.2, [0.95, 0.03, 0.02], [1, 1], 0.0),
+        ],
+    )
+    def test_bfgs_reaches_the_scipy_minimum(self, system, bond, n, xi, twist):
+        from scipy import optimize
+
+        ints, rhf, _ = chem.scf_reference(cli.SYSTEM_BUILDERS[system](bond))
+        C = chem.apply_givens_rotations(rhf.mo_coeff, [(0, 1, twist)])
+        state = GeminalState(np.array(n), np.array(xi))
+        pairs = list(itertools.combinations(range(ints.n_basis), 2))
+
+        def energy_at(angles):
+            rots = [(p, q, a) for (p, q), a in zip(pairs, angles)]
+            h, eri = chem.transform_integrals(ints, chem.apply_givens_rotations(C, rots))
+            return assemble_2dm_energy(state, h, eri, ints.enuc)
+
+        def gradient(angles):
+            step = hybrid.BFGS_STEP
+            return np.array([
+                (energy_at(angles + step * e) - energy_at(angles - step * e)) / (2 * step)
+                for e in np.eye(angles.size)
+            ])
+
+        x0 = np.zeros(len(pairs))
+        want = optimize.minimize(
+            energy_at, x0, jac=gradient, method="BFGS",
+            options={"gtol": hybrid.BFGS_GTOL, "maxiter": hybrid.BFGS_MAX_ITER},
+        )
+        got = hybrid.bfgs(energy_at, gradient, x0)
+        assert got.converged and want.success
+        assert abs(got.fun - want.fun) < 1e-10
+        assert got.fun <= energy_at(x0)
+        assert abs(orbital_step(ints, C, state).energy - want.fun) < 1e-10
+
     def test_stationary_at_natural_orbitals(self, h2_reference):
         ints, rhf, fci = h2_reference
         g, basis = chem.pair_spectrum(fci.coeff)

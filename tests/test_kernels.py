@@ -43,6 +43,15 @@ def test_parity_signs():
     signs = K.parity_signs(8, 0b101)
     want = [(-1.0) ** bin(k & 0b101).count("1") for k in range(8)]
     assert np.allclose(signs, want)
+    assert K.parity_signs(8, 0b101) is signs and not signs.flags.writeable
+
+
+def test_outcome_bits():
+    table = K.outcome_bits(5)
+    assert table.shape == (32, 5) and not table.flags.writeable
+    assert K.outcome_bits(5) is table
+    for k in range(32):
+        assert table[k].tolist() == [float((k >> q) & 1) for q in range(5)]
 
 
 def test_apply_1q_matches_dense_oracle():

@@ -152,7 +152,7 @@ class TestSymmetryVerify:
     def test_exact_noisy_record_keeps_and_renormalises_its_allowed_weight(self):
         circuit = ansatz.build_ansatz_circuit(2, np.array([-0.8]))
         noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
-        record = tomography.measure_circuit(circuit, None, noise=noise)
+        record = tomography.measure(qsim.run_density(circuit, noise), None)
         # one alpha (even qubit) and one beta (odd qubit) electron
         allowed = [0b0011, 0b0110, 0b1001, 0b1100]
         kept = record.counts[allowed]
@@ -388,6 +388,22 @@ class TestScanMetrics:
         shrunk = centroid + 0.7 * (pts - centroid)
         assert hull_area_ratio(shrunk, pts) == pytest.approx(0.49, abs=1e-9)
         assert hull_area_ratio(pts, pts) == pytest.approx(1.0, abs=1e-12)
+
+    def test_hull_area_ratio_matches_scipy_convex_hull(self):
+        from scipy.spatial import ConvexHull
+
+        rng = np.random.default_rng(12)
+        for size in (3, 4, 7, 30, 121):
+            for _ in range(20):
+                measured = rng.normal(0.5, 0.2, size=(size, 2))
+                ideal = rng.uniform(0.0, 1.0, size=(size + 2, 2))
+                # scipy's 2D convention: .volume is the area
+                want = ConvexHull(measured).volume / ConvexHull(ideal).volume
+                assert hull_area_ratio(measured, ideal) == pytest.approx(want, rel=1e-12)
+
+    def test_hull_area_ratio_needs_an_ideal_area(self):
+        with pytest.raises(ValueError, match="span no area"):
+            hull_area_ratio(np.eye(2), np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]))
 
     @pytest.mark.parametrize(
         "measured",

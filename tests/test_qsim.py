@@ -684,20 +684,130 @@ def test_density_engine_rejects_more_than_ten_qubits():
 
 
 def test_gate_order_cache_holds_every_evaluation_key():
-    # one objective evaluation per mode: the ansatz preparation, then the
-    # Z-basis and both rotated-basis measurements
+    # one objective evaluation per mode: the compiled ansatz preparation,
+    # then the Z-basis and both rotated-basis measurements; the first
+    # round also compiles every program
+    ibm14 = qsim.load_calibration("ibm-14")
+    modes = [
+        (r, noise)
+        for r in (2, 3)
+        for noise in (None, NoiseModel.from_calibration(ibm14, 2 * r, damping=True))
+    ]
+
     def evaluate_each_mode():
-        for r in (2, 3):
-            circuit = ansatz.build_ansatz_circuit(r, np.full(r - 1, 0.4))
-            ibm14 = NoiseModel.from_calibration(
-                qsim.load_calibration("ibm-14"), 2 * r, damping=True
-            )
-            for noise in (None, ibm14):
-                sampler = tomography.ShotSampler(circuit, 64, seed=1, noise=noise)
-                tomography.measure_occupations(sampler, r)
-                tomography.estimate_phases(sampler, r)
+        for r, noise in modes:
+            program = ansatz.compiled_ansatz(r, noise)
+            sampler = tomography.ShotSampler(program, 64, seed=1, angles=np.full(r - 1, 0.4))
+            tomography.measure_occupations(sampler, r)
+            tomography.estimate_phases(sampler, r)
 
     evaluate_each_mode()
     misses = qsim._local_order.cache_info().misses
     evaluate_each_mode()
     assert qsim._local_order.cache_info().misses == misses
+
+
+# ---------------------------------------------------------------------------
+# compiled programs
+# ---------------------------------------------------------------------------
+
+COMPILED_NOISE_CASES = [(2, "ibm-5", False), (2, "ibm-14", True), (3, "ibm-14", False)]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_compiled_ansatz_matches_run_circuit(r):
+    program = ansatz.compiled_ansatz(r)
+    rng = np.random.default_rng(40 + r)
+    for _ in range(5):
+        t = rng.uniform(-np.pi, np.pi, size=r - 1)
+        want = qsim.run_circuit(ansatz.build_ansatz_circuit(r, t)).amps
+        np.testing.assert_allclose(program.run(t).amps, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("r, device, damping", COMPILED_NOISE_CASES)
+def test_compiled_ansatz_matches_run_density(r, device, damping):
+    noise = NoiseModel.from_calibration(qsim.load_calibration(device), 2 * r, damping=damping)
+    program = ansatz.compiled_ansatz(r, noise)
+    rng = np.random.default_rng(50 + r)
+    for _ in range(3):
+        t = rng.uniform(-np.pi, np.pi, size=r - 1)
+        got = program.run(t)
+        want = qsim.run_density(ansatz.build_ansatz_circuit(r, t), noise)
+        np.testing.assert_allclose(got.flat, want.flat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.probabilities(), want.probabilities(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_compiled_rotations_act_on_the_given_state_like_the_gates(noisy):
+    r, t = 3, np.array([0.45, -1.1])
+    noise = (
+        NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 6, damping=True)
+        if noisy else None
+    )
+    prepared = ansatz.compiled_ansatz(r, noise).run(t)
+    before = (prepared.flat if noisy else prepared.amps).copy()
+    circuit = ansatz.build_ansatz_circuit(r, t)
+    rotations = tomography.phase_measurement_programs(r, noise)
+    for program, basis in zip(rotations, tomography.phase_measurement_circuits(r)):
+        whole = Circuit(2 * r, circuit.gates + basis.gates)
+        if noisy:
+            got, want = program.run(state=prepared).flat, qsim.run_density(whole, noise).flat
+        else:
+            got, want = program.run(state=prepared).amps, qsim.run_circuit(whole).amps
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(prepared.flat if noisy else prepared.amps, before)
+
+
+def test_fusion_blocks_span_at_most_two_qubits():
+    # r = 2: 18 gates in 6 blocks; r = 3: 34 gates in 11
+    for r, gates, blocks in ((2, 18, 6), (3, 34, 11)):
+        template = ansatz.ansatz_template(r)
+        fused = qsim._fusion_blocks(template.gates)
+        assert len(template) == gates and len(fused) == blocks
+        assert [g for _, members in fused for g in members] == template.gates
+        for qubits, members in fused:
+            assert len(qubits) <= 2
+            assert all(set(g.qubits) <= set(qubits) for g in members)
+
+
+def test_template_leaves_exactly_the_pair_angles_open():
+    template = ansatz.ansatz_template(3)
+    bound = [(g.name, g.qubits, g.param) for g in template if isinstance(g.param, qsim.Angle)]
+    assert bound == [
+        ("rz", (1,), qsim.Angle(0)),
+        ("rx", (2,), qsim.Angle(0)),
+        ("rz", (3,), qsim.Angle(1)),
+        ("rx", (4,), qsim.Angle(1)),
+    ]
+    with pytest.raises(ValueError, match="binds 2 angles, got 1"):
+        ansatz.compiled_ansatz(3).run(np.array([0.1]))
+
+
+def test_programs_compile_once_per_size_and_noise_model():
+    ibm14 = qsim.load_calibration("ibm-14")
+    first = NoiseModel.from_calibration(ibm14, 4)
+    second = NoiseModel.from_calibration(ibm14, 4)
+    assert ansatz.compiled_ansatz(2) is ansatz.compiled_ansatz(2)
+    assert ansatz.compiled_ansatz(2) is not ansatz.compiled_ansatz(3)
+    assert ansatz.compiled_ansatz(2, first) is ansatz.compiled_ansatz(2, first)
+    assert ansatz.compiled_ansatz(2, first) is not ansatz.compiled_ansatz(2, second)
+    assert ansatz.compiled_ansatz(2, first).noise is first
+
+
+def test_production_paths_prepare_through_compiled_programs(monkeypatch):
+    # the gate-by-gate builders and engines are references only
+    def reference_only(*_args, **_kwargs):
+        raise AssertionError("a production path ran a gate-by-gate reference")
+
+    for name in ("run_circuit", "run_density"):
+        monkeypatch.setattr(qsim, name, reference_only)
+    monkeypatch.setattr(ansatz, "build_ansatz_circuit", reference_only)
+    monkeypatch.setattr(tomography, "phase_measurement_circuits", reference_only)
+    ibm5 = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+    for noise in (None, ibm5):
+        config = hybrid.HybridConfig(
+            noise=noise, seed=1, restarts=1, nm_max_iter=10, outer_max_iter=1
+        )
+        assert hybrid.run_hybrid(chem.h2_molecule(1.4), config).n_evals > 0
+    for noise in (None, cli.load_noise("ibm-14", 4, damping=True)):
+        assert len(cli.vtable_rows(2, 2048, 1, noise)) == 4

@@ -22,8 +22,23 @@ def bell_circuit() -> Circuit:
     return Circuit(2).h(0).cx(0, 1)
 
 
+def sampler_for(circuit, shots, seed=0, noise=None, counter=None) -> ShotSampler:
+    """A sampler of ``circuit`` compiled for the engine ``noise`` selects."""
+    return ShotSampler(qsim.Program(circuit, noise), shots, seed, counter)
+
+
+def ansatz_sampler(r, t, shots, seed=0, noise=None) -> ShotSampler:
+    """A sampler of the production preparation: the compiled ansatz at angles t."""
+    return ShotSampler(ansatz.compiled_ansatz(r, noise), shots, seed, angles=np.asarray(t))
+
+
+def gate_by_gate(circuit, noise=None):
+    """The reference engines: run_circuit, or run_density under a noise model."""
+    return qsim.run_circuit(circuit) if noise is None else qsim.run_density(circuit, noise)
+
+
 def exact_sampler(circuit, counter=None) -> ShotSampler:
-    return ShotSampler(circuit, shots=None, counter=counter)
+    return sampler_for(circuit, None, counter=counter)
 
 
 class TestExactDistribution:
@@ -39,34 +54,37 @@ class TestExactDistribution:
         assert dist.parity_stderr(0b11) == 0.0
 
     def test_exact_record_ignores_seed_and_stream(self):
-        first = tomography.measure_circuit(bell_circuit(), None, seed=1, stream=0)
-        second = tomography.measure_circuit(bell_circuit(), None, seed=2, stream=5)
+        state = qsim.run_circuit(bell_circuit())
+        first = tomography.measure(state, None, seed=1, stream=0)
+        second = tomography.measure(state, None, seed=2, stream=5)
         assert first == second
 
     def test_exact_record_under_noise_is_the_density_distribution(self):
-        circuit = ansatz.build_ansatz_circuit(2, np.array([-0.8]))
+        t = np.array([-0.8])
+        circuit = ansatz.build_ansatz_circuit(2, t)
         noise = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
-        exact = tomography.measure_circuit(circuit, None, noise=noise)
+        rho = qsim.run_density(circuit, noise)
+        exact = tomography.measure(rho, None)
         assert exact.shots is None
-        np.testing.assert_array_equal(
-            exact.counts, qsim.run_density(circuit, noise).probabilities()
-        )
-        assert tomography.measure_circuit(circuit, None, seed=5, stream=2, noise=noise) == exact
-        assert ShotSampler(circuit, shots=None, seed=5, noise=noise).run() == exact
-        sampled = tomography.measure_circuit(circuit, 20000, seed=3, noise=noise)
+        np.testing.assert_array_equal(exact.counts, rho.probabilities())
+        assert tomography.measure(rho, None, seed=5, stream=2) == exact
+        compiled = ansatz_sampler(2, t, None, seed=5, noise=noise).run()
+        assert compiled.shots is None
+        np.testing.assert_allclose(compiled.counts, exact.counts, rtol=0, atol=1e-12)
+        sampled = tomography.measure(rho, 20000, seed=3)
         stat, dof = chi_square_statistic(sampled.counts, exact.counts)
         assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)
 
 
 class TestSamplers:
     def test_shot_sampler_counts_preparations(self):
-        sampler = ShotSampler(bell_circuit(), shots=128, seed=4)
+        sampler = sampler_for(bell_circuit(), shots=128, seed=4)
         sampler.run()
-        sampler.run(Circuit(2).h(0).h(1))
+        sampler.run(qsim.Program(Circuit(2).h(0).h(1)))
         assert sampler.counter.count == 2
 
     def test_shot_sampler_streams_advance(self):
-        sampler = ShotSampler(bell_circuit(), shots=256, seed=4)
+        sampler = sampler_for(bell_circuit(), shots=256, seed=4)
         first = sampler.run()
         second = sampler.run()
         assert not np.array_equal(first.counts, second.counts)
@@ -74,7 +92,7 @@ class TestSamplers:
     def test_shot_sampler_deterministic(self):
         runs = []
         for _ in range(2):
-            sampler = ShotSampler(bell_circuit(), shots=256, seed=4)
+            sampler = sampler_for(bell_circuit(), shots=256, seed=4)
             runs.append(sampler.run())
         assert runs[0] == runs[1]
 
@@ -88,13 +106,13 @@ class TestSamplers:
 
         monkeypatch.setattr(qsim, "sample", counted)
         noise = chain_noise(2, 0.01, 0.02, 0.03)
-        hist = ShotSampler(bell_circuit(), shots=256, seed=4, noise=noise).run()
+        hist = sampler_for(bell_circuit(), shots=256, seed=4, noise=noise).run()
         assert len(calls) == 1 and isinstance(calls[0], qsim.DensityMatrix)
         assert hist == draw(qsim.run_density(bell_circuit(), noise), 256, 4, 0)
 
     def test_shot_sampler_noise_path(self):
         noise = chain_noise(2, 0.0, 0.25, 0.0)
-        sampler = ShotSampler(Circuit(2), shots=4000, seed=9, noise=noise)
+        sampler = sampler_for(Circuit(2), shots=4000, seed=9, noise=noise)
         hist = sampler.run()
         # |00> through 25% readout flips: each bit reads 1 a quarter of the time
         assert hist.occupation(0) == pytest.approx(0.25, abs=0.04)
@@ -102,18 +120,22 @@ class TestSamplers:
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_shared_preparation_gives_the_whole_circuit_counts(self, noisy):
-        circuit = ansatz.build_ansatz_circuit(2, np.array([-0.8]))
+        # the compiled ansatz and compiled rotations against the whole circuit gate by gate
+        t = np.array([-0.8])
+        circuit = ansatz.build_ansatz_circuit(2, t)
         noise = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4) if noisy else None
-        sampler = ShotSampler(circuit, shots=512, seed=6, noise=noise)
-        for stream, basis in enumerate((Circuit(4), *phase_measurement_circuits(2))):
+        sampler = ansatz_sampler(2, t, shots=512, seed=6, noise=noise)
+        rotations = (None, *tomography.phase_measurement_programs(2, noise))
+        circuits = (Circuit(4), *phase_measurement_circuits(2))
+        for stream, (rotation, basis) in enumerate(zip(rotations, circuits)):
             whole = Circuit(4, circuit.gates + basis.gates)
-            want = tomography.measure_circuit(whole, 512, seed=6, stream=stream, noise=noise)
-            assert sampler.run(basis if basis.gates else None) == want
+            want = tomography.measure(gate_by_gate(whole, noise), 512, seed=6, stream=stream)
+            assert sampler.run(rotation) == want
         assert sampler.counter.count == 3
 
     def test_exact_sampler_basis_rotation(self):
         sampler = exact_sampler(bell_circuit())
-        dist = sampler.run(Circuit(2).h(0).h(1))
+        dist = sampler.run(qsim.Program(Circuit(2).h(0).h(1)))
         # Bell state in the X basis keeps even parity
         assert dist.parity(0b11) == pytest.approx(1.0)
         assert sampler.counter.count == 1
@@ -129,7 +151,7 @@ class TestOccupations:
     def test_exact_occupations_match_amplitudes(self):
         t = np.array([-2.0, 0.7])
         amps = ansatz.givens_chain_amplitudes(t)
-        sampler = exact_sampler(ansatz.build_ansatz_circuit(3, t))
+        sampler = ansatz_sampler(3, t, None)
         est = measure_occupations(sampler, 3)
         np.testing.assert_allclose(est.n_alpha, amps**2, atol=1e-12)
         np.testing.assert_allclose(est.n_beta, amps**2, atol=1e-12)
@@ -138,7 +160,7 @@ class TestOccupations:
     def test_sampled_occupations_unbiased(self):
         t = np.array([-0.9])
         amps = ansatz.givens_chain_amplitudes(t)
-        sampler = ShotSampler(ansatz.build_ansatz_circuit(2, t), shots=20000, seed=2)
+        sampler = ansatz_sampler(2, t, shots=20000, seed=2)
         est = measure_occupations(sampler, 2)
         sigma = np.sqrt(amps**2 * (1 - amps**2) / 20000)
         assert np.all(np.abs(est.n_alpha - amps**2) < 5 * sigma)
@@ -149,13 +171,10 @@ class TestOccupations:
         t = np.array([-0.3])
         ideal = ansatz.givens_chain_amplitudes(t) ** 2
         noise = chain_noise(4, 0.0, 0.08, 0.0)
-        circuit = ansatz.build_ansatz_circuit(2, t)
 
-        raw = measure_occupations(
-            ShotSampler(circuit, shots=8192, seed=5, noise=noise), 2
-        )
+        raw = measure_occupations(ansatz_sampler(2, t, shots=8192, seed=5, noise=noise), 2)
         filt = measure_occupations(
-            ShotSampler(circuit, shots=8192, seed=5, noise=noise), 2, ("N", "Sz")
+            ansatz_sampler(2, t, shots=8192, seed=5, noise=noise), 2, ("N", "Sz")
         )
         assert filt.retained_fraction < 1.0
         err_raw = np.max(np.abs(0.5 * (raw.n_alpha + raw.n_beta) - ideal))
@@ -163,7 +182,7 @@ class TestOccupations:
         assert err_filt < err_raw
 
     def test_exact_mode_skips_filtering(self):
-        sampler = exact_sampler(ansatz.build_ansatz_circuit(2, np.array([-0.8])))
+        sampler = ansatz_sampler(2, [-0.8], None)
         est = measure_occupations(sampler, 2, ("N", "Sz"))
         assert est.retained_fraction == 1.0
 
@@ -198,14 +217,14 @@ class TestPhaseEstimation:
                 t = rng.uniform(-np.pi, np.pi, size=r - 1)
                 amps = ansatz.givens_chain_amplitudes(t)
                 expected = amps[:-1] * amps[1:]
-                sampler = exact_sampler(ansatz.build_ansatz_circuit(r, t))
+                sampler = ansatz_sampler(r, t, None)
                 est = estimate_phases(sampler, r)
                 np.testing.assert_allclose(est.values, expected, atol=1e-12)
                 assert sampler.counter.count == 2
 
     def test_exact_signs_and_no_ambiguity(self):
         t = np.array([-0.8])  # amplitudes (cos, sin) have opposite signs
-        sampler = exact_sampler(ansatz.build_ansatz_circuit(2, t))
+        sampler = ansatz_sampler(2, t, None)
         est = estimate_phases(sampler, 2)
         xi, ambiguous = phase_signs(est.values, est.stderr)
         assert xi.tolist() == [-1]
@@ -213,7 +232,7 @@ class TestPhaseEstimation:
 
     def test_sampled_sign_recovery(self):
         t = np.array([-0.8])
-        sampler = ShotSampler(ansatz.build_ansatz_circuit(2, t), shots=4096, seed=11)
+        sampler = ansatz_sampler(2, t, shots=4096, seed=11)
         est = estimate_phases(sampler, 2)
         xi, ambiguous = phase_signs(est.values, est.stderr)
         assert xi.tolist() == [-1]
@@ -230,7 +249,7 @@ class TestPhaseEstimation:
 
     def test_vanishing_coherence_flagged_ambiguous(self):
         t = np.array([-np.pi / 2])  # first amplitude crosses zero
-        sampler = ShotSampler(ansatz.build_ansatz_circuit(2, t), shots=2048, seed=3)
+        sampler = ansatz_sampler(2, t, shots=2048, seed=3)
         est = estimate_phases(sampler, 2)
         assert phase_signs(est.values, est.stderr)[1][0]
 
