@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -154,13 +153,15 @@ def cmd_curve(args) -> int:
     base = replace(base, noise=noise)
 
     if args.jobs > 1:
+        # imported here, so that commands without a pool skip loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             points = hybrid.dissociation_curve(builder, values, base, mapper=pool.map)
     else:
         points = hybrid.dissociation_curve(builder, values, base)
 
-    # an exact run draws no shot, but its restart jitter still draws from the seed
-    lines = header_lines(args, {"system": label}, ("shots",) if args.exact else ())
+    lines = header_lines(args, {"system": label}, ("shots", "seed") if args.exact else ())
     lines.append("# R_bohr  E_hybrid  E_FCI  E_RHF  abs_error_mhartree  iterations  flags")
     for p in points:
         err_mha = abs(p.energy - p.energy_fci) * 1e3
@@ -488,19 +489,25 @@ def _check_density_noise(quick):
 
 
 def _check_compiled_preparation(quick):
-    # the compiled ansatz against the gate-by-gate engines at random angles
+    # the compiled ansatz against the gate-by-gate engines at random angles,
+    # read from its coefficient table and, over the table budget, from its blocks
     rng = np.random.default_rng(2)
     calibration = qsim.load_calibration("ibm-14")
-    for r in (2,) if quick else (2, 3):
-        noise = qsim.NoiseModel.from_calibration(calibration, 2 * r, damping=True)
+    cases = [(2, False, True), (3, True, False)]  # (r, noisy, tabulated)
+    if not quick:
+        cases += [(3, False, True), (2, True, True)]
+    for r, noisy, tabulated in cases:
+        noise = qsim.NoiseModel.from_calibration(calibration, 2 * r, damping=True) if noisy else None
+        program = ansatz.compiled_ansatz(r, noise)
+        assert program.tabulated == tabulated, f"r={r} noisy={noisy}: tabulated={program.tabulated}"
         t = rng.uniform(-np.pi, np.pi, size=r - 1)
         circuit = ansatz.build_ansatz_circuit(r, t)
-        for got, want in (
-            (ansatz.compiled_ansatz(r).run(t).amps, qsim.run_circuit(circuit).amps),
-            (ansatz.compiled_ansatz(r, noise).run(t).flat, qsim.run_density(circuit, noise).flat),
-        ):
-            distance = np.max(np.abs(got - want))
-            assert distance < 1e-12, f"r={r}: distance {distance}"
+        if noisy:
+            got, want = program.run(t).flat, qsim.run_density(circuit, noise).flat
+        else:
+            got, want = program.run(t).amps, qsim.run_circuit(circuit).amps
+        distance = np.max(np.abs(got - want))
+        assert distance < 1e-12, f"r={r} noisy={noisy}: distance {distance}"
 
 
 def cmd_selftest(args) -> int:

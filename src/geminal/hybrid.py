@@ -65,6 +65,7 @@ def assemble_2dm_energy(
 # ---------------------------------------------------------------------------
 
 NM_SCALE = 0.35  # initial simplex displacement per angle
+NM_XTOL = 3e-3  # radians; a noisy simplex whose vertices all lie this close to its best one has collapsed
 BFGS_STEP = 1e-5  # central-difference step of the orbital gradient
 BFGS_GTOL = 1e-7
 BFGS_MAX_ITER = 100
@@ -232,7 +233,11 @@ def nelder_mead(
     current best vertex is re-measured every iteration so a lucky
     downward noise fluctuation cannot pin the simplex to a false
     minimum.  Stops when the simplex function spread drops below
-    ``ftol`` or after ``max_iter`` iterations.
+    ``ftol`` or after ``max_iter`` iterations.  With
+    ``reevaluate_best`` it also stops, converged, once every vertex lies
+    within NM_XTOL of the best in each coordinate (Lagarias et al., SIAM
+    J. Optim. 9, 112 (1998)): under shot noise the spread in f rarely
+    drops below ``ftol``, while a collapsed simplex has nowhere left to go.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
@@ -251,6 +256,9 @@ def nelder_mead(
             nfev += 1
             order = np.argsort(fvals)
             verts, fvals = verts[order], fvals[order]
+            if np.max(np.abs(verts[1:] - verts[0])) < NM_XTOL:
+                converged = True
+                break
         if fvals[-1] - fvals[0] < ftol:
             if reevaluate_best:
                 # a noisy spread can dip under ftol by luck; only stop if
@@ -310,13 +318,15 @@ def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> Q
 
     Runs ``config.restarts`` independent Nelder-Mead searches (the first
     from t0, later ones from jittered copies) and keeps the best.  The
-    caller owns ``objective``, so its evaluation count survives a step
-    that a symmetry-filter rejection aborts.
+    jitter draws from the seed on sampled runs and from a fixed key on
+    exact ones, which draw nothing else.  The caller owns ``objective``,
+    so its evaluation count survives a step that a symmetry-filter
+    rejection aborts.
     """
     config, r = objective.config, objective.r
     if t0 is None:
         t0 = np.zeros(r - 1)
-    jitter = make_rng(config.seed, 404)
+    jitter = make_rng(404) if config.shots is None else make_rng(config.seed, 404)
     best = None
     converged = False
     for run in range(config.restarts):

@@ -20,8 +20,12 @@ Production preparations run as compiled programs (``Program``, cached
 by ``compiled``): consecutive gates fuse into blocks on at most two
 qubits, each block's fixed gates are multiplied once into one local
 operator, and rotation angles left open as ``Angle`` are bound per run.
-Blocks apply by the same rule, and ``run_circuit`` and ``run_density``,
-gate by gate, are the references they are checked against.
+Blocks apply by the same rule.  A program whose prepared state, a
+trigonometric polynomial in the open angles, fits a coefficient table of
+TABLE_MAX_BYTES tabulates it from its blocks when compiled, and then
+prepares a state as one weighted sum of the table's rows.
+``run_circuit`` and ``run_density``, gate by gate, are the references
+both paths are checked against.
 
 The noise model: gate errors are depolarising (a uniformly random
 non-identity Pauli on the gate's qubits, 3 choices after a one-qubit
@@ -49,6 +53,7 @@ their damping rates from ``_relaxation``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -61,6 +66,7 @@ from geminal import _kernels
 ONE_QUBIT_GATE_NS = 100.0
 CNOT_GATE_NS = 300.0
 MAX_DENSITY_QUBITS = 10  # rho then holds 2**20 complex entries (16 MiB)
+TABLE_MAX_BYTES = 256 * 1024  # largest coefficient table a Program keeps (noiseless r <= 4, rho r = 2)
 
 
 class CalibrationError(ValueError):
@@ -373,12 +379,12 @@ def _local_order(n_bits: int, bits: tuple[int, ...]) -> np.ndarray:
     Gathering with them gives a (2**k, rest) array whose row index holds
     bit ``bits[j]`` as its bit j, so ``bits[-1]`` is the local high bit;
     the same indices scatter the result back (``_apply_local``).  A
-    compiled Program keeps the orders of its blocks, so its runs look up
-    only those of their bound gates, in the blocks' local spaces: 4 keys
-    for noiseless and noisy r = 2 and r = 3 evaluations together, while
-    compiling those programs and their basis rotations takes 32.  The
-    gate-by-gate engines look up one key per gate.  An entry holds
-    2**n_bits indices, 32 KiB for rho at 6 qubits and 8 MiB at 10.
+    compiled Program keeps the orders of its blocks and of its bound
+    gates, so its runs look up none: compiling the noiseless and noisy
+    r = 2 and r = 3 programs and their basis rotations takes 32 keys, and
+    their evaluations add none (a tabulated run applies no block at
+    all).  The gate-by-gate engines look up one key per gate.  An entry
+    holds 2**n_bits indices, 32 KiB for rho at 6 qubits and 8 MiB at 10.
     """
     axes = [n_bits - 1 - b for b in reversed(bits)]
     rest = [a for a in range(n_bits) if a not in axes]
@@ -778,6 +784,18 @@ def _fusion_blocks(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
     return blocks
 
 
+def _harmonics(degree: int, u: float) -> list[float]:
+    """A basis of the forms of degree D in (cos u, sin u): D + 1 functions of u.
+
+    They are 1 for even D, then cos(m u) and sin(m u) for every m of D's
+    parity from 1 or 2 up to D.
+    """
+    out = [] if degree % 2 else [1.0]
+    for m in range(2 - degree % 2, degree + 1, 2):
+        out += [math.cos(m * u), math.sin(m * u)]
+    return out
+
+
 class Program:
     """A circuit compiled for one engine, its ``Angle`` parameters bound per run.
 
@@ -786,14 +804,23 @@ class Program:
     operator: a unitary from ``Gate.matrix()`` for the statevector engine
     (``noise`` None), a superoperator from ``_gate_channel`` for the
     density-matrix engine.  A block that holds gates on an ``Angle``
-    keeps the products of the fixed runs around them, and ``run``
+    keeps the products of the fixed runs around them, and the block path
     multiplies only the bound gates in.  Products and blocks alike apply
     through ``_apply_local``; a product treats its local operator as a
     register whose column index rides along as spectator bits.
 
+    Each rotation on angle t is cos(t/2) A + sin(t/2) B, so with D gates
+    bound to angle k the prepared state is a form of degree D in
+    (cos u, sin u), u = t_k / 2, and of degree 2D for rho: a sum of
+    ``_harmonics`` along each angle.  When that coefficient table fits in
+    TABLE_MAX_BYTES, compiling evaluates the block path at D + 1
+    equispaced nodes in u per angle and solves for the table, and ``run``
+    from |0...0> is one product of the harmonics at t with it.  A larger
+    program, and every run from a given ``state``, takes the block path.
+
     ``run`` gives the state of ``run_circuit`` or ``run_density`` on the
-    bound circuit; fusion reorders the arithmetic, so amplitudes agree to
-    rounding, not bit for bit.
+    bound circuit; fusion and the table reorder the arithmetic, so
+    amplitudes agree to rounding, not bit for bit.
     """
 
     def __init__(self, circuit: Circuit, noise: NoiseModel | None = None):
@@ -820,6 +847,28 @@ class Program:
             fused = steps[0] if len(steps) == 1 and isinstance(steps[0], np.ndarray) else None
             order = _local_order(self._bit_count(n), self._bits(qubits, n))
             self._blocks.append((order, fused, dim, steps))
+        # a rotation is linear in (cos u, sin u), and its channel quadratic
+        per_gate = 1 if noise is None else 2
+        self._degrees = [per_gate * angles.count(k) for k in range(self.n_angles)]
+        rows = math.prod(d + 1 for d in self._degrees)
+        fits = rows * (1 << self._bit_count(n)) * 16 <= TABLE_MAX_BYTES  # complex128 entries
+        self._table = self._tabulate() if fits else None
+
+    def _weights(self, t) -> list[float]:
+        """Every product of one harmonic per angle at ``t``: the table's row weights."""
+        weights = [1.0]
+        for degree, angle in zip(self._degrees, t):
+            weights = [w * h for w in weights for h in _harmonics(degree, 0.5 * angle)]
+        return weights
+
+    def _tabulate(self) -> np.ndarray:
+        """The table: the block path at D + 1 equispaced half-angle nodes per angle, solved for."""
+        grids = [np.pi * np.arange(d + 1) / (d + 1) for d in self._degrees]
+        nodes = [2.0 * np.array(u) for u in itertools.product(*grids)]
+        states = [self._run_blocks(self._zero(), t) for t in nodes]
+        table = np.linalg.solve(np.array([self._weights(t) for t in nodes]), np.array(states))
+        table.flags.writeable = False
+        return table
 
     def _bit_count(self, n: int) -> int:
         """Flat-state bits of an n-qubit register of this engine."""
@@ -857,18 +906,34 @@ class Program:
             _apply_local(acc.reshape(-1), self._operator(bound), order)
         return acc
 
+    @property
+    def tabulated(self) -> bool:
+        """Whether runs from |0...0> read the coefficient table instead of the blocks."""
+        return self._table is not None
+
+    def _zero(self):
+        n = self.n_qubits
+        return Statevector.zero(n) if self.noise is None else DensityMatrix.zero(n, self.noise)
+
+    def _run_blocks(self, state, t) -> np.ndarray:
+        """The block path: the flat state after every block at angles ``t``, from a copy of ``state``."""
+        flat = (state.amps if self.noise is None else state.flat).copy()
+        for order, fused, dim, steps in self._blocks:
+            _apply_local(flat, self._bound(dim, steps, t) if fused is None else fused, order)
+        return flat
+
     def run(self, t=(), state=None):
         """The state after the program at angles ``t``, from |0...0> or a copy of ``state``."""
         if len(t) != self.n_angles:
             raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
-        n = self.n_qubits
-        if state is None:
-            state = Statevector.zero(n) if self.noise is None else DensityMatrix.zero(n, self.noise)
-        elif state.n_qubits != n:
-            raise ValueError("state and program qubit counts differ")
-        flat = (state.amps if self.noise is None else state.flat).copy()
-        for order, fused, dim, steps in self._blocks:
-            _apply_local(flat, self._bound(dim, steps, t) if fused is None else fused, order)
+        if state is None and self._table is not None:
+            flat = np.dot(self._weights(t), self._table)
+        else:
+            if state is None:
+                state = self._zero()
+            elif state.n_qubits != self.n_qubits:
+                raise ValueError("state and program qubit counts differ")
+            flat = self._run_blocks(state, t)
         return Statevector(flat) if self.noise is None else DensityMatrix(flat, self.noise)
 
 

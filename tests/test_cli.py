@@ -72,10 +72,12 @@ def data_rows(out) -> dict[str, list[str]]:
     "command, noise, extra",
     [
         ("curve", "ibm-5", ["--scan", "1.4:1.4:1"]),
+        ("curve", "off", ["--scan", "1.4:1.4:1"]),
+        ("curve", "off", ["--system", "h3plus", "--scan", "1.65:1.65:1"]),
         ("scan", "ibm-14", ["--system", "h3plus", "--at", "1.65"]),
         ("vtable", "ibm-14", ["--damping"]),
     ],
-    ids=["curve-ibm-5", "scan-ibm-14", "vtable-ibm-14"],
+    ids=["curve-ibm-5", "curve-h2", "curve-h3plus", "scan-ibm-14", "vtable-ibm-14"],
 )
 def test_exact_with_noise_rows_do_not_depend_on_the_seed(tmp_path, command, noise, extra):
     runs = []
@@ -111,6 +113,20 @@ def test_exact_tables_are_byte_identical_across_seeds(tmp_path, argv):
 
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, geminal.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only `curve --jobs N` uses the pool, and it is imported there
+    code = (
+        "import sys, geminal.cli; print(sorted(m for m in sys.modules"
+        " if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
@@ -245,8 +261,8 @@ def test_curve_exact_two_points(tmp_path):
     assert code == 0
     table = (tmp_path / "curve.txt").read_text().splitlines()
     assert table[0].startswith("# geminal ")
-    assert "seed=3" in table[1]  # the restart jitter draws from it
-    assert "shots=" not in table[1]  # an exact run draws no shot
+    # an exact run draws no shot and its restart jitter does not depend on the seed
+    assert "seed=" not in table[1] and "shots=" not in table[1]
     data = [line for line in table if not line.startswith("#")]
     assert len(data) == 2
     points = json.loads((tmp_path / "curve_points.json").read_text())

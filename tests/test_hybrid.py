@@ -204,6 +204,25 @@ class TestNelderMead:
         )
         assert abs(out.x[0]) < 1.0  # made real progress before any stop
 
+    def test_noisy_simplex_stops_once_collapsed(self, monkeypatch):
+        # noise keeps the spread in f above ftol, so only the collapse in x ends the run
+        target = np.array([0.4, -0.7])
+
+        def search():
+            rng = np.random.default_rng(3)
+
+            def noisy(x):
+                return float(np.sum((x - target) ** 2) + 1e-3 * rng.normal())
+
+            return nelder_mead(noisy, np.zeros(2), ftol=1e-4, max_iter=200, reevaluate_best=True)
+
+        out = search()
+        assert out.converged and out.nit < 200
+        np.testing.assert_allclose(out.x, target, atol=0.1)
+        monkeypatch.setattr(hybrid, "NM_XTOL", 0.0)
+        capped = search()
+        assert not capped.converged and capped.nit == 200
+
     def test_rejects_empty_parameter_vector(self):
         with pytest.raises(ValueError):
             nelder_mead(lambda x: 0.0, np.zeros(0))
@@ -342,6 +361,11 @@ class TestRunHybrid:
         assert abs(point.energy - point.energy_fci) < 1e-3
         assert point.energy >= point.energy_fci - 1e-9
         assert point.converged
+
+    def test_sampled_h3plus_steps_end_before_the_iteration_cap(self):
+        point = run_hybrid(chem.h3plus_molecule(1.0), HybridConfig(shots=2048, seed=1))
+        assert not [f for f in point.flags if f.startswith("nm-iteration-cap")]
+        assert abs(point.energy - point.energy_fci) < 1e-3
 
     def test_zero_outer_cap_returns_rhf_point(self):
         point = run_hybrid(

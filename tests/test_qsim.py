@@ -714,27 +714,73 @@ def test_gate_order_cache_holds_every_evaluation_key():
 COMPILED_NOISE_CASES = [(2, "ibm-5", False), (2, "ibm-14", True), (3, "ibm-14", False)]
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+def block_path(program, t) -> np.ndarray:
+    """The flat state of ``program`` at ``t`` from its blocks: a run from a given state skips the table."""
+    n = program.n_qubits
+    if program.noise is None:
+        return program.run(t, state=Statevector.zero(n)).amps
+    return program.run(t, state=qsim.DensityMatrix.zero(n, program.noise)).flat
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_compiled_ansatz_matches_run_circuit(r):
+    # the table holds 3**(r-1) rows of 4**r amplitudes: r <= 4 fit TABLE_MAX_BYTES, r = 5 does not
     program = ansatz.compiled_ansatz(r)
+    assert program.tabulated == (r <= 4)
     rng = np.random.default_rng(40 + r)
     for _ in range(5):
         t = rng.uniform(-np.pi, np.pi, size=r - 1)
         want = qsim.run_circuit(ansatz.build_ansatz_circuit(r, t)).amps
         np.testing.assert_allclose(program.run(t).amps, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block_path(program, t), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("r, device, damping", COMPILED_NOISE_CASES)
 def test_compiled_ansatz_matches_run_density(r, device, damping):
+    # rho tables hold 5**(r-1) rows of 16**r entries: r = 2 fits TABLE_MAX_BYTES, r = 3 does not
     noise = NoiseModel.from_calibration(qsim.load_calibration(device), 2 * r, damping=damping)
     program = ansatz.compiled_ansatz(r, noise)
+    assert program.tabulated == (r == 2)
     rng = np.random.default_rng(50 + r)
     for _ in range(3):
         t = rng.uniform(-np.pi, np.pi, size=r - 1)
         got = program.run(t)
         want = qsim.run_density(ansatz.build_ansatz_circuit(r, t), noise)
         np.testing.assert_allclose(got.flat, want.flat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block_path(program, t), want.flat, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.probabilities(), want.probabilities(), rtol=0, atol=1e-12)
+
+
+def bind(circuit: Circuit, t) -> Circuit:
+    """``circuit`` with every ``Angle(k)`` replaced by t[k]."""
+    return Circuit(circuit.n_qubits, [
+        Gate(g.name, g.qubits, float(t[g.param.index])) if isinstance(g.param, qsim.Angle) else g
+        for g in circuit
+    ])
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_table_takes_any_number_of_gates_per_angle(noisy):
+    # angle 0 drives one rotation (an odd degree) and angle 1 three, on both engines
+    a0, a1 = qsim.Angle(0), qsim.Angle(1)
+    template = (
+        Circuit(3).h(0).ry(0, a0).cx(0, 1).rz(1, a1).rx(2, a1).cx(1, 2).s(2).ry(1, a1).h(2)
+    )
+    noise = NoiseModel.uniform(3, p1=0.04) if noisy else None
+    program = qsim.Program(template, noise)
+    assert program.tabulated
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        t = rng.uniform(-np.pi, np.pi, size=2)
+        if noisy:
+            got, want = program.run(t).flat, qsim.run_density(bind(template, t), noise).flat
+        else:
+            got, want = program.run(t).amps, qsim.run_circuit(bind(template, t)).amps
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block_path(program, t), want, rtol=0, atol=1e-12)
+    for wrong in ([0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError, match=f"binds 2 angles, got {len(wrong)}"):
+            program.run(wrong)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
