@@ -155,9 +155,15 @@ def cmd_curve(args) -> int:
     if args.jobs > 1:
         # imported here, so that commands without a pool skip loading multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            points = hybrid.dissociation_curve(builder, values, base, mapper=pool.map)
+        try:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                points = hybrid.dissociation_curve(builder, values, base, mapper=pool.map)
+        except BrokenProcessPool as exc:
+            raise SystemExit(
+                f"curve --jobs {args.jobs}: a worker process died ({exc}); no table written"
+            ) from exc
     else:
         points = hybrid.dissociation_curve(builder, values, base)
 
@@ -489,8 +495,9 @@ def _check_density_noise(quick):
 
 
 def _check_compiled_preparation(quick):
-    # the compiled ansatz against the gate-by-gate engines at random angles,
-    # read from its coefficient table and, over the table budget, from its blocks
+    # the compiled Z, A and B programs (the ansatz alone or followed by a
+    # basis rotation) against the gate-by-gate engines at random angles,
+    # read from their coefficient tables and, over the table budget, from their blocks
     rng = np.random.default_rng(2)
     calibration = qsim.load_calibration("ibm-14")
     cases = [(2, False, True), (3, True, False)]  # (r, noisy, tabulated)
@@ -498,16 +505,21 @@ def _check_compiled_preparation(quick):
         cases += [(3, False, True), (2, True, True)]
     for r, noisy, tabulated in cases:
         noise = qsim.NoiseModel.from_calibration(calibration, 2 * r, damping=True) if noisy else None
-        program = ansatz.compiled_ansatz(r, noise)
-        assert program.tabulated == tabulated, f"r={r} noisy={noisy}: tabulated={program.tabulated}"
         t = rng.uniform(-np.pi, np.pi, size=r - 1)
-        circuit = ansatz.build_ansatz_circuit(r, t)
-        if noisy:
-            got, want = program.run(t).flat, qsim.run_density(circuit, noise).flat
-        else:
-            got, want = program.run(t).amps, qsim.run_circuit(circuit).amps
-        distance = np.max(np.abs(got - want))
-        assert distance < 1e-12, f"r={r} noisy={noisy}: distance {distance}"
+        programs = (
+            ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise)
+        )
+        rotations = (qsim.Circuit(2 * r), *tomography.phase_measurement_circuits(r))
+        for basis, program, rotation in zip("ZAB", programs, rotations):
+            case = f"r={r} noisy={noisy} basis {basis}"
+            assert program.tabulated == tabulated, f"{case}: tabulated={program.tabulated}"
+            circuit = ansatz.build_ansatz_circuit(r, t).extend(rotation)
+            if noisy:
+                got, want = program.run(t).flat, qsim.run_density(circuit, noise).flat
+            else:
+                got, want = program.run(t).amps, qsim.run_circuit(circuit).amps
+            distance = np.max(np.abs(got - want))
+            assert distance < 1e-12, f"{case}: distance {distance}"
 
 
 def cmd_selftest(args) -> int:

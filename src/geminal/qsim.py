@@ -23,7 +23,9 @@ operator, and rotation angles left open as ``Angle`` are bound per run.
 Blocks apply by the same rule.  A program whose prepared state, a
 trigonometric polynomial in the open angles, fits a coefficient table of
 TABLE_MAX_BYTES tabulates it from its blocks when compiled, and then
-prepares a state as one weighted sum of the table's rows.
+prepares a state as one weighted sum of the table's rows.  Every run
+starts from |0...0>, so each measured circuit, such as the ansatz
+followed by a basis rotation, is a program of its own.
 ``run_circuit`` and ``run_density``, gate by gate, are the references
 both paths are checked against.
 
@@ -380,11 +382,12 @@ def _local_order(n_bits: int, bits: tuple[int, ...]) -> np.ndarray:
     bit ``bits[j]`` as its bit j, so ``bits[-1]`` is the local high bit;
     the same indices scatter the result back (``_apply_local``).  A
     compiled Program keeps the orders of its blocks and of its bound
-    gates, so its runs look up none: compiling the noiseless and noisy
-    r = 2 and r = 3 programs and their basis rotations takes 32 keys, and
-    their evaluations add none (a tabulated run applies no block at
-    all).  The gate-by-gate engines look up one key per gate.  An entry
-    holds 2**n_bits indices, 32 KiB for rho at 6 qubits and 8 MiB at 10.
+    gates, so its runs look up none: compiling the three measurement
+    programs (the ansatz alone and followed by either basis rotation) of
+    noiseless and noisy r = 2 and r = 3 takes 32 keys, and their
+    evaluations add none (a tabulated run applies no block at all).  The
+    gate-by-gate engines look up one key per gate.  An entry holds
+    2**n_bits indices, 32 KiB for rho at 6 qubits and 8 MiB at 10.
     """
     axes = [n_bits - 1 - b for b in reversed(bits)]
     rest = [a for a in range(n_bits) if a not in axes]
@@ -815,8 +818,8 @@ class Program:
     ``_harmonics`` along each angle.  When that coefficient table fits in
     TABLE_MAX_BYTES, compiling evaluates the block path at D + 1
     equispaced nodes in u per angle and solves for the table, and ``run``
-    from |0...0> is one product of the harmonics at t with it.  A larger
-    program, and every run from a given ``state``, takes the block path.
+    is one product of the harmonics at t with it.  A larger program takes
+    the block path.  Every run starts from |0...0>.
 
     ``run`` gives the state of ``run_circuit`` or ``run_density`` on the
     bound circuit; fusion and the table reorder the arithmetic, so
@@ -865,7 +868,7 @@ class Program:
         """The table: the block path at D + 1 equispaced half-angle nodes per angle, solved for."""
         grids = [np.pi * np.arange(d + 1) / (d + 1) for d in self._degrees]
         nodes = [2.0 * np.array(u) for u in itertools.product(*grids)]
-        states = [self._run_blocks(self._zero(), t) for t in nodes]
+        states = [self._run_blocks(t) for t in nodes]
         table = np.linalg.solve(np.array([self._weights(t) for t in nodes]), np.array(states))
         table.flags.writeable = False
         return table
@@ -908,32 +911,22 @@ class Program:
 
     @property
     def tabulated(self) -> bool:
-        """Whether runs from |0...0> read the coefficient table instead of the blocks."""
+        """Whether runs read the coefficient table instead of the blocks."""
         return self._table is not None
 
-    def _zero(self):
-        n = self.n_qubits
-        return Statevector.zero(n) if self.noise is None else DensityMatrix.zero(n, self.noise)
-
-    def _run_blocks(self, state, t) -> np.ndarray:
-        """The block path: the flat state after every block at angles ``t``, from a copy of ``state``."""
-        flat = (state.amps if self.noise is None else state.flat).copy()
+    def _run_blocks(self, t) -> np.ndarray:
+        """The block path: the flat state after every block at angles ``t``, from |0...0>."""
+        n, noise = self.n_qubits, self.noise
+        flat = Statevector.zero(n).amps if noise is None else DensityMatrix.zero(n, noise).flat
         for order, fused, dim, steps in self._blocks:
             _apply_local(flat, self._bound(dim, steps, t) if fused is None else fused, order)
         return flat
 
-    def run(self, t=(), state=None):
-        """The state after the program at angles ``t``, from |0...0> or a copy of ``state``."""
+    def run(self, t=()):
+        """The state after the program at angles ``t``, from |0...0>."""
         if len(t) != self.n_angles:
             raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
-        if state is None and self._table is not None:
-            flat = np.dot(self._weights(t), self._table)
-        else:
-            if state is None:
-                state = self._zero()
-            elif state.n_qubits != self.n_qubits:
-                raise ValueError("state and program qubit counts differ")
-            flat = self._run_blocks(state, t)
+        flat = self._run_blocks(t) if self._table is None else np.dot(self._weights(t), self._table)
         return Statevector(flat) if self.noise is None else DensityMatrix(flat, self.noise)
 
 

@@ -4,8 +4,10 @@ Everything the hybrid loop needs from the device is a Z-basis histogram
 (occupations) plus two rotated-basis histograms (pair-coherence signs),
 so one objective evaluation costs three circuit preparations regardless
 of r.  Samplers count their preparations so that budget is testable.
-The ansatz and both basis rotations run as programs compiled once per
-(r, noise model); the rotations act on a copy of the prepared state.
+Each of the three is its own whole circuit, as on a device: the ansatz
+for the Z basis, and the ansatz followed by basis rotation A or B for
+the phases, each compiled once per (r, noise model) with the pair
+angles left open and prepared from |0...0>.
 
 Phase estimator for window k (qubits 2k..2k+3): with circuit A rotating
 every qubit to the X basis and circuit B rotating alpha qubits to X and
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geminal import mitigation, qsim
+from geminal import ansatz, mitigation, qsim
 from geminal.qsim import Circuit, NoiseModel, Program, ShotHistogram
 
 
@@ -50,17 +52,16 @@ def measure(state, shots: int | None, seed: int = 0, stream: int = 0) -> ShotHis
 
 
 class ShotSampler:
-    """Samples one compiled preparation in caller-chosen bases.
+    """Samples compiled preparations at one set of pair angles.
 
-    Each ``run`` is one circuit preparation: ``program`` at ``angles``
-    plus an optional compiled basis rotation, executed for ``shots``
-    shots, or exactly when ``shots`` is None.  The preparation is
-    simulated once, as a statevector or, for a program compiled under a
-    noise model, a density matrix, and each basis rotation runs on a
-    copy; that gives the numbers of simulating both together.  Each run
-    draws the stream numbered by the preparations ``counter`` has
-    counted so far, so samplers sharing a counter never reuse a stream
-    and the whole sequence is deterministic in the seed.
+    Each ``run`` is one circuit preparation: a compiled program, by
+    default ``program``, prepared at ``angles`` from |0...0> (a
+    statevector, or a density matrix for a program compiled under a
+    noise model) and executed for ``shots`` shots, or exactly when
+    ``shots`` is None.  Each run draws the stream numbered by the
+    preparations ``counter`` has counted so far, so samplers sharing a
+    counter never reuse a stream and the whole sequence is deterministic
+    in the seed.
     """
 
     def __init__(
@@ -76,14 +77,9 @@ class ShotSampler:
         self.shots = None if shots is None else int(shots)
         self.seed = int(seed)
         self.counter = counter if counter is not None else PreparationCounter()
-        self._prepared = None
 
-    def run(self, basis: Program | None = None) -> ShotHistogram:
-        if self._prepared is None:
-            self._prepared = self.program.run(self.angles)
-        state = self._prepared
-        if basis is not None:
-            state = basis.run(state=state)
+    def run(self, program: Program | None = None) -> ShotHistogram:
+        state = (self.program if program is None else program).run(self.angles)
         stream = self.counter.count
         self.counter.bump()
         return measure(state, self.shots, self.seed, stream)
@@ -155,11 +151,18 @@ def phase_measurement_circuits(r: int) -> tuple[Circuit, Circuit]:
     return _phase_rotation(r, False), _phase_rotation(r, True)
 
 
+def _phase_circuit(r: int, beta_in_y: bool) -> Circuit:
+    return ansatz.ansatz_template(r).extend(_phase_rotation(r, beta_in_y))
+
+
 def phase_measurement_programs(r: int, noise: NoiseModel | None = None) -> tuple[Program, Program]:
-    """The two basis rotations compiled once per (r, noise model)."""
+    """The ansatz followed by rotation A or B, compiled once per (r, noise model).
+
+    Both leave the pair angles open, like ``ansatz.compiled_ansatz``.
+    """
     return (
-        qsim.compiled(_phase_rotation, r, False, noise=noise),
-        qsim.compiled(_phase_rotation, r, True, noise=noise),
+        qsim.compiled(_phase_circuit, r, False, noise=noise),
+        qsim.compiled(_phase_circuit, r, True, noise=noise),
     )
 
 
@@ -175,9 +178,9 @@ def window_mask(k: int) -> int:
 
 def estimate_phases(sampler, r: int) -> PhaseEstimate:
     """Two rotated-basis preparations giving all r-1 window signs."""
-    rotation_a, rotation_b = phase_measurement_programs(r, sampler.program.noise)
-    rec_a = sampler.run(rotation_a)
-    rec_b = sampler.run(rotation_b)
+    program_a, program_b = phase_measurement_programs(r, sampler.program.noise)
+    rec_a = sampler.run(program_a)
+    rec_b = sampler.run(program_b)
     vals = np.empty(r - 1)
     errs = np.empty(r - 1)
     for k in range(r - 1):
@@ -199,8 +202,6 @@ def classical_phase_assignment(t: np.ndarray) -> np.ndarray:
     xi_k = sign(amp_k amp_{k+1}) for the ideal chain amplitudes; an
     exactly vanishing product keeps sign +1.
     """
-    from geminal.ansatz import givens_chain_amplitudes
-
-    amps = givens_chain_amplitudes(np.asarray(t, dtype=float))
+    amps = ansatz.givens_chain_amplitudes(np.asarray(t, dtype=float))
     prods = amps[:-1] * amps[1:]
     return np.where(prods >= 0, 1, -1).astype(int)

@@ -310,6 +310,33 @@ def test_noisy_curve_parallel_is_byte_identical_to_serial(tmp_path):
     assert json_a == (tmp_path / "b" / "curve_points.json").read_bytes()
 
 
+def test_curve_dead_worker_is_clean_exit_without_table(tmp_path, monkeypatch):
+    # a pool whose worker died: its map raises BrokenProcessPool
+    from concurrent import futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DeadPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, *iterables):
+            raise BrokenProcessPool("a process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", DeadPool)
+    argv = ["curve", "--system", "h2", "--exact", "--scan", "0.9:1.3:3", "--jobs", "2",
+            "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv)
+    assert "--jobs 2" in str(exit_info.value.code)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curve_strict_fails_on_flagged_point(tmp_path, monkeypatch):
     flagged = hybrid.CurvePoint(
         parameter=1.0, energy=-1.0, energy_fci=-1.0, energy_rhf=-0.9,

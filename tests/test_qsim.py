@@ -684,9 +684,9 @@ def test_density_engine_rejects_more_than_ten_qubits():
 
 
 def test_gate_order_cache_holds_every_evaluation_key():
-    # one objective evaluation per mode: the compiled ansatz preparation,
-    # then the Z-basis and both rotated-basis measurements; the first
-    # round also compiles every program
+    # one objective evaluation per mode: the Z-basis and both
+    # rotated-basis measurement programs; the first round also compiles
+    # every program
     ibm14 = qsim.load_calibration("ibm-14")
     modes = [
         (r, noise)
@@ -715,11 +715,8 @@ COMPILED_NOISE_CASES = [(2, "ibm-5", False), (2, "ibm-14", True), (3, "ibm-14", 
 
 
 def block_path(program, t) -> np.ndarray:
-    """The flat state of ``program`` at ``t`` from its blocks: a run from a given state skips the table."""
-    n = program.n_qubits
-    if program.noise is None:
-        return program.run(t, state=Statevector.zero(n)).amps
-    return program.run(t, state=qsim.DensityMatrix.zero(n, program.noise)).flat
+    """The flat state of ``program`` at ``t`` from its blocks, tabulated or not."""
+    return program._run_blocks(t)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -783,25 +780,28 @@ def test_table_takes_any_number_of_gates_per_angle(noisy):
             program.run(wrong)
 
 
+@pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("noisy", [False, True])
-def test_compiled_rotations_act_on_the_given_state_like_the_gates(noisy):
-    r, t = 3, np.array([0.45, -1.1])
+def test_measurement_programs_match_the_whole_circuits(noisy, r):
+    # the Z, A and B programs: the ansatz alone or followed by rotation A or
+    # B, each prepared whole from |0...0>, tabulated except noisy r = 3
     noise = (
-        NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 6, damping=True)
+        NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 2 * r, damping=True)
         if noisy else None
     )
-    prepared = ansatz.compiled_ansatz(r, noise).run(t)
-    before = (prepared.flat if noisy else prepared.amps).copy()
-    circuit = ansatz.build_ansatz_circuit(r, t)
-    rotations = tomography.phase_measurement_programs(r, noise)
-    for program, basis in zip(rotations, tomography.phase_measurement_circuits(r)):
-        whole = Circuit(2 * r, circuit.gates + basis.gates)
+    programs = (ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise))
+    rotations = (Circuit(2 * r), *tomography.phase_measurement_circuits(r))
+    rng = np.random.default_rng(60 + r)
+    for program, rotation in zip(programs, rotations):
+        assert program.tabulated == (not noisy or r == 2)
+        t = rng.uniform(-np.pi, np.pi, size=r - 1)
+        whole = ansatz.build_ansatz_circuit(r, t).extend(rotation)
         if noisy:
-            got, want = program.run(state=prepared).flat, qsim.run_density(whole, noise).flat
+            got, want = program.run(t).flat, qsim.run_density(whole, noise).flat
         else:
-            got, want = program.run(state=prepared).amps, qsim.run_circuit(whole).amps
+            got, want = program.run(t).amps, qsim.run_circuit(whole).amps
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(prepared.flat if noisy else prepared.amps, before)
+        np.testing.assert_allclose(block_path(program, t), want, rtol=0, atol=1e-12)
 
 
 def test_fusion_blocks_span_at_most_two_qubits():
@@ -857,3 +857,9 @@ def test_production_paths_prepare_through_compiled_programs(monkeypatch):
         assert hybrid.run_hybrid(chem.h2_molecule(1.4), config).n_evals > 0
     for noise in (None, cli.load_noise("ibm-14", 4, damping=True)):
         assert len(cli.vtable_rows(2, 2048, 1, noise)) == 4
+    # measured phases under noise at r = 3: the untabulated whole-circuit programs
+    ibm14 = NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 6)
+    config = hybrid.HybridConfig(
+        noise=ibm14, phase_mode="measured", seed=1, restarts=1, nm_max_iter=3, outer_max_iter=1
+    )
+    assert hybrid.run_hybrid(chem.h3plus_molecule(1.8), config).n_evals > 0

@@ -80,7 +80,7 @@ class TestSamplers:
     def test_shot_sampler_counts_preparations(self):
         sampler = sampler_for(bell_circuit(), shots=128, seed=4)
         sampler.run()
-        sampler.run(qsim.Program(Circuit(2).h(0).h(1)))
+        sampler.run(qsim.Program(bell_circuit().h(0).h(1)))
         assert sampler.counter.count == 2
 
     def test_shot_sampler_streams_advance(self):
@@ -120,23 +120,22 @@ class TestSamplers:
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_shared_preparation_gives_the_whole_circuit_counts(self, noisy):
-        # the compiled ansatz and compiled rotations against the whole circuit gate by gate
+        # the three compiled measurement programs against the whole circuits gate by gate
         t = np.array([-0.8])
-        circuit = ansatz.build_ansatz_circuit(2, t)
         noise = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4) if noisy else None
         sampler = ansatz_sampler(2, t, shots=512, seed=6, noise=noise)
-        rotations = (None, *tomography.phase_measurement_programs(2, noise))
-        circuits = (Circuit(4), *phase_measurement_circuits(2))
-        for stream, (rotation, basis) in enumerate(zip(rotations, circuits)):
-            whole = Circuit(4, circuit.gates + basis.gates)
+        programs = (None, *tomography.phase_measurement_programs(2, noise))
+        rotations = (Circuit(4), *phase_measurement_circuits(2))
+        for stream, (program, rotation) in enumerate(zip(programs, rotations)):
+            whole = ansatz.build_ansatz_circuit(2, t).extend(rotation)
             want = tomography.measure(gate_by_gate(whole, noise), 512, seed=6, stream=stream)
-            assert sampler.run(rotation) == want
+            assert sampler.run(program) == want
         assert sampler.counter.count == 3
 
     def test_exact_sampler_basis_rotation(self):
         sampler = exact_sampler(bell_circuit())
-        dist = sampler.run(qsim.Program(Circuit(2).h(0).h(1)))
-        # Bell state in the X basis keeps even parity
+        dist = sampler.run(qsim.Program(bell_circuit().h(0).h(1)))
+        # Bell state in the X basis keeps even parity: one whole circuit, Bell then h h
         assert dist.parity(0b11) == pytest.approx(1.0)
         assert sampler.counter.count == 1
 
