@@ -113,6 +113,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for seeds, which key the generators and must not be negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def finite_float(text: str) -> float:
     """argparse type for factors that must be finite numbers."""
     value = float(text)
@@ -452,12 +460,13 @@ def _check_energy_assembly(quick):
         ints, rhf, _ = chem.scf_reference(molecule)
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
         ham = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc)
+        pair = hybrid.pair_integrals(h, eri, ints.enuc)
         for _ in range(20 if quick else 100):
             t = rng.uniform(-np.pi, np.pi, size=r - 1)
             amps = ansatz.givens_chain_amplitudes(t)
             prods = amps[:-1] * amps[1:]
             state = hybrid.GeminalState(amps**2, np.where(prods >= 0, 1, -1))
-            e = hybrid.assemble_2dm_energy(state, h, eri, ints.enuc)
+            e = hybrid.assemble_2dm_energy(state, pair)
             ref = qsim.run_circuit(ansatz.build_ansatz_circuit(r, t)).expectation(ham)
             assert abs(e - ref) < 1e-10
 
@@ -467,7 +476,8 @@ def _check_fci_consistency(quick):
     g, basis = chem.pair_spectrum(fci.coeff)
     h, eri = chem.transform_integrals(ints, rhf.mo_coeff @ basis)
     state = hybrid.GeminalState(g**2, np.sign(g[:-1] * g[1:]).astype(int))
-    assert abs(hybrid.assemble_2dm_energy(state, h, eri, ints.enuc) - fci.energy) < 1e-10
+    pair = hybrid.pair_integrals(h, eri, ints.enuc)
+    assert abs(hybrid.assemble_2dm_energy(state, pair) - fci.energy) < 1e-10
     if not quick:
         point = hybrid.run_hybrid(chem.h2_molecule(1.4), hybrid.HybridConfig(shots=None))
         assert abs(point.energy - point.energy_fci) < 1e-6
@@ -602,7 +612,7 @@ def add_molecule_arguments(sub, single_geometry=True):
 def add_sampling_arguments(sub):
     sub.add_argument("--shots", type=positive_int, default=2048)
     sub.add_argument("--exact", action="store_true", help="exact expectations, no sampling")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=nonnegative_int, default=0)
     sub.add_argument("--noise", default="off", help="off, ibm-5, ibm-14, or a calibration file")
     sub.add_argument("--damping", action="store_true", help="include T1/T2 damping channels")
 

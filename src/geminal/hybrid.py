@@ -46,18 +46,44 @@ class GeminalState:
         return signs * np.sqrt(np.clip(self.n, 0.0, None))
 
 
-def assemble_2dm_energy(
-    state: GeminalState, h: np.ndarray, eri: np.ndarray, enuc: float
-) -> float:
-    """Energy of the paired 2-DM against integrals in the same basis."""
-    r = state.n.size
+@dataclass(frozen=True)
+class PairIntegrals:
+    """The integrals the paired 2-DM energy reads, in one orbital basis.
+
+    ``diag[p]`` is 2 h_pp + (pp|pp), ``exch[p, q]`` is (pq|pq), and
+    ``exch_diag`` is ``np.diag(np.diag(exch))``, the diagonal part that
+    the cross term removes.
+    """
+
+    diag: np.ndarray
+    exch: np.ndarray
+    exch_diag: np.ndarray
+    enuc: float
+
+
+def pair_integrals(h: np.ndarray, eri: np.ndarray, enuc: float) -> PairIntegrals:
+    """Gather the paired-energy integrals of ``h`` and ``eri`` once, for many energies."""
+    r = h.shape[0]
     if h.shape != (r, r) or eri.shape != (r, r, r, r):
+        raise ValueError("integrals must be (r, r) and (r, r, r, r)")
+    p, q = np.arange(r), np.arange(r)[:, None]
+    exch = eri[q, p, q, p]  # exch[q, p] = (qp|qp)
+    return PairIntegrals(2 * h[p, p] + eri[p, p, p, p], exch, np.diag(np.diag(exch)), enuc)
+
+
+def assemble_2dm_energy(state: GeminalState, pair: PairIntegrals) -> float:
+    """Energy of the paired 2-DM against integrals in the same basis.
+
+    ``pair`` comes from ``pair_integrals`` and is built once per set of
+    integrals, so each call does only the per-state work: the
+    amplitudes ``g`` and ``n @ diag + (g @ exch @ g - g @ exch_diag @ g)
+    + enuc``.
+    """
+    if state.n.size != pair.diag.size:
         raise ValueError("integral rank does not match the state")
     g = state.g
-    diag = np.array([2 * h[p, p] + eri[p, p, p, p] for p in range(r)])
-    exch = np.array([[eri[p, q, p, q] for q in range(r)] for p in range(r)])
-    cross = g @ exch @ g - g @ np.diag(np.diag(exch)) @ g
-    return float(state.n @ diag + cross + enuc)
+    cross = g @ pair.exch @ g - g @ pair.exch_diag @ g
+    return float(state.n @ pair.diag + cross + pair.enuc)
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +161,28 @@ class QuantumObjective:
         self.h = h
         self.eri = eri
         self.enuc = enuc
+        self.pair = pair_integrals(h, eri, enuc)
         self.config = config
         self.r = h.shape[0]
         self.phase_mode = config.resolve_phase_mode(self.r)
         self.program = ansatz.compiled_ansatz(self.r, config.noise)
         self.counter = tomography.PreparationCounter()
+        self.sampler = tomography.ShotSampler(
+            self.program, config.shots, config.seed, self.counter
+        )
         self.n_evals = 0
         self.last_eval_preparations = 0
         self.last_retained = 1.0
 
     def _measure_raw(self, t: np.ndarray):
-        """One tomography batch: raw occupations plus phase estimates."""
-        sampler = tomography.ShotSampler(
-            self.program, self.config.shots, self.config.seed, self.counter, angles=t
-        )
-        occ = tomography.measure_occupations(sampler, self.r, self.config.symmetries)
+        """One tomography batch: raw occupations, phase estimates and their variances."""
+        self.sampler.angles = t
+        occ = tomography.measure_occupations(self.sampler, self.r, self.config.symmetries)
         n = 0.5 * (occ.n_alpha + occ.n_beta)
         if self.phase_mode == "measured":
-            est = tomography.estimate_phases(sampler, self.r)
-            phases, phase_errs = est.values, est.stderr
-        else:
-            phases = phase_errs = None
-        return n, phases, phase_errs, occ.retained_fraction
+            est = tomography.estimate_phases(self.sampler, self.r)
+            return n, est.values, est.stderr**2, occ.retained_fraction
+        return n, None, None, occ.retained_fraction
 
     def measure_state(self, t: np.ndarray, repeats: int = 1) -> GeminalState:
         """Tomographic state estimate, optionally averaged over repeats.
@@ -164,30 +190,33 @@ class QuantumObjective:
         Raw occupations (and raw phase estimates) from ``repeats``
         independent batches are averaged before mitigation, shrinking
         shot noise where it matters without changing the per-batch
-        preparation count.  Exact mode ignores ``repeats``.
+        preparation count.  Exact mode ignores ``repeats``.  A single
+        batch is taken as measured, since adding it to zeros and
+        dividing it by 1 would change no bit.
         """
         t = np.asarray(t, dtype=float)
         if self.config.shots is None:
             repeats = 1
         before = self.counter.count
-        n_acc = np.zeros(self.r)
-        ph_acc = np.zeros(max(self.r - 1, 0))
-        ph_var = np.zeros(max(self.r - 1, 0))
-        retained = 0.0
-        for _ in range(repeats):
-            n, phases, phase_errs, frac = self._measure_raw(t)
-            n_acc += n
-            retained += frac
-            if phases is not None:
-                ph_acc += phases
-                ph_var += phase_errs**2
-        n = n_acc / repeats
-        self.last_retained = retained / repeats
+        if repeats == 1:
+            n, phases, phase_var, self.last_retained = self._measure_raw(t)
+        else:
+            n_acc = np.zeros(self.r)
+            ph_acc = np.zeros(max(self.r - 1, 0))
+            phase_var = np.zeros(max(self.r - 1, 0))
+            retained = 0.0
+            for _ in range(repeats):
+                n, phases, var, frac = self._measure_raw(t)
+                n_acc += n
+                retained += frac
+                if phases is not None:
+                    ph_acc += phases
+                    phase_var += var
+            n, phases = n_acc / repeats, ph_acc / repeats
+            self.last_retained = retained / repeats
 
         if self.phase_mode == "measured":
-            vals = ph_acc / repeats
-            errs = np.sqrt(ph_var) / repeats
-            xi, ambiguous = tomography.phase_signs(vals, errs)
+            xi, ambiguous = tomography.phase_signs(phases, np.sqrt(phase_var) / repeats)
             if np.any(ambiguous):
                 xi[ambiguous] = tomography.classical_phase_assignment(t)[ambiguous]
         else:
@@ -201,7 +230,7 @@ class QuantumObjective:
     def __call__(self, t: np.ndarray) -> float:
         self.n_evals += 1  # counted on entry, so an evaluation a rejection aborts counts too
         state = self.measure_state(t)
-        return assemble_2dm_energy(state, self.h, self.eri, self.enuc)
+        return assemble_2dm_energy(state, self.pair)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +374,7 @@ def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> Q
     # refresh the state at the winning angles with extra averaging so the
     # returned (n, xi) is less noisy than a single optimizer evaluation
     state = objective.measure_state(best.x, repeats=1 if config.shots is None else 4)
-    energy = assemble_2dm_energy(state, objective.h, objective.eri, objective.enuc)
+    energy = assemble_2dm_energy(state, objective.pair)
     return QuantumStepResult(
         best.x,
         state,
@@ -428,7 +457,7 @@ def orbital_step(
 
     def energy_at(angles: np.ndarray) -> float:
         h, eri = chem.transform_integrals(integrals, rotated(angles))
-        return assemble_2dm_energy(state, h, eri, integrals.enuc)
+        return assemble_2dm_energy(state, pair_integrals(h, eri, integrals.enuc))
 
     def gradient(angles: np.ndarray) -> np.ndarray:
         grad = np.empty(angles.size)
@@ -489,7 +518,7 @@ def run_hybrid(
     n0[0] = 1.0
     state = GeminalState(n0, np.ones(r - 1, dtype=int))
     h, eri = chem.transform_integrals(ints, C)
-    energy = assemble_2dm_energy(state, h, eri, ints.enuc)
+    energy = assemble_2dm_energy(state, pair_integrals(h, eri, ints.enuc))
     trace = [energy]
     t = np.zeros(r - 1)
     total_evals = 0

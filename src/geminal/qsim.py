@@ -457,12 +457,13 @@ class ShotHistogram:
         signs = _kernels.parity_signs(self.counts.size, mask)
         return float(np.sum(self.counts * signs)) / self._norm
 
-    def parity_stderr(self, mask: int) -> float:
-        if self.shots is None:
-            return 0.0
+    def parity_estimate(self, mask: int) -> tuple[float, float]:
+        """``parity(mask)`` and its standard error, which is 0 for an exact record."""
         p = self.parity(mask)
+        if self.shots is None:
+            return p, 0.0
         var = max(0.0, 1.0 - p * p)
-        return math.sqrt(var / self.shots)
+        return p, math.sqrt(var / self.shots)
 
 
 def make_rng(*keys: int) -> np.random.Generator:
@@ -487,7 +488,7 @@ def sample(state, shots: int, seed: int = 0, stream: int = 0) -> ShotHistogram:
     """One multinomial draw of ``shots`` outcomes from a Statevector or DensityMatrix."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = np.clip(state.probabilities(), 0.0, None)
+    probs = np.maximum(state.probabilities(), 0.0)
     counts = make_rng(seed, 202, stream).multinomial(shots, probs / probs.sum())
     return ShotHistogram(state.n_qubits, shots, counts)
 
@@ -861,7 +862,8 @@ class Program:
         """Every product of one harmonic per angle at ``t``: the table's row weights."""
         weights = [1.0]
         for degree, angle in zip(self._degrees, t):
-            weights = [w * h for w in weights for h in _harmonics(degree, 0.5 * angle)]
+            harmonics = _harmonics(degree, 0.5 * angle)
+            weights = [w * h for w in weights for h in harmonics]
         return weights
 
     def _tabulate(self) -> np.ndarray:

@@ -52,10 +52,11 @@ def measure(state, shots: int | None, seed: int = 0, stream: int = 0) -> ShotHis
 
 
 class ShotSampler:
-    """Samples compiled preparations at one set of pair angles.
+    """Samples compiled preparations at the pair angles ``angles``.
 
-    Each ``run`` is one circuit preparation: a compiled program, by
-    default ``program``, prepared at ``angles`` from |0...0> (a
+    A caller may set ``angles`` between runs.  Each ``run`` is one
+    circuit preparation: a compiled program, by default ``program``,
+    prepared at ``angles`` from |0...0> (a
     statevector, or a density matrix for a program compiled under a
     noise model) and executed for ``shots`` shots, or exactly when
     ``shots`` is None.  Each run draws the stream numbered by the
@@ -96,10 +97,12 @@ class OccupationEstimate:
     retained_fraction: float = 1.0
 
 
-def occupations_from_counts(record: ShotHistogram, r: int) -> OccupationEstimate:
+def occupations_from_counts(
+    record: ShotHistogram, r: int, retained_fraction: float = 1.0
+) -> OccupationEstimate:
     """Per-orbital alpha/beta occupations from a Z-basis record."""
     occ = record.occupations()
-    return OccupationEstimate(occ[0 : 2 * r : 2], occ[1 : 2 * r : 2])
+    return OccupationEstimate(occ[0 : 2 * r : 2], occ[1 : 2 * r : 2], retained_fraction)
 
 
 def filter_symmetries(
@@ -123,9 +126,7 @@ def measure_occupations(
 ) -> OccupationEstimate:
     """One Z-basis preparation, symmetry-filtered before any occupation is formed."""
     record, retained = filter_symmetries(sampler.run(None), symmetries)
-    est = occupations_from_counts(record, r)
-    est.retained_fraction = retained
-    return est
+    return occupations_from_counts(record, r, retained)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +186,10 @@ def estimate_phases(sampler, r: int) -> PhaseEstimate:
     errs = np.empty(r - 1)
     for k in range(r - 1):
         mask = window_mask(k)
-        vals[k] = 0.25 * (rec_a.parity(mask) + rec_b.parity(mask))
-        errs[k] = 0.25 * np.hypot(rec_a.parity_stderr(mask), rec_b.parity_stderr(mask))
+        par_a, err_a = rec_a.parity_estimate(mask)
+        par_b, err_b = rec_b.parity_estimate(mask)
+        vals[k] = 0.25 * (par_a + par_b)
+        errs[k] = 0.25 * np.hypot(err_a, err_b)
     return PhaseEstimate(vals, errs)
 
 

@@ -218,13 +218,14 @@ def test_criterion_8_energy_assembly(acceptance):
     for r, molecule in ((2, chem.h2_molecule(1.4)), (3, chem.h3plus_molecule(1.65))):
         h, eri, enuc = mo_problem(molecule)
         ham = ansatz.jordan_wigner_hamiltonian(h, eri, enuc)
+        pair = hybrid.pair_integrals(h, eri, enuc)
         rng = qsim.make_rng(15, r)
         for _ in range(1000):
             t = rng.uniform(-np.pi, np.pi, size=r - 1)
             amps = ansatz.givens_chain_amplitudes(t)
             prods = amps[:-1] * amps[1:]
             state = hybrid.GeminalState(amps**2, np.where(prods >= 0, 1, -1))
-            energy = hybrid.assemble_2dm_energy(state, h, eri, enuc)
+            energy = hybrid.assemble_2dm_energy(state, pair)
             reference = qsim.run_circuit(ansatz.build_ansatz_circuit(r, t)).expectation(ham)
             worst = max(worst, abs(energy - reference.real))
     ok = worst < 1e-10

@@ -164,6 +164,18 @@ def test_nonpositive_shots_and_jobs_are_usage_errors(argv, capsys):
     assert "must be a positive integer" in err or "invalid positive_int value" in err
 
 
+@pytest.mark.parametrize("command", ["curve", "scan", "vtable"])
+def test_negative_seed_is_usage_error(command, tmp_path, monkeypatch, capsys):
+    refuse_work(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([command, "--seed", "-1", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geminal")
+    assert "--seed: must be a nonnegative integer, got -1" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, unread",
     [

@@ -15,6 +15,7 @@ from geminal.hybrid import (
     dissociation_curve,
     nelder_mead,
     orbital_step,
+    pair_integrals,
     quantum_step,
     run_hybrid,
 )
@@ -51,7 +52,7 @@ class TestAssembleEnergy:
         ints, rhf, _ = h2_reference
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
         state = GeminalState(np.array([1.0, 0.0]), np.array([1]))
-        energy = assemble_2dm_energy(state, h, eri, ints.enuc)
+        energy = assemble_2dm_energy(state, pair_integrals(h, eri, ints.enuc))
         assert energy == pytest.approx(rhf.energy, abs=1e-12)
 
     def test_matches_statevector_expectation(self, h2_reference, h3_reference):
@@ -60,6 +61,7 @@ class TestAssembleEnergy:
             ints, rhf, _ = ref
             h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
             ham = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc)
+            pair = pair_integrals(h, eri, ints.enuc)
             for _ in range(100):
                 t = rng.uniform(-np.pi, np.pi, size=r - 1)
                 state_vec = qsim.run_circuit(ansatz.build_ansatz_circuit(r, t))
@@ -68,7 +70,7 @@ class TestAssembleEnergy:
                 state = GeminalState(
                     amps**2, np.where(prods >= 0, 1, -1).astype(int)
                 )
-                e = assemble_2dm_energy(state, h, eri, ints.enuc)
+                e = assemble_2dm_energy(state, pair)
                 assert e == pytest.approx(state_vec.expectation(ham), abs=1e-10)
 
     def test_fci_natural_orbitals_reach_fci(self, h2_reference):
@@ -76,7 +78,7 @@ class TestAssembleEnergy:
         g, basis = chem.pair_spectrum(fci.coeff)
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff @ basis)
         state = GeminalState(g**2, np.sign(g[:-1] * g[1:]).astype(int))
-        energy = assemble_2dm_energy(state, h, eri, ints.enuc)
+        energy = assemble_2dm_energy(state, pair_integrals(h, eri, ints.enuc))
         assert energy == pytest.approx(fci.energy, abs=1e-10)
 
     def test_rank_mismatch_rejected(self, h2_reference):
@@ -84,7 +86,7 @@ class TestAssembleEnergy:
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
         state = GeminalState(np.array([0.9, 0.05, 0.05]), np.array([-1, -1]))
         with pytest.raises(ValueError, match="rank"):
-            assemble_2dm_energy(state, h, eri, ints.enuc)
+            assemble_2dm_energy(state, pair_integrals(h, eri, ints.enuc))
 
 
 class TestConfig:
@@ -283,7 +285,7 @@ class TestOrbitalStep:
         def energy_at(angles):
             rots = [(p, q, a) for (p, q), a in zip(pairs, angles)]
             h, eri = chem.transform_integrals(ints, chem.apply_givens_rotations(C, rots))
-            return assemble_2dm_energy(state, h, eri, ints.enuc)
+            return assemble_2dm_energy(state, pair_integrals(h, eri, ints.enuc))
 
         def gradient(angles):
             step = hybrid.BFGS_STEP
@@ -327,7 +329,7 @@ class TestOrbitalStep:
         g, _ = chem.pair_spectrum(fci.coeff)
         state = GeminalState(g**2, np.sign(g[:-1] * g[1:]).astype(int))
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
-        start = assemble_2dm_energy(state, h, eri, ints.enuc)
+        start = assemble_2dm_energy(state, pair_integrals(h, eri, ints.enuc))
         res = orbital_step(ints, rhf.mo_coeff, state)
         assert res.energy <= start
         assert res.energy == pytest.approx(fci.energy, abs=1e-6)
@@ -336,7 +338,7 @@ class TestOrbitalStep:
         ints, rhf, _ = h3_reference
         state = GeminalState(np.array([0.9, 0.06, 0.04]), np.array([-1, 1]))
         h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
-        start = assemble_2dm_energy(state, h, eri, ints.enuc)
+        start = assemble_2dm_energy(state, pair_integrals(h, eri, ints.enuc))
         res = orbital_step(ints, rhf.mo_coeff, state)
         assert res.energy <= start + 1e-12
 

@@ -51,7 +51,7 @@ class TestExactDistribution:
         assert dist.occupation(1) == pytest.approx(0.5)
         assert dist.parity(0b11) == pytest.approx(1.0)  # correlated bits
         assert dist.parity(0b01) == pytest.approx(0.0)
-        assert dist.parity_stderr(0b11) == 0.0
+        assert dist.parity_estimate(0b11) == (dist.parity(0b11), 0.0)
 
     def test_exact_record_ignores_seed_and_stream(self):
         state = qsim.run_circuit(bell_circuit())
