@@ -77,7 +77,11 @@ def resolve_molecule_builder(args):
         path = Path(args.geometry)
         if not path.exists():
             raise SystemExit(f"geometry file not found: {path}")
-        molecule = chem.parse_geometry(path.read_text())
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise chem.GeometryError(f"not a readable text file ({exc})") from None
+        molecule = chem.parse_geometry(text)
         return (lambda _=0.0: molecule), molecule.label or path.stem
     return SYSTEM_BUILDERS[args.system], args.system
 

@@ -158,8 +158,6 @@ class QuantumObjective:
     """
 
     def __init__(self, h: np.ndarray, eri: np.ndarray, enuc: float, config: HybridConfig):
-        self.h = h
-        self.eri = eri
         self.enuc = enuc
         self.pair = pair_integrals(h, eri, enuc)
         self.config = config
@@ -249,7 +247,6 @@ class OptimizeOutcome:
 def nelder_mead(
     f,
     x0: np.ndarray,
-    scale: float = 0.35,
     max_iter: int = 200,
     ftol: float = 1e-8,
     reevaluate_best: bool = True,
@@ -257,7 +254,7 @@ def nelder_mead(
     """Simplex search tuned for noisy objectives.
 
     Initial simplex: x0 plus one vertex per coordinate displaced by
-    ``scale``.  Standard reflection/expansion/contraction/shrink
+    NM_SCALE.  Standard reflection/expansion/contraction/shrink
     coefficients (1, 2, 0.5, 0.5).  With ``reevaluate_best`` the
     current best vertex is re-measured every iteration so a lucky
     downward noise fluctuation cannot pin the simplex to a false
@@ -272,7 +269,7 @@ def nelder_mead(
     dim = x0.size
     if dim == 0:
         raise ValueError("objective needs at least one parameter")
-    verts = np.vstack([x0] + [x0 + scale * np.eye(dim)[i] for i in range(dim)])
+    verts = np.vstack([x0] + [x0 + NM_SCALE * np.eye(dim)[i] for i in range(dim)])
     fvals = np.array([f(v) for v in verts])
     nfev = dim + 1
     nit = 0
@@ -363,7 +360,6 @@ def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> Q
         out = nelder_mead(
             objective,
             start,
-            scale=NM_SCALE,
             max_iter=config.nm_max_iter,
             ftol=config.effective_nm_ftol,
             reevaluate_best=config.shots is not None,

@@ -17,13 +17,15 @@ density-matrix engine (``run_density``) by a superoperator built from
 it.
 
 Production preparations run as compiled programs (``Program``, cached
-by ``compiled``): consecutive gates fuse into blocks on at most two
-qubits, each block's fixed gates are multiplied once into one local
-operator, and rotation angles left open as ``Angle`` are bound per run.
-Blocks apply by the same rule.  A program whose prepared state, a
-trigonometric polynomial in the open angles, fits a coefficient table of
-TABLE_MAX_BYTES tabulates it from its blocks when compiled, and then
-prepares a state as one weighted sum of the table's rows.  Every run
+by ``compiled``), whose rotation angles are left open as ``Angle`` and
+bound per run by one rule.  Whatever depends on the angles, a block's
+local operator or the whole prepared state, is a trigonometric
+polynomial in them, so compiling stores it as a coefficient table and a
+run reads it as one weighted sum of the table's rows.  Consecutive gates
+fuse into blocks on at most two qubits, each compiled into the table of
+its operator, and blocks apply by the same rule as gates.  A program
+whose prepared state fits a table of TABLE_MAX_BYTES tabulates it from
+its blocks when compiled, and then applies no block per run.  Every run
 starts from |0...0>, so each measured circuit, such as the ansatz
 followed by a basis rotation, is a program of its own.
 ``run_circuit`` and ``run_density``, gate by gate, are the references
@@ -381,12 +383,13 @@ def _local_order(n_bits: int, bits: tuple[int, ...]) -> np.ndarray:
     Gathering with them gives a (2**k, rest) array whose row index holds
     bit ``bits[j]`` as its bit j, so ``bits[-1]`` is the local high bit;
     the same indices scatter the result back (``_apply_local``).  A
-    compiled Program keeps the orders of its blocks and of its bound
-    gates, so its runs look up none: compiling the three measurement
-    programs (the ansatz alone and followed by either basis rotation) of
-    noiseless and noisy r = 2 and r = 3 takes 32 keys, and their
-    evaluations add none (a tabulated run applies no block at all).  The
-    gate-by-gate engines look up one key per gate.  An entry holds
+    compiled Program keeps the order of each block in the state, so its
+    runs look up none; the orders of the gates within a block serve only
+    to tabulate the block's operator when compiled.  Compiling the three
+    measurement programs (the ansatz alone and followed by either basis
+    rotation) of noiseless and noisy r = 2 and r = 3 takes 32 keys, of
+    both kinds, and their evaluations add none.  The gate-by-gate
+    engines look up one key per gate.  An entry holds
     2**n_bits indices, 32 KiB for rho at 6 qubits and 8 MiB at 10.
     """
     axes = [n_bits - 1 - b for b in reversed(bits)]
@@ -530,7 +533,8 @@ def parse_calibration(text: str) -> DeviceCalibration:
     """Parse calibration text.
 
     Lines: ``device <name>``, ``qubit <i> <u2> <u3> <ro> <t1_us> <t2_us>``,
-    ``cx <control> <target> <error>``; ``#`` comments allowed.
+    ``cx <control> <target> <error>``; ``#`` comments allowed.  Every
+    error rate must lie in [0, 1] and every T1/T2 be positive and finite.
     """
     name = "unnamed"
     qubits: dict[int, QubitCalibration] = {}
@@ -541,6 +545,7 @@ def parse_calibration(text: str) -> DeviceCalibration:
             continue
         parts = line.split()
         kind = parts[0].lower()
+        rates, times = [], []
         try:
             if kind == "device":
                 name = parts[1]
@@ -550,12 +555,21 @@ def parse_calibration(text: str) -> DeviceCalibration:
                 if len(vals) != 5:
                     raise ValueError
                 qubits[q] = QubitCalibration(*vals)
+                rates, times = vals[:3], vals[3:]
             elif kind == "cx":
                 cx[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                rates = [float(parts[3])]
             else:
                 raise ValueError
         except (ValueError, IndexError):
             raise CalibrationError(f"calibration line {ln} is malformed: {raw!r}") from None
+        # comparisons with nan are false, so nan fails both checks
+        if not all(0.0 <= p <= 1.0 for p in rates):
+            raise CalibrationError(f"calibration line {ln} has an error rate outside [0, 1]: {raw!r}")
+        if not all(0.0 < t < math.inf for t in times):
+            raise CalibrationError(
+                f"calibration line {ln} has a T1/T2 that is not positive and finite: {raw!r}"
+            )
     if not qubits:
         raise CalibrationError("calibration defines no qubits")
     return DeviceCalibration(name, qubits, cx)
@@ -570,7 +584,10 @@ def load_calibration(source: str) -> DeviceCalibration:
         path = Path(source)
         if not path.exists():
             raise CalibrationError(f"no built-in or file calibration {source!r}")
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CalibrationError(f"cannot read calibration file {source!r}: {exc}") from None
     return parse_calibration(text)
 
 
@@ -775,17 +792,26 @@ def _rho_bits(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _fusion_blocks(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
-    """Consecutive gates fused greedily into blocks on at most two qubits."""
+    """Consecutive gates fused greedily into blocks on at most two qubits and one ``Angle``.
+
+    One angle per block keeps a block's coefficient table (``Program``)
+    linear in the block's gate count.
+    """
     blocks: list[tuple[tuple[int, ...], list[Gate]]] = []
     for gate in gates:
         if blocks:
             qubits, members = blocks[-1]
             joint = qubits + tuple(q for q in gate.qubits if q not in qubits)
-            if len(joint) <= 2:
+            if len(joint) <= 2 and len(set(_angle_indices(members + [gate]))) <= 1:
                 blocks[-1] = (joint, members + [gate])
                 continue
         blocks.append((gate.qubits, [gate]))
     return blocks
+
+
+def _angle_indices(gates) -> list[int]:
+    """The index of each ``Angle`` the gates leave open, one entry per gate, in order."""
+    return [g.param.index for g in gates if isinstance(g.param, Angle)]
 
 
 def _harmonics(degree: int, u: float) -> list[float]:
@@ -800,80 +826,77 @@ def _harmonics(degree: int, u: float) -> list[float]:
     return out
 
 
+def _weights(degrees, t) -> list[float]:
+    """Every product of one harmonic per angle at ``t``: the row weights of a coefficient table."""
+    weights = [1.0]
+    for degree, angle in zip(degrees, t):
+        harmonics = _harmonics(degree, 0.5 * angle)
+        weights = [w * h for w in weights for h in harmonics]
+    return weights
+
+
+def _tabulate(degrees, evaluate) -> np.ndarray:
+    """The coefficient table of ``evaluate``, a form of the given degree along each angle.
+
+    ``evaluate`` runs at D + 1 equispaced half-angle nodes per angle, and
+    the table, one flattened value per row, is solved for.  No angles
+    give a one-row table: the value itself.
+    """
+    grids = [np.pi * np.arange(d + 1) / (d + 1) for d in degrees]
+    nodes = [2.0 * np.array(u) for u in itertools.product(*grids)]
+    values = np.array([evaluate(t) for t in nodes]).reshape(len(nodes), -1)
+    table = np.linalg.solve(np.array([_weights(degrees, t) for t in nodes]), values)
+    table.flags.writeable = False
+    return table
+
+
 class Program:
     """A circuit compiled for one engine, its ``Angle`` parameters bound per run.
 
-    Consecutive gates fuse greedily into blocks on at most two qubits.
-    The fixed gates of a block are multiplied once, here, into one local
-    operator: a unitary from ``Gate.matrix()`` for the statevector engine
-    (``noise`` None), a superoperator from ``_gate_channel`` for the
-    density-matrix engine.  A block that holds gates on an ``Angle``
-    keeps the products of the fixed runs around them, and the block path
-    multiplies only the bound gates in.  Products and blocks alike apply
-    through ``_apply_local``; a product treats its local operator as a
-    register whose column index rides along as spectator bits.
+    Each rotation on angle t is cos(t/2) A + sin(t/2) B, so whatever D
+    rotations on angle k build is a form of degree D in (cos u, sin u),
+    u = t_k / 2, and of degree 2D on the density-matrix engine (``noise``
+    set), whose channels are quadratic in the unitaries: a sum of
+    ``_harmonics`` along each angle.  Every angle binds by this one rule.
+    Compiling evaluates such a form at D + 1 equispaced nodes in u per
+    angle and solves for its coefficient table (``_tabulate``); a run
+    reads it as one product of the ``_weights`` at t with the table.
 
-    Each rotation on angle t is cos(t/2) A + sin(t/2) B, so with D gates
-    bound to angle k the prepared state is a form of degree D in
-    (cos u, sin u), u = t_k / 2, and of degree 2D for rho: a sum of
-    ``_harmonics`` along each angle.  When that coefficient table fits in
-    TABLE_MAX_BYTES, compiling evaluates the block path at D + 1
-    equispaced nodes in u per angle and solves for the table, and ``run``
-    is one product of the harmonics at t with it.  A larger program takes
-    the block path.  Every run starts from |0...0>.
+    Consecutive gates fuse into blocks (``_fusion_blocks``), and each
+    block compiles to the table of its local operator: a unitary from
+    ``Gate.matrix()`` for the statevector engine, a superoperator from
+    ``_gate_channel`` for the density-matrix engine.  A block of fixed
+    gates has a one-row table.  The block path applies every block's
+    operator through ``_apply_local``.  When the table of the whole
+    prepared state fits in TABLE_MAX_BYTES, compiling tabulates the state
+    from the block path and ``run`` reads that table; a larger program
+    runs the block path.  No run builds a ``Gate`` or a channel, and every
+    run starts from |0...0>.
 
     ``run`` gives the state of ``run_circuit`` or ``run_density`` on the
-    bound circuit; fusion and the table reorder the arithmetic, so
+    bound circuit; fusion and the tables reorder the arithmetic, so
     amplitudes agree to rounding, not bit for bit.
     """
 
     def __init__(self, circuit: Circuit, noise: NoiseModel | None = None):
         n = self.n_qubits = circuit.n_qubits
         self.noise = noise
-        angles = [g.param.index for g in circuit.gates if isinstance(g.param, Angle)]
+        angles = _angle_indices(circuit.gates)
         self.n_angles = max(angles) + 1 if angles else 0
-        self._blocks = []  # (order in the state, fixed operator or None, local dimension, steps)
-        for qubits, gates in _fusion_blocks(circuit.gates):
-            where = {q: j for j, q in enumerate(qubits)}
-            dim = 1 << self._bit_count(len(qubits))
-            steps = []  # in circuit order: fixed products, and (bound gate, its order)
-            for gate in gates:
-                order = self._operator_order(gate, where)
-                if isinstance(gate.param, Angle):
-                    steps.append((gate, order))
-                    continue
-                if not steps or not isinstance(steps[-1], np.ndarray):
-                    steps.append(np.eye(dim, dtype=complex))
-                _apply_local(steps[-1].reshape(-1), self._operator(gate), order)
-            for step in steps:
-                if isinstance(step, np.ndarray):
-                    step.flags.writeable = False  # shared by every run
-            fused = steps[0] if len(steps) == 1 and isinstance(steps[0], np.ndarray) else None
-            order = _local_order(self._bit_count(n), self._bits(qubits, n))
-            self._blocks.append((order, fused, dim, steps))
         # a rotation is linear in (cos u, sin u), and its channel quadratic
         per_gate = 1 if noise is None else 2
-        self._degrees = [per_gate * angles.count(k) for k in range(self.n_angles)]
-        rows = math.prod(d + 1 for d in self._degrees)
+        self._blocks = []  # (order in the state, local dimension, angles bound, their degrees, table)
+        for qubits, gates in _fusion_blocks(circuit.gates):
+            order = _local_order(self._bit_count(n), self._bits(qubits, n))
+            bound = sorted(set(_angle_indices(gates)))
+            degrees = [per_gate * _angle_indices(gates).count(k) for k in bound]
+            operator = functools.partial(self._block_operator, qubits, gates, bound)
+            dim = 1 << self._bit_count(len(qubits))
+            self._blocks.append((order, dim, bound, degrees, _tabulate(degrees, operator)))
+        self._state_degrees = [per_gate * angles.count(k) for k in range(self.n_angles)]
+        rows = math.prod(d + 1 for d in self._state_degrees)
         fits = rows * (1 << self._bit_count(n)) * 16 <= TABLE_MAX_BYTES  # complex128 entries
-        self._table = self._tabulate() if fits else None
-
-    def _weights(self, t) -> list[float]:
-        """Every product of one harmonic per angle at ``t``: the table's row weights."""
-        weights = [1.0]
-        for degree, angle in zip(self._degrees, t):
-            harmonics = _harmonics(degree, 0.5 * angle)
-            weights = [w * h for w in weights for h in harmonics]
-        return weights
-
-    def _tabulate(self) -> np.ndarray:
-        """The table: the block path at D + 1 equispaced half-angle nodes per angle, solved for."""
-        grids = [np.pi * np.arange(d + 1) / (d + 1) for d in self._degrees]
-        nodes = [2.0 * np.array(u) for u in itertools.product(*grids)]
-        states = [self._run_blocks(t) for t in nodes]
-        table = np.linalg.solve(np.array([self._weights(t) for t in nodes]), np.array(states))
-        table.flags.writeable = False
-        return table
+        self._table = _tabulate(self._state_degrees, self._run_blocks) if fits else None
 
     def _bit_count(self, n: int) -> int:
         """Flat-state bits of an n-qubit register of this engine."""
@@ -883,52 +906,45 @@ class Program:
         """Flat-state bits of ``qubits`` on an n-qubit register of this engine."""
         return qubits if self.noise is None else _rho_bits(qubits, n)
 
-    def _operator(self, gate: Gate) -> np.ndarray:
-        return gate.matrix() if self.noise is None else _gate_channel(self.noise, gate)
+    def _block_operator(self, qubits, gates, bound, u) -> np.ndarray:
+        """The local operator of the block's ``gates`` with angle ``bound[j]`` at ``u[j]``.
 
-    def _operator_order(self, gate: Gate, where: dict) -> np.ndarray:
-        """Order that applies ``gate`` to the rows of a block operator.
-
-        The block's qubits are numbered by ``where``.  A row-major
+        Each gate applies in turn to the rows of the identity: a row-major
         operator holds its row index in the high bits of its flat array,
         so the gate acts on those and the column bits ride along.
         """
-        width = self._bit_count(len(where))
-        bits = self._bits(tuple(where[q] for q in gate.qubits), len(where))
-        return _local_order(2 * width, tuple(b + width for b in bits))
-
-    def _bound(self, dim: int, steps: list, t) -> np.ndarray:
-        """A block's operator with its bound gates at the angles ``t``."""
-        acc = None
-        for step in steps:
-            if isinstance(step, np.ndarray):
-                acc = step.copy() if acc is None else step @ acc
-                continue
-            gate, order = step
-            if acc is None:
-                acc = np.eye(dim, dtype=complex)
-            bound = Gate(gate.name, gate.qubits, float(t[gate.param.index]))
-            _apply_local(acc.reshape(-1), self._operator(bound), order)
-        return acc
+        values = dict(zip(bound, u))
+        width = self._bit_count(len(qubits))
+        op = np.eye(1 << width, dtype=complex)
+        for gate in gates:
+            if isinstance(gate.param, Angle):
+                gate = Gate(gate.name, gate.qubits, float(values[gate.param.index]))
+            local = self._bits(tuple(qubits.index(q) for q in gate.qubits), len(qubits))
+            order = _local_order(2 * width, tuple(b + width for b in local))
+            matrix = gate.matrix() if self.noise is None else _gate_channel(self.noise, gate)
+            _apply_local(op.reshape(-1), matrix, order)
+        return op
 
     @property
     def tabulated(self) -> bool:
-        """Whether runs read the coefficient table instead of the blocks."""
+        """Whether runs read the coefficient table of the whole state instead of the blocks."""
         return self._table is not None
 
     def _run_blocks(self, t) -> np.ndarray:
         """The block path: the flat state after every block at angles ``t``, from |0...0>."""
         n, noise = self.n_qubits, self.noise
         flat = Statevector.zero(n).amps if noise is None else DensityMatrix.zero(n, noise).flat
-        for order, fused, dim, steps in self._blocks:
-            _apply_local(flat, self._bound(dim, steps, t) if fused is None else fused, order)
+        for order, dim, bound, degrees, table in self._blocks:
+            op = np.dot(_weights(degrees, [t[k] for k in bound]), table).reshape(dim, dim)
+            _apply_local(flat, op, order)
         return flat
 
     def run(self, t=()):
         """The state after the program at angles ``t``, from |0...0>."""
         if len(t) != self.n_angles:
             raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
-        flat = self._run_blocks(t) if self._table is None else np.dot(self._weights(t), self._table)
+        table = self._table
+        flat = self._run_blocks(t) if table is None else np.dot(_weights(self._state_degrees, t), table)
         return Statevector(flat) if self.noise is None else DensityMatrix(flat, self.noise)
 
 

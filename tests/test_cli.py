@@ -58,6 +58,12 @@ def test_load_noise_off_and_bad_file(tmp_path):
     bad.write_text("qubit zero nonsense\n")
     with pytest.raises(SystemExit, match="malformed"):
         cli.load_noise(str(bad), 4, False)
+    binary = tmp_path / "cal.bin"
+    binary.write_bytes(b"\xff\xfe\x00qubit")
+    for unreadable in (str(tmp_path), str(binary)):
+        message = f"cannot use calibration {unreadable!r}: cannot read calibration file"
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            cli.load_noise(unreadable, 4, False)
 
 
 def data_rows(out) -> dict[str, list[str]]:
@@ -242,12 +248,19 @@ def test_nearly_coincident_nuclei_are_clean_exit_before_any_file(tmp_path, argv)
         ("H 0 0 0\nH 0 0 1.4\nH 0 0 1.4\n", "atoms 1 and 2 coincide"),
         ("H 0 0 0\nH 0 nan 1.4\n", "non-finite nuclear coordinates"),
         ("H 0 0 0\nXx 0 0 1.4\n", "line 2: unsupported element 'Xx'"),
+        (b"\xff\xfeH 0 0 0\n", "not a readable text file ("),  # undecodable bytes
+        (None, "not a readable text file ("),  # a directory
     ],
 )
 def test_unusable_geometry_file_is_clean_exit_before_work(tmp_path, monkeypatch, atoms, message):
     refuse_work(monkeypatch)
     geom = tmp_path / "mol.txt"
-    geom.write_text(atoms)
+    if atoms is None:
+        geom.mkdir()
+    elif isinstance(atoms, bytes):
+        geom.write_bytes(atoms)
+    else:
+        geom.write_text(atoms)
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match=re.escape(f"bad geometry file {geom}: {message}")):
         run_cli(["integrals", "--geometry", str(geom), "--out", str(out)])

@@ -12,6 +12,7 @@ chi-square test against both, so the two engines check each other.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,12 +320,37 @@ def test_parse_calibration_errors():
         qsim.load_calibration("no-such-device")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("qubit 1 nan 1e-3 0.1 50 60", "an error rate outside [0, 1]"),
+        ("qubit 1 1.7 1e-3 0.1 50 60", "an error rate outside [0, 1]"),
+        ("qubit 1 1e-3 1e-3 -0.1 50 60", "an error rate outside [0, 1]"),
+        ("cx 0 1 inf", "an error rate outside [0, 1]"),
+        ("cx 0 1 -0.02", "an error rate outside [0, 1]"),
+        ("qubit 1 1e-3 1e-3 0.1 0 60", "a T1/T2 that is not positive and finite"),
+        ("qubit 1 1e-3 1e-3 0.1 -50 60", "a T1/T2 that is not positive and finite"),
+        ("qubit 1 1e-3 1e-3 0.1 50 inf", "a T1/T2 that is not positive and finite"),
+        ("qubit 1 1e-3 1e-3 0.1 50 nan", "a T1/T2 that is not positive and finite"),
+    ],
+)
+def test_parse_calibration_rejects_unphysical_values(line, message):
+    text = f"device d\nqubit 0 0 1 0.5 50 60\n{line}\n"  # rates at 0 and 1 are fine
+    with pytest.raises(CalibrationError, match=re.escape(f"calibration line 3 has {message}: {line!r}")):
+        qsim.parse_calibration(text)
+
+
 def test_load_calibration_from_path(tmp_path):
     p = tmp_path / "cal.txt"
     p.write_text("device toy\nqubit 0 1e-3 2e-3 0.1 50 60\nqubit 1 1e-3 2e-3 0.1 50 60\ncx 0 1 0.02\n")
     cal = qsim.load_calibration(str(p))
     assert cal.name == "toy"
     assert cal.cx_error(1, 0) == pytest.approx(0.02)
+    binary = tmp_path / "cal.bin"
+    binary.write_bytes(b"\xff\xfe\x00qubit")
+    for unreadable in (tmp_path, binary):  # a directory, and bytes that are not text
+        with pytest.raises(CalibrationError, match="cannot read calibration file"):
+            qsim.load_calibration(str(unreadable))
 
 
 def test_noise_model_from_calibration():
@@ -804,6 +830,38 @@ def test_measurement_programs_match_the_whole_circuits(noisy, r):
         np.testing.assert_allclose(block_path(program, t), want, rtol=0, atol=1e-12)
 
 
+def test_compiled_runs_build_no_operator(monkeypatch):
+    # every angle binds through a coefficient table, so once compiled a
+    # run, tabulated or not, builds no gate matrix and no channel
+    ibm14 = qsim.load_calibration("ibm-14")
+    rng = np.random.default_rng(70)
+    cases = []  # (program, angles, the gate-by-gate state)
+    for r in (2, 3):
+        for noise in (None, NoiseModel.from_calibration(ibm14, 2 * r, damping=True)):
+            programs = (
+                ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise)
+            )
+            rotations = (Circuit(2 * r), *tomography.phase_measurement_circuits(r))
+            for program, rotation in zip(programs, rotations):
+                t = rng.uniform(-np.pi, np.pi, size=r - 1)
+                whole = ansatz.build_ansatz_circuit(r, t).extend(rotation)
+                if noise is None:
+                    cases.append((program, t, qsim.run_circuit(whole).amps))
+                else:
+                    cases.append((program, t, qsim.run_density(whole, noise).flat))
+
+    def builds_an_operator(*_args, **_kwargs):
+        raise AssertionError("a compiled run built an operator")
+
+    monkeypatch.setattr(qsim, "_gate_channel", builds_an_operator)
+    monkeypatch.setattr(qsim, "_superoperator", builds_an_operator)
+    monkeypatch.setattr(qsim.Gate, "matrix", builds_an_operator)
+    for program, t, want in cases:
+        state = program.run(t)
+        got = state.amps if program.noise is None else state.flat
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_fusion_blocks_span_at_most_two_qubits():
     # r = 2: 18 gates in 6 blocks; r = 3: 34 gates in 11
     for r, gates, blocks in ((2, 18, 6), (3, 34, 11)):
@@ -814,6 +872,10 @@ def test_fusion_blocks_span_at_most_two_qubits():
         for qubits, members in fused:
             assert len(qubits) <= 2
             assert all(set(g.qubits) <= set(qubits) for g in members)
+    # a second angle on the same two qubits opens a block of its own
+    a0, a1 = qsim.Angle(0), qsim.Angle(1)
+    two_angles = Circuit(2).ry(0, a0).cx(0, 1).rz(1, a0).h(0).rx(1, a1).cx(0, 1)
+    assert [len(members) for _, members in qsim._fusion_blocks(two_angles.gates)] == [4, 2]
 
 
 def test_template_leaves_exactly_the_pair_angles_open():
