@@ -223,9 +223,9 @@ def cmd_curve(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def measure_scan_point(program, t, shots, seed, stream):
+def measure_scan_point(program, t, shots, rng):
     """One preparation of the compiled ansatz at angles t, measured in the Z basis."""
-    return tomography.measure(program.run(t), shots, seed, stream)
+    return tomography.measure(program.run(t), shots, rng)
 
 
 def filter_scan_point(record, symmetries, index: int, t) -> tuple[qsim.ShotHistogram, float]:
@@ -261,8 +261,10 @@ def cmd_scan(args) -> int:
 
     stages = {"raw": [], "verified": [], "projected": []}
     retained = []
+    streams = qsim.ShotStreams(args.seed)  # point i draws stream i
     for i, t in enumerate(points):
-        record = measure_scan_point(program, np.array(t), shots, args.seed, i)
+        rng = None if shots is None else streams.generator(i)
+        record = measure_scan_point(program, np.array(t), shots, rng)
         filtered, frac = filter_scan_point(record, symmetries, i, t)
         retained.append(frac)
 
@@ -346,9 +348,11 @@ def vtable_rows(r, shots, seed, noise):
     """V per symmetry setting and half-set on the standard r=2 scan."""
     grid = mitigation.scan_angles()
     program = ansatz.compiled_ansatz(r, noise)
-    records = [
-        measure_scan_point(program, np.array([t]), shots, seed, i) for i, t in enumerate(grid)
-    ]
+    streams = qsim.ShotStreams(seed)  # point i draws stream i
+    records = []
+    for i, t in enumerate(grid):
+        rng = None if shots is None else streams.generator(i)
+        records.append(measure_scan_point(program, np.array([t]), shots, rng))
 
     rows = []
     for name, symmetries in VTABLE_SETTINGS:
@@ -508,6 +512,20 @@ def _check_density_noise(quick):
     assert abs(got - want) < 1e-12, f"P(1) = {got!r}, want {want!r}"
 
 
+def _check_stream_keys(quick):
+    # the re-keyed shot streams against numpy's own construction, on both
+    # sides of 2**32, where SeedSequence reads a key as two entropy words;
+    # a numpy whose SeedSequence hashes differently fails here
+    for seed in (0, 2**32 - 1, 2**32):
+        streams = qsim.ShotStreams(seed)
+        for stream in (0, 1, 2**32 - 1, 2**32):
+            got = streams.generator(stream).bit_generator.state
+            want = np.random.default_rng([seed, qsim.SHOT_KEY, stream]).bit_generator.state
+            assert got == want, (
+                f"seed {seed}, stream {stream}: ShotStreams no longer gives default_rng's state"
+            )
+
+
 def _check_compiled_preparation(quick):
     # the compiled Z, A and B programs (the ansatz alone or followed by a
     # basis rotation) against the gate-by-gate engines at random angles,
@@ -547,6 +565,7 @@ def cmd_selftest(args) -> int:
         ("fci-consistency", lambda: _check_fci_consistency(args.quick)),
         ("trajectory-noise", lambda: _check_trajectory_noise(args.quick)),
         ("density-noise", lambda: _check_density_noise(args.quick)),
+        ("stream-keys", lambda: _check_stream_keys(args.quick)),
     ]
     failures = 0
     for name, check in checks:

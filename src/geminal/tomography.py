@@ -39,16 +39,16 @@ class PreparationCounter:
         self.count += 1
 
 
-def measure(state, shots: int | None, seed: int = 0, stream: int = 0) -> ShotHistogram:
+def measure(state, shots: int | None, rng: np.random.Generator | None = None) -> ShotHistogram:
     """Z-basis record of a prepared state.
 
     ``shots=None`` returns the exact outcome probabilities of the state,
-    noiseless or noisy; otherwise ``shots`` outcomes are drawn from the
-    (seed, stream) generator.
+    noiseless or noisy, and ignores ``rng``; otherwise ``shots`` outcomes
+    are drawn from ``rng``.
     """
     if shots is None:
         return ShotHistogram(state.n_qubits, None, state.probabilities())
-    return qsim.sample(state, shots, seed, stream)
+    return qsim.sample(state, shots, rng)
 
 
 class ShotSampler:
@@ -62,7 +62,9 @@ class ShotSampler:
     ``shots`` is None.  Each run draws the stream numbered by the
     preparations ``counter`` has counted so far, so samplers sharing a
     counter never reuse a stream and the whole sequence is deterministic
-    in the seed.
+    in the seed.  The sampler owns one ``qsim.ShotStreams`` for its seed,
+    so a run re-keys one generator to ``make_rng(seed, SHOT_KEY,
+    stream)``'s state instead of building that generator.
     """
 
     def __init__(
@@ -78,12 +80,14 @@ class ShotSampler:
         self.shots = None if shots is None else int(shots)
         self.seed = int(seed)
         self.counter = counter if counter is not None else PreparationCounter()
+        self.streams = None if self.shots is None else qsim.ShotStreams(self.seed)
 
     def run(self, program: Program | None = None) -> ShotHistogram:
         state = (self.program if program is None else program).run(self.angles)
         stream = self.counter.count
         self.counter.bump()
-        return measure(state, self.shots, self.seed, stream)
+        rng = None if self.streams is None else self.streams.generator(stream)
+        return measure(state, self.shots, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -497,7 +497,7 @@ def test_scan_rejects_unsupported_size(tmp_path):
         run_cli(["scan", "--geometry", str(geom), "--out", str(tmp_path)])
 
 
-def odd_electron_record(program, t, shots, seed, stream):
+def odd_electron_record(program, t, shots, rng):
     """A record whose every shot holds one electron, so the N filter rejects it all."""
     counts = np.zeros(1 << program.n_qubits, dtype=np.int64)
     counts[0b0001] = shots
@@ -588,9 +588,19 @@ def test_vtable_requires_two_orbitals():
 def test_selftest_quick_passes(capsys):
     assert run_cli(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok") == 9
+    assert out.count("ok") == 10
     assert "ok    density-noise" in out
     assert "ok    compiled-preparation" in out
+    assert "ok    stream-keys" in out
+
+
+def test_selftest_flags_a_moved_seed_sequence(monkeypatch, capsys):
+    # a SeedSequence hash other than numpy's, as a numpy upgrade could bring
+    monkeypatch.setattr(qsim, "_HASH_INIT_A", qsim._HASH_INIT_A ^ 1)
+    assert run_cli(["selftest", "--quick"]) == 1
+    err = capsys.readouterr().err
+    want = "FAIL  stream-keys: seed 0, stream 0: ShotStreams no longer gives default_rng's state"
+    assert want in err
 
 
 def test_selftest_flags_corrupt_calibration(tmp_path, capsys):

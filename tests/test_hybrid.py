@@ -450,3 +450,55 @@ class TestDissociationCurve:
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             dissociation_curve(chem.h2_molecule, [], HybridConfig())
+
+
+class TestShotStreamConstruction:
+    """Production sampling re-keys one generator per sampler or command; it builds none per draw."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Calls of default_rng (which every make_rng makes), of PCG64 and of qsim.sample."""
+        counts = dict.fromkeys(("default_rng", "PCG64", "sample"), 0)
+        for owner, name in ((np.random, "default_rng"), (np.random, "PCG64"), (qsim, "sample")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    def test_noisy_point_builds_only_its_jitter_keys(self, constructions, monkeypatch):
+        steps = []
+        step = hybrid.quantum_step
+
+        def counted_step(objective, t0):
+            steps.append(objective)
+            return step(objective, t0)
+
+        monkeypatch.setattr(hybrid, "quantum_step", counted_step)
+        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+        config = HybridConfig(
+            shots=2048, noise=noise, seed=1, restarts=1, nm_max_iter=60, outer_max_iter=2
+        )
+        run_hybrid(chem.h2_molecule(1.4), config)
+        assert constructions["sample"] >= 100
+        # one jitter key per quantum step, and one stream source per step's sampler
+        assert constructions["default_rng"] == len(steps)
+        assert constructions["PCG64"] == len(steps)
+
+    def test_noisy_vtable_builds_only_its_bootstrap_keys(self, constructions, monkeypatch):
+        bootstraps = []
+        bootstrap = mitigation.bootstrap_v_interval
+
+        def counted_bootstrap(*args, **kwargs):
+            bootstraps.append(args)
+            return bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(mitigation, "bootstrap_v_interval", counted_bootstrap)
+        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 4, damping=True)
+        cli.vtable_rows(2, 2048, 3, noise)
+        assert constructions["sample"] == len(mitigation.scan_angles())
+        assert constructions["default_rng"] == len(bootstraps) == 8
+        assert constructions["PCG64"] == 1

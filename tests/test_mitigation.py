@@ -140,7 +140,7 @@ class TestSymmetryVerify:
 
     def test_noiseless_ansatz_retains_everything(self):
         circuit = ansatz.build_ansatz_circuit(3, np.array([-1.0, 0.4]))
-        hist = qsim.sample(qsim.run_circuit(circuit), shots=2048, seed=1)
+        hist = qsim.sample(qsim.run_circuit(circuit), 2048, qsim.make_rng(1, qsim.SHOT_KEY, 0))
         _, frac = symmetry_verify(hist)
         assert frac == 1.0
 

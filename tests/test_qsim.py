@@ -261,10 +261,10 @@ def test_dense_statistics_equal_dict_reference():
 
 def test_sampling_is_deterministic_and_unbiased():
     state = qsim.run_circuit(Circuit(2).h(0).cx(0, 1))
-    h1 = qsim.sample(state, 4096, seed=9, stream=0)
-    h2 = qsim.sample(state, 4096, seed=9, stream=0)
+    h1 = qsim.sample(state, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 0))
+    h2 = qsim.sample(state, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 0))
     assert np.array_equal(h1.counts, h2.counts)
-    h3 = qsim.sample(state, 4096, seed=9, stream=1)
+    h3 = qsim.sample(state, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 1))
     assert not np.array_equal(h3.counts, h1.counts)
     assert set(np.flatnonzero(h1.counts)) <= {0b00, 0b11}
     # 5 sigma band around p = 0.5
@@ -274,7 +274,8 @@ def test_sampling_is_deterministic_and_unbiased():
 
 def test_sampling_readout_flips():
     readout_only = NoiseModel({}, {}, {0: 0.25, 1: 0.0, 2: 0.5})
-    hist = qsim.sample(qsim.run_density(Circuit(3), readout_only), 20000, seed=3)
+    rng = qsim.make_rng(3, qsim.SHOT_KEY, 0)
+    hist = qsim.sample(qsim.run_density(Circuit(3), readout_only), 20000, rng)
     assert hist.occupation(0) == pytest.approx(0.25, abs=0.02)
     assert hist.occupation(1) == 0.0
     assert hist.occupation(2) == pytest.approx(0.5, abs=0.02)
@@ -283,6 +284,49 @@ def test_sampling_readout_flips():
 def test_make_rng_rejects_negative():
     with pytest.raises(ValueError):
         qsim.make_rng(1, -2)
+
+
+SHOT_STREAM_SEEDS = [0, 1, 104729 * 19 + 1, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", SHOT_STREAM_SEEDS)
+def test_shot_streams_match_default_rng(seed):
+    # the re-keyed generator against numpy's own construction, state and draw,
+    # for one-, two- and three-word seeds and streams on both sides of 2**32
+    streams = qsim.ShotStreams(seed)
+    p = np.random.default_rng(3).dirichlet(np.ones(16))
+    for stream in [*range(601), 2**32 - 1, 2**32]:
+        want = np.random.default_rng([seed, 202, stream])
+        got = streams.generator(stream)
+        assert got.bit_generator.state == want.bit_generator.state, stream
+        np.testing.assert_array_equal(got.multinomial(2048, p), want.multinomial(2048, p))
+
+
+def test_shot_streams_reject_negative_keys():
+    with pytest.raises(ValueError):
+        qsim.ShotStreams(-1)
+    with pytest.raises(ValueError):
+        qsim.ShotStreams(1).generator(-2)
+
+
+def test_sampler_streams_grow_across_block_edges(monkeypatch):
+    # a sampler's source derives 256 streams, then 512, then 1024: draws on
+    # either side of each edge are the ones make_rng gives, in counter order
+    blocks = []
+    derive = qsim._pcg64_seeds
+
+    def counted(entropy):
+        blocks.append(entropy[-1, [0, -1]].tolist())
+        return derive(entropy)
+
+    monkeypatch.setattr(qsim, "_pcg64_seeds", counted)
+    circuit = Circuit(3).h(0).h(1).h(2)
+    state = qsim.run_circuit(circuit)
+    sampler = tomography.ShotSampler(qsim.Program(circuit), 64, seed=8)
+    for stream in range(800):
+        want = qsim.sample(state, 64, qsim.make_rng(8, qsim.SHOT_KEY, stream))
+        assert sampler.run() == want, stream
+    assert blocks == [[0, 255], [256, 767], [768, 1791]]
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +381,26 @@ def test_parse_calibration_errors():
 def test_parse_calibration_rejects_unphysical_values(line, message):
     text = f"device d\nqubit 0 0 1 0.5 50 60\n{line}\n"  # rates at 0 and 1 are fine
     with pytest.raises(CalibrationError, match=re.escape(f"calibration line 3 has {message}: {line!r}")):
+        qsim.parse_calibration(text)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("cx 0 1 0.02 0.5 junk", "is malformed"),
+        ("cx 0 1", "is malformed"),
+        ("qubit 1 1e-3 1e-3 0.1 50 60 70", "is malformed"),
+        ("device d2 extra", "is malformed"),
+        ("device", "is malformed"),
+        ("qubit 0 1e-3 1e-3 0.1 50 60", "defines qubit 0 a second time"),
+        ("cx 0 2 0.03", "defines coupling (0, 2) a second time"),
+        ("cx 2 0 0.03", "defines coupling (2, 0) a second time"),
+    ],
+)
+def test_parse_calibration_rejects_extra_fields_and_repeats(line, message):
+    text = f"device d\nqubit 0 0 1 0.5 50 60\ncx 0 2 0.02\n{line}\n"
+    want = f"calibration line 4 {message}: {line!r}"
+    with pytest.raises(CalibrationError, match=re.escape(want)):
         qsim.parse_calibration(text)
 
 
@@ -410,20 +474,20 @@ def test_single_cnot_error_one_mean():
 def test_noisy_sampling_reproducible():
     circ = Circuit(2).h(0).cx(0, 1)
     nm = chain_noise(2, 0.01, 0.03, 0.05)
-    h1 = qsim.sample(qsim.run_density(circ, nm), 512, seed=21, stream=3)
-    h2 = qsim.sample(qsim.run_density(circ, nm), 512, seed=21, stream=3)
+    h1 = qsim.sample(qsim.run_density(circ, nm), 512, qsim.make_rng(21, qsim.SHOT_KEY, 3))
+    h2 = qsim.sample(qsim.run_density(circ, nm), 512, qsim.make_rng(21, qsim.SHOT_KEY, 3))
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.counts.sum() == 512
-    h3 = qsim.sample(qsim.run_density(circ, nm), 512, seed=22, stream=3)
+    h3 = qsim.sample(qsim.run_density(circ, nm), 512, qsim.make_rng(22, qsim.SHOT_KEY, 3))
     assert not np.array_equal(h3.counts, h1.counts)
-    h4 = qsim.sample(qsim.run_density(circ, nm), 512, seed=21, stream=4)
+    h4 = qsim.sample(qsim.run_density(circ, nm), 512, qsim.make_rng(21, qsim.SHOT_KEY, 4))
     assert not np.array_equal(h4.counts, h1.counts)
 
 
 def test_readout_noise_on_prepared_state():
     circ = Circuit(2).x(0)
     nm = chain_noise(2, 0.0, 0.2, 0.0)
-    hist = qsim.sample(qsim.run_density(circ, nm), 20000, seed=5)
+    hist = qsim.sample(qsim.run_density(circ, nm), 20000, qsim.make_rng(5, qsim.SHOT_KEY, 0))
     assert hist.occupation(0) == pytest.approx(0.8, abs=0.02)
     assert hist.occupation(1) == pytest.approx(0.2, abs=0.02)
 
@@ -684,10 +748,10 @@ def test_trajectory_histogram_matches_density_engine(case):
 
 
 def test_sample_is_one_multinomial_draw_on_its_stream():
-    # the one measurement rule of both engines
+    # the one measurement rule of both engines, on a stream of a ShotStreams
     circ, _, noise = engine_case("r2-ibm-5")
     for state in (qsim.run_circuit(circ), qsim.run_density(circ, noise)):
-        hist = qsim.sample(state, 2048, seed=7, stream=3)
+        hist = qsim.sample(state, 2048, qsim.ShotStreams(7).generator(3))
         want = qsim.make_rng(7, 202, 3).multinomial(2048, state.probabilities())
         np.testing.assert_array_equal(hist.counts, want)
         assert (hist.n_qubits, hist.shots) == (circ.n_qubits, 2048)

@@ -55,8 +55,8 @@ class TestExactDistribution:
 
     def test_exact_record_ignores_seed_and_stream(self):
         state = qsim.run_circuit(bell_circuit())
-        first = tomography.measure(state, None, seed=1, stream=0)
-        second = tomography.measure(state, None, seed=2, stream=5)
+        first = tomography.measure(state, None, qsim.make_rng(1, qsim.SHOT_KEY, 0))
+        second = tomography.measure(state, None, qsim.make_rng(2, qsim.SHOT_KEY, 5))
         assert first == second
 
     def test_exact_record_under_noise_is_the_density_distribution(self):
@@ -67,11 +67,11 @@ class TestExactDistribution:
         exact = tomography.measure(rho, None)
         assert exact.shots is None
         np.testing.assert_array_equal(exact.counts, rho.probabilities())
-        assert tomography.measure(rho, None, seed=5, stream=2) == exact
+        assert tomography.measure(rho, None, qsim.make_rng(5, qsim.SHOT_KEY, 2)) == exact
         compiled = ansatz_sampler(2, t, None, seed=5, noise=noise).run()
         assert compiled.shots is None
         np.testing.assert_allclose(compiled.counts, exact.counts, rtol=0, atol=1e-12)
-        sampled = tomography.measure(rho, 20000, seed=3)
+        sampled = tomography.measure(rho, 20000, qsim.make_rng(3, qsim.SHOT_KEY, 0))
         stat, dof = chi_square_statistic(sampled.counts, exact.counts)
         assert stat < scipy.stats.chi2.ppf(0.999, dof), (stat, dof)
 
@@ -108,7 +108,8 @@ class TestSamplers:
         noise = chain_noise(2, 0.01, 0.02, 0.03)
         hist = sampler_for(bell_circuit(), shots=256, seed=4, noise=noise).run()
         assert len(calls) == 1 and isinstance(calls[0], qsim.DensityMatrix)
-        assert hist == draw(qsim.run_density(bell_circuit(), noise), 256, 4, 0)
+        rng = qsim.make_rng(4, qsim.SHOT_KEY, 0)
+        assert hist == draw(qsim.run_density(bell_circuit(), noise), 256, rng)
 
     def test_shot_sampler_noise_path(self):
         noise = chain_noise(2, 0.0, 0.25, 0.0)
@@ -128,7 +129,8 @@ class TestSamplers:
         rotations = (Circuit(4), *phase_measurement_circuits(2))
         for stream, (program, rotation) in enumerate(zip(programs, rotations)):
             whole = ansatz.build_ansatz_circuit(2, t).extend(rotation)
-            want = tomography.measure(gate_by_gate(whole, noise), 512, seed=6, stream=stream)
+            rng = qsim.make_rng(6, qsim.SHOT_KEY, stream)
+            want = tomography.measure(gate_by_gate(whole, noise), 512, rng)
             assert sampler.run(program) == want
         assert sampler.counter.count == 3
 
