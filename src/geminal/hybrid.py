@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from geminal import ansatz, chem, mitigation, tomography
+from geminal import ansatz, chem, mitigation, qsim, tomography
 from geminal.chem import IntegralSet, Molecule
-from geminal.qsim import NoiseModel, make_rng
+from geminal.qsim import NoiseModel
 
 
 @dataclass
@@ -352,7 +352,7 @@ def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> Q
     config, r = objective.config, objective.r
     if t0 is None:
         t0 = np.zeros(r - 1)
-    jitter = make_rng(404) if config.shots is None else make_rng(config.seed, 404)
+    jitter = qsim.make_rng(404) if config.shots is None else qsim.make_rng(config.seed, 404)
     best = None
     converged = False
     for run in range(config.restarts):

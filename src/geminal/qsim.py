@@ -23,13 +23,16 @@ local operator or the whole prepared state, is a trigonometric
 polynomial in them, so compiling stores it as a coefficient table and a
 run reads it as one weighted sum of the table's rows.  Consecutive gates
 fuse into blocks on at most two qubits, each compiled into the table of
-its operator, and blocks apply by the same rule as gates.  A program
-whose prepared state fits a table of TABLE_MAX_BYTES tabulates it from
-its blocks when compiled, and then applies no block per run.  Every run
-starts from |0...0>, so each measured circuit, such as the ansatz
-followed by a basis rotation, is a program of its own.
-``run_circuit`` and ``run_density``, gate by gate, are the references
-both paths are checked against.
+its operator.  Compiling also runs the leading fixed blocks once and
+binds every other fixed block once, so a run multiplies only the
+remaining blocks into the state and moves it from one block's index
+order to the next by one gather.  A program whose prepared state fits a
+table of TABLE_MAX_BYTES tabulates it from its blocks when compiled, and
+then applies no block per run.  Every run starts from |0...0>, so each
+measured circuit, such as the ansatz followed by a basis rotation, is a
+program of its own.  ``run_circuit`` and ``run_density``, gate by gate
+with ``_apply_local``, are the references both paths are checked
+against.
 
 The noise model: gate errors are depolarising (a uniformly random
 non-identity Pauli on the gate's qubits, 3 choices after a one-qubit
@@ -62,9 +65,11 @@ their damping rates from ``_relaxation``.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -389,9 +394,10 @@ def _local_order(n_bits: int, bits: tuple[int, ...]) -> np.ndarray:
     Gathering with them gives a (2**k, rest) array whose row index holds
     bit ``bits[j]`` as its bit j, so ``bits[-1]`` is the local high bit;
     the same indices scatter the result back (``_apply_local``).  A
-    compiled Program keeps the order of each block in the state, so its
-    runs look up none; the orders of the gates within a block serve only
-    to tabulate the block's operator when compiled.  Compiling the three
+    compiled Program turns the orders of its blocks into link
+    permutations, so its runs look up none; the orders of the gates
+    within a block serve only to tabulate the block's operator when
+    compiled.  Compiling the three
     measurement programs (the ansatz alone and followed by either basis
     rotation) of noiseless and noisy r = 2 and r = 3 takes 32 keys, of
     both kinds, and their evaluations add none.  The gate-by-gate
@@ -751,8 +757,11 @@ class NoiseModel:
     ``_channels``: one superoperator per parameter-free gate, one noise
     channel per qubit set of a rotation, and the programs ``compiled``
     for this model, so the cache is bounded by the qubit count and the
-    circuits compiled, and never holds an angle.  The rates are read
-    when a channel is first built; change them on a new model.
+    circuits compiled, and never holds an angle.  Those programs refer
+    to the model weakly, so the model and its cache are freed with the
+    last reference to the model, with no cycle to collect.  The rates
+    are read when a channel is first built; change them on a new model.
+    A pickled or copied model carries the rates without the cache.
     """
 
     one_qubit: dict[int, float]
@@ -786,6 +795,9 @@ class NoiseModel:
         ro = {q: 0.0 for q in range(n_qubits)}
         two = {(a, b): 0.0 for a in range(n_qubits) for b in range(n_qubits) if a != b}
         return cls(one, two, ro)
+
+    def __getstate__(self):
+        return {**vars(self), "_channels": {}}
 
     def p_gate(self, gate: Gate) -> float:
         if gate.name == "cx":
@@ -1008,12 +1020,23 @@ class Program:
     block compiles to the table of its local operator: a unitary from
     ``Gate.matrix()`` for the statevector engine, a superoperator from
     ``_gate_channel`` for the density-matrix engine.  A block of fixed
-    gates has a one-row table.  The block path applies every block's
-    operator through ``_apply_local``.  When the table of the whole
-    prepared state fits in TABLE_MAX_BYTES, compiling tabulates the state
-    from the block path and ``run`` reads that table; a larger program
-    runs the block path.  No run builds a ``Gate`` or a channel, and every
-    run starts from |0...0>.
+    gates has a one-row table, whose operator is read once when compiled.
+
+    The block path does, per run, only what depends on the angles.  The
+    leading fixed blocks run once, when compiled, from |0...0> through
+    ``_apply_local``, and their state is kept gathered into the first
+    remaining block's index order.  Each remaining block multiplies its
+    operator, read at t from its table if it binds an angle, into the
+    state, ``op @ x.reshape(d, -1)``, which leaves the state in that
+    block's order; one gather by the block's link, the inverse of its
+    order composed with the next block's order (or, after the last, with
+    the identity), brings it into the next order.  The products, their
+    operands and their order are those of ``_apply_local`` block by
+    block, so the states are bit-identical to that rule's.  When the table
+    of the whole prepared state fits in TABLE_MAX_BYTES, compiling
+    tabulates the state from the block path and ``run`` reads that table;
+    a larger program runs the block path.  No run builds a ``Gate`` or a
+    channel, and every run starts from |0...0> and returns a new array.
 
     ``run`` gives the state of ``run_circuit`` or ``run_density`` on the
     bound circuit; fusion and the tables reorder the arithmetic, so
@@ -1022,23 +1045,51 @@ class Program:
 
     def __init__(self, circuit: Circuit, noise: NoiseModel | None = None):
         n = self.n_qubits = circuit.n_qubits
-        self.noise = noise
+        # the model's cache holds this program (``compiled``), so the program
+        # refers to the model weakly, which leaves no cycle; a copy of the
+        # rates, without the cache, serves a program that outlives its model
+        self._model = None if noise is None else weakref.ref(noise)
+        self._rates = copy.copy(noise)
         angles = _angle_indices(circuit.gates)
         self.n_angles = max(angles) + 1 if angles else 0
         # a rotation is linear in (cos u, sin u), and its channel quadratic
         per_gate = 1 if noise is None else 2
-        self._blocks = []  # (order in the state, local dimension, angles bound, their degrees, table)
+        flat = Statevector.zero(n).amps if noise is None else DensityMatrix.zero(n, noise).flat
+        blocks = []  # (order in the state, local dimension, angles bound, degrees, operator or table)
         for qubits, gates in _fusion_blocks(circuit.gates):
             order = _local_order(self._bit_count(n), self._bits(qubits, n))
             bound = sorted(set(_angle_indices(gates)))
             degrees = [per_gate * _angle_indices(gates).count(k) for k in bound]
             operator = functools.partial(self._block_operator, qubits, gates, bound)
             dim = 1 << self._bit_count(len(qubits))
-            self._blocks.append((order, dim, bound, degrees, _tabulate(degrees, operator)))
+            table = _tabulate(degrees, operator)
+            if not bound:  # a fixed block's operator is bound once, here
+                table = np.dot(_weights(degrees, []), table).reshape(dim, dim)
+                if not blocks:  # and the fixed prefix runs once
+                    _apply_local(flat, table, order)
+                    continue
+            blocks.append((order, dim, bound, degrees, table))
+        # a block's product holds the state in the block's order; its link
+        # gathers that into the next block's order, the last one's into the state's
+        positions = np.arange(flat.size)
+        orders = [block[0] for block in blocks] + [positions]
+        self._start = flat[orders[0]]
+        self._start.flags.writeable = False
+        self._steps = []  # (local dimension, angles bound, their degrees, operator or table, link)
+        for block, after in zip(blocks, orders[1:]):
+            inverse = np.empty_like(positions)
+            inverse[block[0]] = positions  # argsort of the block's order, in linear time
+            self._steps.append((*block[1:], inverse[after]))
         self._state_degrees = [per_gate * angles.count(k) for k in range(self.n_angles)]
         rows = math.prod(d + 1 for d in self._state_degrees)
         fits = rows * (1 << self._bit_count(n)) * 16 <= TABLE_MAX_BYTES  # complex128 entries
         self._table = _tabulate(self._state_degrees, self._run_blocks) if fits else None
+
+    @property
+    def noise(self) -> NoiseModel | None:
+        """The model compiled for while it lives, then a copy of its rates; None without noise."""
+        model = None if self._model is None else self._model()
+        return self._rates if model is None else model
 
     def _bit_count(self, n: int) -> int:
         """Flat-state bits of an n-qubit register of this engine."""
@@ -1073,21 +1124,26 @@ class Program:
         return self._table is not None
 
     def _run_blocks(self, t) -> np.ndarray:
-        """The block path: the flat state after every block at angles ``t``, from |0...0>."""
-        n, noise = self.n_qubits, self.noise
-        flat = Statevector.zero(n).amps if noise is None else DensityMatrix.zero(n, noise).flat
-        for order, dim, bound, degrees, table in self._blocks:
-            op = np.dot(_weights(degrees, [t[k] for k in bound]), table).reshape(dim, dim)
-            _apply_local(flat, op, order)
-        return flat
+        """The block path: the flat state after every block at angles ``t``, from |0...0>.
+
+        The fixed prefix is compiled, so a run multiplies each later block
+        into the state, held in that block's order, and gathers the product
+        by the block's link.
+        """
+        flat = self._start
+        for dim, bound, degrees, op, link in self._steps:
+            if bound:
+                op = np.dot(_weights(degrees, [t[k] for k in bound]), op).reshape(dim, dim)
+            flat = (op @ flat.reshape(dim, -1)).reshape(-1)[link]
+        return flat if self._steps else flat.copy()
 
     def run(self, t=()):
         """The state after the program at angles ``t``, from |0...0>."""
         if len(t) != self.n_angles:
             raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
-        table = self._table
+        table, noise = self._table, self.noise
         flat = self._run_blocks(t) if table is None else np.dot(_weights(self._state_degrees, t), table)
-        return Statevector(flat) if self.noise is None else DensityMatrix(flat, self.noise)
+        return Statevector(flat) if noise is None else DensityMatrix(flat, noise)
 
 
 _NOISELESS_PROGRAMS: dict = {}

@@ -1,17 +1,22 @@
-"""The lean evaluation path gives the same bits as the per-call numpy one.
+"""The lean paths give the same bits as the former per-call numpy ones.
 
 ``hybrid.assemble_2dm_energy`` reads integrals gathered once per
-objective, and ``mitigation.project_polytope`` runs on Python floats.
-Both keep every float operation and its order, so the copies below of
-the former numpy versions must agree with them under ``==`` (compared as
-bytes, so a -0.0 for a 0.0 fails too), and the energies one objective
-returns at seed 1 must equal those pinned from the former path.
+objective, ``mitigation.project_polytope`` runs on Python floats, and
+``qsim.Program``'s block path runs a compiled fixed prefix, binds fixed
+blocks once and moves the state between blocks by one gather.  Each keeps
+every float operation and its order, so the copies below of the former
+numpy versions must agree with them under ``==`` (compared as bytes, so a
+-0.0 for a 0.0 fails too), and the energies one objective returns at
+seed 1 must equal those pinned from the former path.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
-from geminal import chem, hybrid, mitigation
+from geminal import ansatz, chem, hybrid, mitigation, qsim, tomography
+from geminal.qsim import Circuit, NoiseModel
 
 
 def numpy_assemble_2dm_energy(n, xi, h, eri, enuc):
@@ -149,3 +154,79 @@ def test_objective_energies_are_pinned(system, bond):
     objective = hybrid.QuantumObjective(h, eri, ints.enuc, hybrid.HybridConfig(seed=1))
     angles = np.random.default_rng(14).uniform(-np.pi, np.pi, size=(50, ints.n_basis - 1))
     assert [objective(t) for t in angles] == PINNED[system, bond]
+
+
+def former_blocks(program, circuit):
+    """The former compile: per fused block its order in the state, its dimension and its table."""
+    n, per_gate = program.n_qubits, 1 if program.noise is None else 2
+    blocks = []
+    for qubits, gates in qsim._fusion_blocks(circuit.gates):
+        order = qsim._local_order(program._bit_count(n), program._bits(qubits, n))
+        bound = sorted(set(qsim._angle_indices(gates)))
+        degrees = [per_gate * qsim._angle_indices(gates).count(k) for k in bound]
+        operator = functools.partial(program._block_operator, qubits, gates, bound)
+        dim = 1 << program._bit_count(len(qubits))
+        blocks.append((order, dim, bound, degrees, qsim._tabulate(degrees, operator)))
+    return blocks
+
+
+def former_run_blocks(program, blocks, t):
+    """The former block path: every block bound per run, gathered, multiplied and scattered back."""
+    n, noise = program.n_qubits, program.noise
+    flat = qsim.Statevector.zero(n).amps if noise is None else qsim.DensityMatrix.zero(n, noise).flat
+    for order, dim, bound, degrees, table in blocks:
+        op = np.dot(qsim._weights(degrees, [t[k] for k in bound]), table).reshape(dim, dim)
+        flat[order] = (op @ flat[order].reshape(dim, -1)).reshape(-1)
+    return flat
+
+
+def measurement_cases():
+    """(r, noise label): noiseless at r = 2, 3, 4, ibm-14 with damping at r <= 3, uniform at r = 4."""
+    for r in (2, 3, 4):
+        yield r, None
+        yield r, "ibm-14-damping" if r <= 3 else "uniform-1e-3"
+
+
+def noise_model(label, n_qubits):
+    if label is None:
+        return None
+    if label == "uniform-1e-3":
+        return NoiseModel.uniform(n_qubits, 1e-3)
+    return NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), n_qubits, damping=True)
+
+
+def flat_state(state) -> np.ndarray:
+    return state.amps if isinstance(state, qsim.Statevector) else state.flat
+
+
+@pytest.mark.parametrize("r, label", list(measurement_cases()))
+def test_block_path_matches_the_former_gather_scatter(r, label):
+    # the Z, A and B programs: the ansatz alone or followed by rotation A or B
+    noise = noise_model(label, 2 * r)
+    circuits = (ansatz.ansatz_template(r), *(tomography._phase_circuit(r, y) for y in (False, True)))
+    programs = (ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise))
+    rng = np.random.default_rng(80 + r)
+    for program, circuit in zip(programs, circuits):
+        blocks = former_blocks(program, circuit)
+        for _ in range(3):
+            t = rng.uniform(-np.pi, np.pi, size=r - 1)
+            want = former_run_blocks(program, blocks, t).tobytes()
+            assert program._run_blocks(t).tobytes() == want
+            if not program.tabulated:
+                assert flat_state(program.run(t)).tobytes() == want
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("circuit", [Circuit(3), Circuit(3).h(0).cx(0, 1).s(1).cx(1, 2).h(2).x(0)])
+def test_fixed_program_runs_give_fresh_states(circuit, noisy):
+    # every block is fixed, so the whole state is the compiled prefix (the
+    # empty circuit has no block at all); a run must still hand out its own array
+    noise = NoiseModel.uniform(3, 0.02) if noisy else None
+    program = qsim.Program(circuit, noise)
+    former = former_run_blocks(program, former_blocks(program, circuit), []).tobytes()
+    for run in (program._run_blocks, lambda t: flat_state(program.run(t))):
+        first = run([])
+        want = first.tobytes()
+        first[:] = 7.0
+        assert run([]).tobytes() == want
+    assert program._run_blocks([]).tobytes() == former

@@ -488,6 +488,27 @@ class TestShotStreamConstruction:
         assert constructions["default_rng"] == len(steps)
         assert constructions["PCG64"] == len(steps)
 
+    def test_patched_make_rng_sees_one_jitter_key_per_quantum_step(self, monkeypatch):
+        keys, steps = [], []
+        make_rng, step = qsim.make_rng, hybrid.quantum_step
+
+        def recorded(*args):
+            keys.append(args)
+            return make_rng(*args)
+
+        def counted_step(objective, t0):
+            steps.append(objective)
+            return step(objective, t0)
+
+        monkeypatch.setattr(qsim, "make_rng", recorded)
+        monkeypatch.setattr(hybrid, "quantum_step", counted_step)
+        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+        config = HybridConfig(
+            shots=2048, noise=noise, seed=1, restarts=1, nm_max_iter=60, outer_max_iter=2
+        )
+        run_hybrid(chem.h2_molecule(1.4), config)
+        assert steps and keys == [(1, 404)] * len(steps)
+
     def test_noisy_vtable_builds_only_its_bootstrap_keys(self, constructions, monkeypatch):
         bootstraps = []
         bootstrap = mitigation.bootstrap_v_interval

@@ -11,8 +11,10 @@ explicit Kraus-sum oracle) to 1e-12; trajectory histograms pass a
 chi-square test against both, so the two engines check each other.
 """
 
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -870,15 +872,20 @@ def test_table_takes_any_number_of_gates_per_angle(noisy):
             program.run(wrong)
 
 
-@pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize(
+    "noisy, r", [(False, 2), (False, 3), (True, 2), (True, 3), ("uniform", 4)]
+)
 def test_measurement_programs_match_the_whole_circuits(noisy, r):
     # the Z, A and B programs: the ansatz alone or followed by rotation A or
-    # B, each prepared whole from |0...0>, tabulated except noisy r = 3
-    noise = (
-        NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 2 * r, damping=True)
-        if noisy else None
-    )
+    # B, each prepared whole from |0...0>, tabulated except noisy r >= 3;
+    # noisy is ibm-14 with damping, or a uniform model at r = 4, where
+    # ibm-14 has no chain of 8 qubits
+    if noisy == "uniform":
+        noise = NoiseModel.uniform(2 * r, 1e-3)
+    elif noisy:
+        noise = NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 2 * r, damping=True)
+    else:
+        noise = None
     programs = (ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise))
     rotations = (Circuit(2 * r), *tomography.phase_measurement_circuits(r))
     rng = np.random.default_rng(60 + r)
@@ -964,6 +971,39 @@ def test_programs_compile_once_per_size_and_noise_model():
     assert ansatz.compiled_ansatz(2, first) is ansatz.compiled_ansatz(2, first)
     assert ansatz.compiled_ansatz(2, first) is not ansatz.compiled_ansatz(2, second)
     assert ansatz.compiled_ansatz(2, first).noise is first
+
+
+def test_noisy_programs_are_freed_without_a_collection(tmp_path, monkeypatch):
+    # a noise model caches its programs and they refer to it weakly, so no
+    # reference cycle keeps them: with the collector off, the programs a
+    # noisy scan command and a dropped objective compiled are gone once
+    # their caller returns
+    compiled, seen = qsim.compiled, []
+
+    def recorded(*args, **kwargs):
+        program = compiled(*args, **kwargs)
+        if not any(ref() is program for ref in seen):
+            seen.append(weakref.ref(program))
+        return program
+
+    def evaluate_and_drop_an_objective():
+        ints, rhf, _ = chem.scf_reference(chem.h2_molecule(1.4))
+        h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
+        noise = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+        objective = hybrid.QuantumObjective(h, eri, ints.enuc, hybrid.HybridConfig(noise=noise))
+        objective(np.array([0.3]))  # r = 2 measures its phases: Z, A and B
+        assert all(ref() is not None for ref in seen[-3:])
+
+    monkeypatch.setattr(qsim, "compiled", recorded)
+    argv = ["scan", "--system", "h3plus", "--at", "1.65", "--noise", "ibm-14", "--out", str(tmp_path)]
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        evaluate_and_drop_an_objective()
+        assert len(seen) == 4  # the scan's Z program; the objective's Z, A and B
+        assert [ref() for ref in seen] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_production_paths_prepare_through_compiled_programs(monkeypatch):
