@@ -220,23 +220,55 @@ def cmd_curve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scan
+# scan (the grid helpers serve vtable too)
 # ---------------------------------------------------------------------------
+
+def scan_system(args, orbital_counts: tuple[int, ...], message: str):
+    """(system label, orbital count r, noise model); exits with ``message`` for another r."""
+    builder, label = resolve_molecule_builder(args)
+    r = chem.compute_integrals(builder(args.at)).n_basis
+    if r not in orbital_counts:
+        raise SystemExit(message)
+    return label, r, load_noise(args.noise, 2 * r, args.damping)
+
 
 def measure_scan_point(program, t, shots, rng):
     """One preparation of the compiled ansatz at angles t, measured in the Z basis."""
     return tomography.measure(program.run(t), shots, rng)
 
 
-def filter_scan_point(record, symmetries, index: int, t) -> tuple[qsim.ShotHistogram, float]:
-    """Symmetry-filtered scan record; exits with a message if no shot survives."""
-    try:
-        return tomography.filter_symmetries(record, symmetries)
-    except mitigation.AllShotsRejectedError as exc:
-        angles = ", ".join(f"{v:.4f}" for v in np.atleast_1d(t))
-        raise SystemExit(
-            f"scan point {index} (t = {angles}), filter {'+'.join(symmetries)}: {exc}"
-        ) from exc
+def measure_scan_grid(r, shots, seed, noise):
+    """Standard grid points and one ``measure_scan_point`` record each; point i draws stream i."""
+    points = [np.array(t) for t in itertools.product(mitigation.scan_angles(), repeat=r - 1)]
+    program = ansatz.compiled_ansatz(r, noise)
+    streams = qsim.ShotStreams(seed)
+    records = [
+        measure_scan_point(program, t, shots, None if shots is None else streams.generator(i))
+        for i, t in enumerate(points)
+    ]
+    return points, records
+
+
+def filter_scan(points, records, symmetries):
+    """Symmetry-filtered records and retained fractions; exits at a point that keeps no shot."""
+    filtered, retained = [], []
+    for i, (t, record) in enumerate(zip(points, records)):
+        try:
+            kept, fraction = mitigation.symmetry_verify(record, symmetries)
+        except mitigation.AllShotsRejectedError as exc:
+            angles = ", ".join(f"{v:.4f}" for v in t)
+            raise SystemExit(
+                f"scan point {i} (t = {angles}), filter {'+'.join(symmetries)}: {exc}"
+            ) from exc
+        filtered.append(kept)
+        retained.append(fraction)
+    return filtered, retained
+
+
+def half_sets(records, r):
+    """The (alpha, beta) occupations of each record."""
+    estimates = [tomography.occupations_from_counts(record, r) for record in records]
+    return [(est.n_alpha, est.n_beta) for est in estimates]
 
 
 def effective_shots(shots: int | None, retained_fraction: float) -> int | None:
@@ -244,44 +276,34 @@ def effective_shots(shots: int | None, retained_fraction: float) -> int | None:
     return None if shots is None else max(int(shots * retained_fraction), 1)
 
 
+def v_intervals(rows, shots, seed):
+    """(V, ci95 low, ci95 high) of each half set, from (alpha, beta) rows on the r = 2 grid."""
+    grid, intervals = mitigation.scan_angles(), []
+    for half in (0, 1):
+        n1, n2 = (np.array([row[half][p] for row in rows]) for p in (0, 1))
+        intervals.append(mitigation.bootstrap_v_interval(grid, n1, n2, shots, seed=seed))
+    return intervals
+
+
 def cmd_scan(args) -> int:
     shots = requested_shots(args)
-    builder, label = resolve_molecule_builder(args)
-    molecule = builder(args.at)
-    ints = chem.compute_integrals(molecule)
-    r = ints.n_basis
-    if r < 2 or r > 3:
-        raise SystemExit("occupation scans support systems with 2 or 3 orbitals")
-    noise = load_noise(args.noise, 2 * r, args.damping)
+    message = "occupation scans support systems with 2 or 3 orbitals"
+    label, r, noise = scan_system(args, (2, 3), message)
     symmetries, project = parse_mitigate(args.mitigate)
+    points, records = measure_scan_grid(r, shots, args.seed, noise)
+    filtered, retained = filter_scan(points, records, symmetries)
 
-    grid = mitigation.scan_angles()
-    points = list(itertools.product(grid, repeat=r - 1))
-    program = ansatz.compiled_ansatz(r, noise)
-
-    stages = {"raw": [], "verified": [], "projected": []}
-    retained = []
-    streams = qsim.ShotStreams(args.seed)  # point i draws stream i
-    for i, t in enumerate(points):
-        rng = None if shots is None else streams.generator(i)
-        record = measure_scan_point(program, np.array(t), shots, rng)
-        filtered, frac = filter_scan_point(record, symmetries, i, t)
-        retained.append(frac)
-
-        raw_est = tomography.occupations_from_counts(record, r)
-        verified_est = tomography.occupations_from_counts(filtered, r)
-        raw = (raw_est.n_alpha, raw_est.n_beta)
-        verified = (verified_est.n_alpha, verified_est.n_beta)
-        if args.contract is not None:
-            raw = tuple(0.5 + args.contract * (h - 0.5) for h in raw)
-            verified = tuple(0.5 + args.contract * (h - 0.5) for h in verified)
-        projected = tuple(
-            mitigation.project_polytope(h).occupations if project else h
-            for h in verified
+    raw, verified = half_sets(records, r), half_sets(filtered, r)
+    if args.contract is not None:
+        raw, verified = (
+            [tuple(0.5 + args.contract * (h - 0.5) for h in row) for row in rows]
+            for rows in (raw, verified)
         )
-        stages["raw"].append(raw)
-        stages["verified"].append(verified)
-        stages["projected"].append(projected)
+    projected = [
+        tuple(mitigation.project_polytope(h).occupations if project else h for h in row)
+        for row in verified
+    ]
+    stages = {"raw": raw, "verified": verified, "projected": projected}
 
     out = output_dir(args)
     angle_names = "  ".join(f"t{k:<10}" for k in range(r - 1))
@@ -301,26 +323,19 @@ def cmd_scan(args) -> int:
     summary = header_lines(args, {"system": label}, unused)
     summary.append(f"# mean retained fraction: {np.mean(retained):.6f}")
 
+    final_stage = "projected" if project else "verified"
     if r == 2:
-        for half, idx in (("half_set_1", 0), ("half_set_2", 1)):
-            for stage in ("raw", "projected" if project else "verified"):
-                curve1 = np.array([rows[idx][0] for rows in stages[stage]])
-                curve2 = np.array([rows[idx][1] for rows in stages[stage]])
-                v, lo, hi = mitigation.bootstrap_v_interval(
-                    grid, curve1, curve2, effective_shots(shots, np.mean(retained)),
-                    seed=args.seed,
-                )
-                summary.append(
-                    f"{half} {stage}: V = {v:.4f}  ci95 = [{lo:.4f}, {hi:.4f}]"
-                )
+        # raw occupations come from every shot, filtered ones from the shots kept
+        raw_v = v_intervals(raw, shots, args.seed)
+        kept = effective_shots(shots, np.mean(retained))
+        final_v = v_intervals(stages[final_stage], kept, args.seed)
+        for idx, half in enumerate(("half_set_1", "half_set_2")):
+            for stage, (v, lo, hi) in (("raw", raw_v[idx]), (final_stage, final_v[idx])):
+                summary.append(f"{half} {stage}: V = {v:.4f}  ci95 = [{lo:.4f}, {hi:.4f}]")
     else:
         ideal_pts = np.array(
-            [
-                np.sort(ansatz.givens_chain_amplitudes(np.array(t), r) ** 2)[::-1][:2]
-                for t in points
-            ]
+            [np.sort(ansatz.givens_chain_amplitudes(t, r) ** 2)[::-1][:2] for t in points]
         )
-        final_stage = "projected" if project else "verified"
         for half, idx in (("half_set_1", 0), ("half_set_2", 1)):
             measured = np.array(
                 [np.sort(rows[idx])[::-1][:2] for rows in stages[final_stage]]
@@ -346,50 +361,20 @@ VTABLE_SETTINGS = [
 
 def vtable_rows(r, shots, seed, noise):
     """V per symmetry setting and half-set on the standard r=2 scan."""
-    grid = mitigation.scan_angles()
-    program = ansatz.compiled_ansatz(r, noise)
-    streams = qsim.ShotStreams(seed)  # point i draws stream i
-    records = []
-    for i, t in enumerate(grid):
-        rng = None if shots is None else streams.generator(i)
-        records.append(measure_scan_point(program, np.array([t]), shots, rng))
-
+    points, records = measure_scan_grid(r, shots, seed, noise)
     rows = []
     for name, symmetries in VTABLE_SETTINGS:
-        halves = {0: ([], []), 1: ([], [])}
-        fracs = []
-        for i, (t, record) in enumerate(zip(grid, records)):
-            filtered, frac = filter_scan_point(record, symmetries, i, t)
-            fracs.append(frac)
-            est = tomography.occupations_from_counts(filtered, r)
-            for idx, occ in ((0, est.n_alpha), (1, est.n_beta)):
-                halves[idx][0].append(occ[0])
-                halves[idx][1].append(occ[1])
-        mean_frac = float(np.mean(fracs))
-        row = {"setting": name, "retained": mean_frac}
-        for idx in (0, 1):
-            v, lo, hi = mitigation.bootstrap_v_interval(
-                grid,
-                np.array(halves[idx][0]),
-                np.array(halves[idx][1]),
-                effective_shots(shots, mean_frac),
-                seed=seed,
-            )
-            row[f"v{idx + 1}"] = (v, lo, hi)
-        rows.append(row)
+        filtered, retained = filter_scan(points, records, symmetries)
+        mean_frac = float(np.mean(retained))
+        v1, v2 = v_intervals(half_sets(filtered, r), effective_shots(shots, mean_frac), seed)
+        rows.append({"setting": name, "retained": mean_frac, "v1": v1, "v2": v2})
     return rows
 
 
 def cmd_vtable(args) -> int:
     shots = requested_shots(args)
-    builder, label = resolve_molecule_builder(args)
-    molecule = builder(args.at)
-    ints = chem.compute_integrals(molecule)
-    if ints.n_basis != 2:
-        raise SystemExit("the V table is defined for two-orbital systems")
-    noise = load_noise(args.noise, 4, args.damping)
-
-    rows = vtable_rows(2, shots, args.seed, noise)
+    label, r, noise = scan_system(args, (2,), "the V table is defined for two-orbital systems")
+    rows = vtable_rows(r, shots, args.seed, noise)
     lines = header_lines(args, {"system": label}, ("shots", "seed") if args.exact else ())
     lines.append("# symmetries  V_half1  ci95_lo  ci95_hi  V_half2  ci95_lo  ci95_hi  retained")
     for row in rows:

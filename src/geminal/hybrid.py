@@ -164,6 +164,10 @@ class QuantumObjective:
         self.r = h.shape[0]
         self.phase_mode = config.resolve_phase_mode(self.r)
         self.program = ansatz.compiled_ansatz(self.r, config.noise)
+        measured = self.phase_mode == "measured"
+        self.phase_programs = (
+            tomography.phase_measurement_programs(self.r, config.noise) if measured else None
+        )
         self.counter = tomography.PreparationCounter()
         self.sampler = tomography.ShotSampler(
             self.program, config.shots, config.seed, self.counter
@@ -178,7 +182,7 @@ class QuantumObjective:
         occ = tomography.measure_occupations(self.sampler, self.r, self.config.symmetries)
         n = 0.5 * (occ.n_alpha + occ.n_beta)
         if self.phase_mode == "measured":
-            est = tomography.estimate_phases(self.sampler, self.r)
+            est = tomography.estimate_phases(self.sampler, self.phase_programs)
             return n, est.values, est.stderr**2, occ.retained_fraction
         return n, None, None, occ.retained_fraction
 
@@ -352,7 +356,8 @@ def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> Q
     config, r = objective.config, objective.r
     if t0 is None:
         t0 = np.zeros(r - 1)
-    jitter = qsim.make_rng(404) if config.shots is None else qsim.make_rng(config.seed, 404)
+    keys = (qsim.JITTER_KEY,) if config.shots is None else (config.seed, qsim.JITTER_KEY)
+    jitter = qsim.make_rng(*keys)
     best = None
     converged = False
     for run in range(config.restarts):
@@ -584,5 +589,5 @@ def dissociation_curve(builder, values, config: HybridConfig, mapper=map) -> lis
     if not values:
         raise ValueError("scan needs at least one value")
     molecules = [builder(value) for value in values]
-    configs = [replace(config, seed=config.seed + 104729 * i) for i in range(len(values))]
+    configs = [replace(config, seed=qsim.point_seed(config.seed, i)) for i in range(len(values))]
     return list(mapper(_run_point, molecules, configs, values))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geminal import _kernels
+from geminal import _kernels, qsim
 from geminal.qsim import ShotHistogram
 
 
@@ -37,17 +37,21 @@ class AllShotsRejectedError(ValueError):
 
 
 def symmetry_verify(
-    hist: ShotHistogram, check_n: bool = True, check_sz: bool = True
+    hist: ShotHistogram, symmetries: tuple[str, ...]
 ) -> tuple[ShotHistogram, float]:
-    """Drop shots violating particle-number or spin symmetry.
+    """Drop shots violating the listed symmetries, 'N' and 'Sz'.
 
     N keeps outcomes with exactly two set bits (the electron pair); Sz
     keeps outcomes with equal alpha (even qubit) and beta (odd qubit)
     counts.  Returns the filtered record and the retained fraction of
-    its weight; raises AllShotsRejectedError when none is kept.  An
-    exact record (``shots=None``) is renormalised to total weight 1.
+    its weight, ``(hist, 1.0)`` for no symmetry; raises
+    AllShotsRejectedError when none is kept.  Sampled and exact records
+    are filtered alike; an exact record (``shots=None``) is renormalised
+    to total weight 1.
     """
-    kept = np.where(_allowed_outcomes(hist.n_qubits, check_n, check_sz), hist.counts, 0)
+    if not symmetries:
+        return hist, 1.0
+    kept = np.where(_allowed_outcomes(hist.n_qubits, tuple(symmetries)), hist.counts, 0)
     weight = kept.sum()
     if weight <= 0:
         raise AllShotsRejectedError("symmetry filters rejected every shot")
@@ -58,14 +62,17 @@ def symmetry_verify(
 
 
 @functools.lru_cache(maxsize=16)
-def _allowed_outcomes(n_qubits: int, check_n: bool, check_sz: bool) -> np.ndarray:
-    """Read-only mask of the outcomes the N and Sz filters keep."""
+def _allowed_outcomes(n_qubits: int, symmetries: tuple[str, ...]) -> np.ndarray:
+    """Read-only mask of the outcomes the N and Sz filters in ``symmetries`` keep."""
+    unknown = set(symmetries) - {"N", "Sz"}
+    if unknown:
+        raise ValueError(f"unknown symmetries {sorted(unknown)}; expected 'N' or 'Sz'")
     bits = _kernels.outcome_bits(n_qubits)
     n_alpha, n_beta = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
     keep = np.ones(bits.shape[0], dtype=bool)
-    if check_n:
+    if "N" in symmetries:
         keep &= n_alpha + n_beta == 2
-    if check_sz:
+    if "Sz" in symmetries:
         keep &= n_alpha == n_beta
     keep.flags.writeable = False  # shared by every cached call
     return keep
@@ -252,7 +259,7 @@ def bootstrap_v_interval(
     v = v_metric(angles, n1, n2)
     if shots is None:
         return v, v, v
-    rng = np.random.default_rng([int(seed), 303])
+    rng = qsim.make_rng(seed, qsim.BOOTSTRAP_KEY)
     draws1 = rng.binomial(shots, n1, size=(n_resamples, n1.size)) / shots
     draws2 = rng.binomial(shots, n2, size=(n_resamples, n2.size)) / shots
     vals = np.trapezoid(np.abs(draws2 - draws1), np.asarray(angles), axis=1)

@@ -65,11 +65,9 @@ their damping rates from ``_relaxation``.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -488,7 +486,17 @@ def make_rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng([int(k) for k in keys])
 
 
+# every generator key of the package, in one place
 SHOT_KEY = 202  # the middle key of every shot stream: make_rng(seed, SHOT_KEY, stream)
+BOOTSTRAP_KEY = 303  # the V-interval resampling: make_rng(seed, BOOTSTRAP_KEY)
+JITTER_KEY = 404  # restart jitter: make_rng(seed, JITTER_KEY) sampled, make_rng(JITTER_KEY) exact
+POINT_SEED_STRIDE = 104729  # the prime between the seeds of neighbouring curve points
+
+
+def point_seed(seed: int, index: int) -> int:
+    """The seed of point ``index`` of a curve whose base seed is ``seed``."""
+    return seed + POINT_SEED_STRIDE * index
+
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # the multiplier of PCG64's 128-bit LCG
@@ -757,10 +765,11 @@ class NoiseModel:
     ``_channels``: one superoperator per parameter-free gate, one noise
     channel per qubit set of a rotation, and the programs ``compiled``
     for this model, so the cache is bounded by the qubit count and the
-    circuits compiled, and never holds an angle.  Those programs refer
-    to the model weakly, so the model and its cache are freed with the
-    last reference to the model, with no cycle to collect.  The rates
-    are read when a channel is first built; change them on a new model.
+    circuits compiled, and never holds an angle.  Those programs keep
+    only the readout rates, not the model, so the model and its cache
+    are freed with the last reference to the model, with no cycle to
+    collect.  The rates are read when a channel or a program is first
+    built; change them on a new model.
     A pickled or copied model carries the rates without the cache.
     """
 
@@ -881,18 +890,19 @@ def _gate_channel(noise: NoiseModel, gate: Gate) -> np.ndarray:
 
 
 class DensityMatrix:
-    """Noisy n-qubit state rho, with the noise model that prepared it.
+    """Noisy n-qubit state rho, with the readout error rates of its measurement.
 
     ``flat`` holds rho row-major, so ``flat.reshape(2**n, 2**n)`` is rho
-    in the little-endian basis.
+    in the little-endian basis; ``readout`` is the noise model's
+    ``readout_vector``.
     """
 
-    def __init__(self, flat: np.ndarray, noise: NoiseModel):
+    def __init__(self, flat: np.ndarray, readout: np.ndarray):
         self.flat = flat
-        self.noise = noise
+        self.readout = readout
 
     @classmethod
-    def zero(cls, n_qubits: int, noise: NoiseModel) -> "DensityMatrix":
+    def zero(cls, n_qubits: int, readout: np.ndarray) -> "DensityMatrix":
         if not 1 <= n_qubits <= MAX_DENSITY_QUBITS:
             raise ValueError(
                 f"the density-matrix engine covers 1 to {MAX_DENSITY_QUBITS} qubits, "
@@ -900,7 +910,7 @@ class DensityMatrix:
             )
         flat = np.zeros(1 << (2 * n_qubits), dtype=complex)
         flat[0] = 1.0
-        return cls(flat, noise)
+        return cls(flat, readout)
 
     @property
     def n_qubits(self) -> int:
@@ -909,7 +919,7 @@ class DensityMatrix:
     def probabilities(self) -> np.ndarray:
         """Z-basis outcome distribution: diag(rho) through each qubit's readout flips."""
         probs = self.flat[:: (1 << self.n_qubits) + 1].real.copy()  # diag(rho)
-        for q, ro in enumerate(self.noise.readout_vector(self.n_qubits)):
+        for q, ro in enumerate(self.readout):
             if ro > 0.0:
                 view = probs.reshape(-1, 2, 1 << q)
                 probs = ((1.0 - ro) * view + ro * view[:, ::-1, :]).reshape(-1)
@@ -925,15 +935,16 @@ def run_density(
     column bits; the given state is not modified.
     """
     n = circuit.n_qubits
+    readout = noise.readout_vector(n)
     if state is None:
-        state = DensityMatrix.zero(n, noise)
+        state = DensityMatrix.zero(n, readout)
     elif state.n_qubits != n:
         raise ValueError("state and circuit qubit counts differ")
     flat = state.flat.copy()
     for gate in circuit.gates:
         bits = _rho_bits(gate.qubits, n)
         _apply_local(flat, _gate_channel(noise, gate), _local_order(2 * n, bits))
-    return DensityMatrix(flat, noise)
+    return DensityMatrix(flat, readout)
 
 
 def _rho_bits(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -1038,6 +1049,10 @@ class Program:
     a larger program runs the block path.  No run builds a ``Gate`` or a
     channel, and every run starts from |0...0> and returns a new array.
 
+    The noise model is read only while compiling: a program keeps what
+    a run reads, the model's ``readout_vector``, which every
+    ``DensityMatrix`` it returns carries.
+
     ``run`` gives the state of ``run_circuit`` or ``run_density`` on the
     bound circuit; fusion and the tables reorder the arithmetic, so
     amplitudes agree to rounding, not bit for bit.
@@ -1045,22 +1060,20 @@ class Program:
 
     def __init__(self, circuit: Circuit, noise: NoiseModel | None = None):
         n = self.n_qubits = circuit.n_qubits
-        # the model's cache holds this program (``compiled``), so the program
-        # refers to the model weakly, which leaves no cycle; a copy of the
-        # rates, without the cache, serves a program that outlives its model
-        self._model = None if noise is None else weakref.ref(noise)
-        self._rates = copy.copy(noise)
+        # the model is read only here; a run reads only its readout rates
+        self._readout = None if noise is None else noise.readout_vector(n)
         angles = _angle_indices(circuit.gates)
         self.n_angles = max(angles) + 1 if angles else 0
         # a rotation is linear in (cos u, sin u), and its channel quadratic
         per_gate = 1 if noise is None else 2
-        flat = Statevector.zero(n).amps if noise is None else DensityMatrix.zero(n, noise).flat
+        readout = self._readout
+        flat = Statevector.zero(n).amps if readout is None else DensityMatrix.zero(n, readout).flat
         blocks = []  # (order in the state, local dimension, angles bound, degrees, operator or table)
         for qubits, gates in _fusion_blocks(circuit.gates):
             order = _local_order(self._bit_count(n), self._bits(qubits, n))
             bound = sorted(set(_angle_indices(gates)))
             degrees = [per_gate * _angle_indices(gates).count(k) for k in bound]
-            operator = functools.partial(self._block_operator, qubits, gates, bound)
+            operator = functools.partial(self._block_operator, noise, qubits, gates, bound)
             dim = 1 << self._bit_count(len(qubits))
             table = _tabulate(degrees, operator)
             if not bound:  # a fixed block's operator is bound once, here
@@ -1085,22 +1098,16 @@ class Program:
         fits = rows * (1 << self._bit_count(n)) * 16 <= TABLE_MAX_BYTES  # complex128 entries
         self._table = _tabulate(self._state_degrees, self._run_blocks) if fits else None
 
-    @property
-    def noise(self) -> NoiseModel | None:
-        """The model compiled for while it lives, then a copy of its rates; None without noise."""
-        model = None if self._model is None else self._model()
-        return self._rates if model is None else model
-
     def _bit_count(self, n: int) -> int:
         """Flat-state bits of an n-qubit register of this engine."""
-        return n if self.noise is None else 2 * n
+        return n if self._readout is None else 2 * n
 
     def _bits(self, qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
         """Flat-state bits of ``qubits`` on an n-qubit register of this engine."""
-        return qubits if self.noise is None else _rho_bits(qubits, n)
+        return qubits if self._readout is None else _rho_bits(qubits, n)
 
-    def _block_operator(self, qubits, gates, bound, u) -> np.ndarray:
-        """The local operator of the block's ``gates`` with angle ``bound[j]`` at ``u[j]``.
+    def _block_operator(self, noise, qubits, gates, bound, u) -> np.ndarray:
+        """The block's local operator under ``noise``, with angle ``bound[j]`` at ``u[j]``.
 
         Each gate applies in turn to the rows of the identity: a row-major
         operator holds its row index in the high bits of its flat array,
@@ -1114,7 +1121,7 @@ class Program:
                 gate = Gate(gate.name, gate.qubits, float(values[gate.param.index]))
             local = self._bits(tuple(qubits.index(q) for q in gate.qubits), len(qubits))
             order = _local_order(2 * width, tuple(b + width for b in local))
-            matrix = gate.matrix() if self.noise is None else _gate_channel(self.noise, gate)
+            matrix = gate.matrix() if noise is None else _gate_channel(noise, gate)
             _apply_local(op.reshape(-1), matrix, order)
         return op
 
@@ -1141,9 +1148,9 @@ class Program:
         """The state after the program at angles ``t``, from |0...0>."""
         if len(t) != self.n_angles:
             raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
-        table, noise = self._table, self.noise
+        table, readout = self._table, self._readout
         flat = self._run_blocks(t) if table is None else np.dot(_weights(self._state_degrees, t), table)
-        return Statevector(flat) if noise is None else DensityMatrix(flat, noise)
+        return Statevector(flat) if readout is None else DensityMatrix(flat, readout)
 
 
 _NOISELESS_PROGRAMS: dict = {}

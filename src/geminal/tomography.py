@@ -109,27 +109,11 @@ def occupations_from_counts(
     return OccupationEstimate(occ[0 : 2 * r : 2], occ[1 : 2 * r : 2], retained_fraction)
 
 
-def filter_symmetries(
-    record: ShotHistogram, symmetries: tuple[str, ...]
-) -> tuple[ShotHistogram, float]:
-    """Symmetry-filtered record and its retained shot fraction.
-
-    ``symmetries`` may contain 'N' (two-electron count) and 'Sz' (equal
-    alpha and beta counts).  Sampled and exact records are filtered
-    alike; an exact record keeps the weight of the allowed outcomes.
-    """
-    if not symmetries:
-        return record, 1.0
-    return mitigation.symmetry_verify(
-        record, check_n="N" in symmetries, check_sz="Sz" in symmetries
-    )
-
-
 def measure_occupations(
     sampler, r: int, symmetries: tuple[str, ...] = ()
 ) -> OccupationEstimate:
     """One Z-basis preparation, symmetry-filtered before any occupation is formed."""
-    record, retained = filter_symmetries(sampler.run(None), symmetries)
+    record, retained = mitigation.symmetry_verify(sampler.run(None), symmetries)
     return occupations_from_counts(record, r, retained)
 
 
@@ -181,11 +165,16 @@ def window_mask(k: int) -> int:
     return 0b1111 << (2 * k)
 
 
-def estimate_phases(sampler, r: int) -> PhaseEstimate:
-    """Two rotated-basis preparations giving all r-1 window signs."""
-    program_a, program_b = phase_measurement_programs(r, sampler.program.noise)
+def estimate_phases(sampler, programs: tuple[Program, Program]) -> PhaseEstimate:
+    """Two rotated-basis preparations giving all r-1 window signs.
+
+    ``programs`` are the pair ``phase_measurement_programs`` compiles for
+    the sampler's r and noise model.
+    """
+    program_a, program_b = programs
     rec_a = sampler.run(program_a)
     rec_b = sampler.run(program_b)
+    r = program_a.n_qubits // 2
     vals = np.empty(r - 1)
     errs = np.empty(r - 1)
     for k in range(r - 1):

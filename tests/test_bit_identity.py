@@ -156,15 +156,15 @@ def test_objective_energies_are_pinned(system, bond):
     assert [objective(t) for t in angles] == PINNED[system, bond]
 
 
-def former_blocks(program, circuit):
+def former_blocks(program, circuit, noise):
     """The former compile: per fused block its order in the state, its dimension and its table."""
-    n, per_gate = program.n_qubits, 1 if program.noise is None else 2
+    n, per_gate = program.n_qubits, 1 if noise is None else 2
     blocks = []
     for qubits, gates in qsim._fusion_blocks(circuit.gates):
         order = qsim._local_order(program._bit_count(n), program._bits(qubits, n))
         bound = sorted(set(qsim._angle_indices(gates)))
         degrees = [per_gate * qsim._angle_indices(gates).count(k) for k in bound]
-        operator = functools.partial(program._block_operator, qubits, gates, bound)
+        operator = functools.partial(program._block_operator, noise, qubits, gates, bound)
         dim = 1 << program._bit_count(len(qubits))
         blocks.append((order, dim, bound, degrees, qsim._tabulate(degrees, operator)))
     return blocks
@@ -172,8 +172,8 @@ def former_blocks(program, circuit):
 
 def former_run_blocks(program, blocks, t):
     """The former block path: every block bound per run, gathered, multiplied and scattered back."""
-    n, noise = program.n_qubits, program.noise
-    flat = qsim.Statevector.zero(n).amps if noise is None else qsim.DensityMatrix.zero(n, noise).flat
+    flat = np.zeros(1 << program._bit_count(program.n_qubits), dtype=complex)
+    flat[0] = 1.0  # |0...0>, or |0...0><0...0| on the density-matrix engine
     for order, dim, bound, degrees, table in blocks:
         op = np.dot(qsim._weights(degrees, [t[k] for k in bound]), table).reshape(dim, dim)
         flat[order] = (op @ flat[order].reshape(dim, -1)).reshape(-1)
@@ -207,7 +207,7 @@ def test_block_path_matches_the_former_gather_scatter(r, label):
     programs = (ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise))
     rng = np.random.default_rng(80 + r)
     for program, circuit in zip(programs, circuits):
-        blocks = former_blocks(program, circuit)
+        blocks = former_blocks(program, circuit, noise)
         for _ in range(3):
             t = rng.uniform(-np.pi, np.pi, size=r - 1)
             want = former_run_blocks(program, blocks, t).tobytes()
@@ -223,7 +223,7 @@ def test_fixed_program_runs_give_fresh_states(circuit, noisy):
     # empty circuit has no block at all); a run must still hand out its own array
     noise = NoiseModel.uniform(3, 0.02) if noisy else None
     program = qsim.Program(circuit, noise)
-    former = former_run_blocks(program, former_blocks(program, circuit), []).tobytes()
+    former = former_run_blocks(program, former_blocks(program, circuit, noise), []).tobytes()
     for run in (program._run_blocks, lambda t: flat_state(program.run(t))):
         first = run([])
         want = first.tobytes()

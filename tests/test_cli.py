@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from geminal import chem, cli, hybrid, qsim
+from geminal import chem, cli, hybrid, mitigation, qsim
 
 
 def run_cli(argv):
@@ -488,6 +488,53 @@ def test_scan_intervals_contain_their_v(tmp_path):
     assert len(intervals) == 4
     for v, lo, hi in intervals:
         assert float(lo) <= float(v) <= float(hi)
+
+
+def test_scan_raw_intervals_resample_every_shot(tmp_path):
+    # the raw occupations come from all 2048 shots of a point and the filtered
+    # ones from the shots the filter kept, so each stage's V interval resamples those
+    argv = ["scan", "--system", "h2", "--noise", "ibm-5", "--seed", "2", "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    summary = (tmp_path / "scan_summary.txt").read_text()
+    retained = float(re.search(r"mean retained fraction: (\S+)", summary).group(1))
+    assert retained < 0.5  # the two shot counts differ by more than a factor of two
+    printed = {
+        (half, stage): (float(lo), float(hi))
+        for half, stage, lo, hi in re.findall(
+            r"(half_set_\d) (\w+): V = \S+  ci95 = \[(\S+), (\S+)\]", summary
+        )
+    }
+    rows = data_rows(tmp_path)
+    for stage, shots in (("raw", 2048), ("projected", int(2048 * retained))):
+        table = np.array([row.split() for row in rows[f"scan_{stage}.txt"]], dtype=float)
+        for h, half in enumerate(("half_set_1", "half_set_2")):
+            n1, n2 = table[:, 1 + 2 * h], table[:, 2 + 2 * h]
+            _, lo, hi = mitigation.bootstrap_v_interval(table[:, 0], n1, n2, shots, seed=2)
+            # the tables round the occupations to 6 decimals
+            assert printed[half, stage] == pytest.approx((lo, hi), abs=1e-3), (half, stage)
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (["scan", "--system", "h3plus", "--at", "1.65", "--noise", "ibm-14"], 121),
+        (["vtable", "--noise", "ibm-14", "--damping"], 11),
+    ],
+    ids=["scan-h3plus-ibm-14", "vtable-ibm-14-damping"],
+)
+def test_scan_grid_prepares_each_point_once(tmp_path, monkeypatch, argv, points):
+    # perfbench's scan-noisy workload times each preparation at
+    # cli.measure_scan_point and counts each call as one preparation
+    calls = []
+    measure = cli.measure_scan_point
+
+    def counted(*args):
+        calls.append(args[1])
+        return measure(*args)
+
+    monkeypatch.setattr(cli, "measure_scan_point", counted)
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == points
 
 
 def test_scan_rejects_unsupported_size(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,6 +447,14 @@ class TestDissociationCurve:
         curve = dissociation_curve(chem.h2_molecule, [1.0, 1.4], config, mapper=recording_map)
         assert seen == [(3, 1.0), (3 + 104729, 1.4)]
         assert [p.parameter for p in curve] == [1.0, 1.4]
+
+    def test_benchmark_reproduces_the_point_seeds(self, monkeypatch):
+        # perfbench runs each curve point alone with the seed the whole curve gives it
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        assert workloads.POINT_SEED_STRIDE == qsim.POINT_SEED_STRIDE
+        assert qsim.point_seed(3, 1) == 3 + workloads.POINT_SEED_STRIDE
 
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -93,17 +93,26 @@ class TestSymmetryVerify:
         # 0b0011 keeps both filters, 0b0001 fails N, 0b0101 (two alphas)
         # passes N but fails Sz
         hist = histogram(4, 1024, {0b0011: 700, 0b0001: 200, 0b0101: 124})
-        filt_n, frac_n = symmetry_verify(hist, check_n=True, check_sz=False)
+        filt_n, frac_n = symmetry_verify(hist, ("N",))
         assert filt_n == histogram(4, 824, {0b0011: 700, 0b0101: 124})
         assert frac_n == pytest.approx(824 / 1024)
-        filt_both, frac_both = symmetry_verify(hist)
+        filt_both, frac_both = symmetry_verify(hist, ("N", "Sz"))
         assert filt_both == histogram(4, 700, {0b0011: 700})
         assert frac_both == pytest.approx(700 / 1024)
         assert filt_both.shots == 700
 
+    def test_no_symmetry_keeps_the_record(self):
+        hist = histogram(4, 30, {0b0001: 10, 0b0011: 20})
+        assert symmetry_verify(hist, ()) == (hist, 1.0)
+
+    def test_unknown_symmetry_raises(self):
+        hist = histogram(4, 30, {0b0011: 30})
+        with pytest.raises(ValueError, match="unknown symmetries"):
+            symmetry_verify(hist, ("N", "n"))
+
     def test_sz_only_keeps_balanced_outcomes(self):
         hist = histogram(4, 30, {0b0000: 10, 0b1111: 10, 0b0101: 10})
-        filt, frac = symmetry_verify(hist, check_n=False, check_sz=True)
+        filt, frac = symmetry_verify(hist, ("Sz",))
         assert set(np.flatnonzero(filt.counts)) == {0b0000, 0b1111}
         assert frac == pytest.approx(2 / 3)
 
@@ -111,7 +120,7 @@ class TestSymmetryVerify:
         rng = np.random.default_rng(0)
         counts = {int(k): 1 for k in rng.integers(0, 2**6, size=200)}
         hist = histogram(6, len(counts), counts)
-        filt, _ = symmetry_verify(hist)
+        filt, _ = symmetry_verify(hist, ("N", "Sz"))
         for key in np.flatnonzero(filt.counts):
             alpha = bin(key & 0b010101).count("1")
             beta = bin(key & 0b101010).count("1")
@@ -125,29 +134,29 @@ class TestSymmetryVerify:
                 keys = rng.integers(0, 1 << n, size=rng.integers(1, 16))
                 counts = {int(k): int(rng.integers(1, 5000)) for k in keys}
                 shots = sum(counts.values())
-                for check_n, check_sz in ((True, True), (True, False), (False, True)):
+                for symmetries in (("N", "Sz"), ("N",), ("Sz",)):
                     kept, retained, frac = reference_symmetry_verify(
-                        counts, shots, check_n, check_sz
+                        counts, shots, "N" in symmetries, "Sz" in symmetries
                     )
                     hist = histogram(n, shots, counts)
                     if retained == 0:
                         with pytest.raises(ValueError, match="rejected"):
-                            symmetry_verify(hist, check_n, check_sz)
+                            symmetry_verify(hist, symmetries)
                         continue
-                    filt, got_frac = symmetry_verify(hist, check_n, check_sz)
+                    filt, got_frac = symmetry_verify(hist, symmetries)
                     assert filt == histogram(n, retained, kept)
                     assert got_frac == frac
 
     def test_noiseless_ansatz_retains_everything(self):
         circuit = ansatz.build_ansatz_circuit(3, np.array([-1.0, 0.4]))
         hist = qsim.sample(qsim.run_circuit(circuit), 2048, qsim.make_rng(1, qsim.SHOT_KEY, 0))
-        _, frac = symmetry_verify(hist)
+        _, frac = symmetry_verify(hist, ("N", "Sz"))
         assert frac == 1.0
 
     def test_all_rejected_raises(self):
         hist = histogram(4, 5, {0b0001: 5})
         with pytest.raises(ValueError, match="rejected"):
-            symmetry_verify(hist)
+            symmetry_verify(hist, ("N", "Sz"))
 
     def test_exact_noisy_record_keeps_and_renormalises_its_allowed_weight(self):
         circuit = ansatz.build_ansatz_circuit(2, np.array([-0.8]))
@@ -156,7 +165,7 @@ class TestSymmetryVerify:
         # one alpha (even qubit) and one beta (odd qubit) electron
         allowed = [0b0011, 0b0110, 0b1001, 0b1100]
         kept = record.counts[allowed]
-        filt, frac = symmetry_verify(record)
+        filt, frac = symmetry_verify(record, ("N", "Sz"))
         assert frac == pytest.approx(kept.sum() / record.counts.sum(), rel=1e-12)
         assert 0.0 < frac < 1.0  # noise leaks weight out of the paired sector
         assert filt.shots is None
@@ -164,7 +173,7 @@ class TestSymmetryVerify:
         assert not np.delete(filt.counts, allowed).any()
         assert filt.counts.sum() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(mitigation.AllShotsRejectedError):
-            symmetry_verify(ShotHistogram(4, None, np.eye(16)[0b0001]))
+            symmetry_verify(ShotHistogram(4, None, np.eye(16)[0b0001]), ("N", "Sz"))
 
 
 class TestPolytopeVertices:

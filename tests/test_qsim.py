@@ -791,7 +791,7 @@ def test_gate_order_cache_holds_every_evaluation_key():
             program = ansatz.compiled_ansatz(r, noise)
             sampler = tomography.ShotSampler(program, 64, seed=1, angles=np.full(r - 1, 0.4))
             tomography.measure_occupations(sampler, r)
-            tomography.estimate_phases(sampler, r)
+            tomography.estimate_phases(sampler, tomography.phase_measurement_programs(r, noise))
 
     evaluate_each_mode()
     misses = qsim._local_order.cache_info().misses
@@ -929,7 +929,7 @@ def test_compiled_runs_build_no_operator(monkeypatch):
     monkeypatch.setattr(qsim.Gate, "matrix", builds_an_operator)
     for program, t, want in cases:
         state = program.run(t)
-        got = state.amps if program.noise is None else state.flat
+        got = state.amps if isinstance(state, qsim.Statevector) else state.flat
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -970,7 +970,6 @@ def test_programs_compile_once_per_size_and_noise_model():
     assert ansatz.compiled_ansatz(2) is not ansatz.compiled_ansatz(3)
     assert ansatz.compiled_ansatz(2, first) is ansatz.compiled_ansatz(2, first)
     assert ansatz.compiled_ansatz(2, first) is not ansatz.compiled_ansatz(2, second)
-    assert ansatz.compiled_ansatz(2, first).noise is first
 
 
 def test_noisy_programs_are_freed_without_a_collection(tmp_path, monkeypatch):

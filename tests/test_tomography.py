@@ -12,6 +12,7 @@ from geminal.tomography import (
     estimate_phases,
     measure_occupations,
     phase_measurement_circuits,
+    phase_measurement_programs,
     phase_signs,
     window_mask,
 )
@@ -219,14 +220,14 @@ class TestPhaseEstimation:
                 amps = ansatz.givens_chain_amplitudes(t)
                 expected = amps[:-1] * amps[1:]
                 sampler = ansatz_sampler(r, t, None)
-                est = estimate_phases(sampler, r)
+                est = estimate_phases(sampler, phase_measurement_programs(r))
                 np.testing.assert_allclose(est.values, expected, atol=1e-12)
                 assert sampler.counter.count == 2
 
     def test_exact_signs_and_no_ambiguity(self):
         t = np.array([-0.8])  # amplitudes (cos, sin) have opposite signs
         sampler = ansatz_sampler(2, t, None)
-        est = estimate_phases(sampler, 2)
+        est = estimate_phases(sampler, phase_measurement_programs(2))
         xi, ambiguous = phase_signs(est.values, est.stderr)
         assert xi.tolist() == [-1]
         assert not ambiguous.any()
@@ -234,7 +235,7 @@ class TestPhaseEstimation:
     def test_sampled_sign_recovery(self):
         t = np.array([-0.8])
         sampler = ansatz_sampler(2, t, shots=4096, seed=11)
-        est = estimate_phases(sampler, 2)
+        est = estimate_phases(sampler, phase_measurement_programs(2))
         xi, ambiguous = phase_signs(est.values, est.stderr)
         assert xi.tolist() == [-1]
         assert not ambiguous.any()
@@ -251,7 +252,7 @@ class TestPhaseEstimation:
     def test_vanishing_coherence_flagged_ambiguous(self):
         t = np.array([-np.pi / 2])  # first amplitude crosses zero
         sampler = ansatz_sampler(2, t, shots=2048, seed=3)
-        est = estimate_phases(sampler, 2)
+        est = estimate_phases(sampler, phase_measurement_programs(2))
         assert phase_signs(est.values, est.stderr)[1][0]
 
 
