@@ -92,8 +92,13 @@ def output_dir(args) -> Path:
     return out
 
 
-def header_lines(args, extra: dict | None = None, unused: tuple[str, ...] = ()) -> list[str]:
-    """The version line and a config line echoing every argument but the ``unused`` ones."""
+def header_lines(args, extra: dict | None = None) -> list[str]:
+    """The version line and a config line echoing every argument.
+
+    An exact run draws nothing, so its config line leaves out ``shots``
+    and ``seed``.
+    """
+    unused = ("shots", "seed") if vars(args).get("exact") else ()
     settings = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -179,7 +184,7 @@ def cmd_curve(args) -> int:
     else:
         points = hybrid.dissociation_curve(builder, values, base)
 
-    lines = header_lines(args, {"system": label}, ("shots", "seed") if args.exact else ())
+    lines = header_lines(args, {"system": label})
     lines.append("# R_bohr  E_hybrid  E_FCI  E_RHF  abs_error_mhartree  iterations  flags")
     for p in points:
         err_mha = abs(p.energy - p.energy_fci) * 1e3
@@ -238,14 +243,11 @@ def measure_scan_point(program, t, shots, rng):
 
 
 def measure_scan_grid(r, shots, seed, noise):
-    """Standard grid points and one ``measure_scan_point`` record each; point i draws stream i."""
+    """Standard grid points and one ``measure_scan_point`` record each, drawn in grid order."""
     points = [np.array(t) for t in itertools.product(mitigation.scan_angles(), repeat=r - 1)]
     program = ansatz.compiled_ansatz(r, noise)
-    streams = qsim.ShotStreams(seed)
-    records = [
-        measure_scan_point(program, t, shots, None if shots is None else streams.generator(i))
-        for i, t in enumerate(points)
-    ]
+    rng = None if shots is None else qsim.make_rng(seed, qsim.SHOT_KEY)
+    records = [measure_scan_point(program, t, shots, rng) for t in points]
     return points, records
 
 
@@ -310,9 +312,8 @@ def cmd_scan(args) -> int:
     occ_names = "  ".join(
         f"{half}_n{p}" for half in ("alpha", "beta") for p in range(r)
     )
-    unused = ("shots", "seed") if args.exact else ()  # an exact scan draws nothing
     for stage, rows in stages.items():
-        lines = header_lines(args, {"system": label, "stage": stage}, unused)
+        lines = header_lines(args, {"system": label, "stage": stage})
         lines.append(f"# {angle_names}  {occ_names}")
         for t, (alpha, beta) in zip(points, rows):
             tcols = "  ".join(f"{v:11.8f}" for v in t)
@@ -320,7 +321,7 @@ def cmd_scan(args) -> int:
             lines.append(f"{tcols}  {ocols}")
         write_lines(out / f"scan_{stage}.txt", lines)
 
-    summary = header_lines(args, {"system": label}, unused)
+    summary = header_lines(args, {"system": label})
     summary.append(f"# mean retained fraction: {np.mean(retained):.6f}")
 
     final_stage = "projected" if project else "verified"
@@ -375,7 +376,7 @@ def cmd_vtable(args) -> int:
     shots = requested_shots(args)
     label, r, noise = scan_system(args, (2,), "the V table is defined for two-orbital systems")
     rows = vtable_rows(r, shots, args.seed, noise)
-    lines = header_lines(args, {"system": label}, ("shots", "seed") if args.exact else ())
+    lines = header_lines(args, {"system": label})
     lines.append("# symmetries  V_half1  ci95_lo  ci95_hi  V_half2  ci95_lo  ci95_hi  retained")
     for row in rows:
         v1, v2 = row["v1"], row["v2"]
@@ -497,20 +498,6 @@ def _check_density_noise(quick):
     assert abs(got - want) < 1e-12, f"P(1) = {got!r}, want {want!r}"
 
 
-def _check_stream_keys(quick):
-    # the re-keyed shot streams against numpy's own construction, on both
-    # sides of 2**32, where SeedSequence reads a key as two entropy words;
-    # a numpy whose SeedSequence hashes differently fails here
-    for seed in (0, 2**32 - 1, 2**32):
-        streams = qsim.ShotStreams(seed)
-        for stream in (0, 1, 2**32 - 1, 2**32):
-            got = streams.generator(stream).bit_generator.state
-            want = np.random.default_rng([seed, qsim.SHOT_KEY, stream]).bit_generator.state
-            assert got == want, (
-                f"seed {seed}, stream {stream}: ShotStreams no longer gives default_rng's state"
-            )
-
-
 def _check_compiled_preparation(quick):
     # the compiled Z, A and B programs (the ansatz alone or followed by a
     # basis rotation) against the gate-by-gate engines at random angles,
@@ -550,7 +537,6 @@ def cmd_selftest(args) -> int:
         ("fci-consistency", lambda: _check_fci_consistency(args.quick)),
         ("trajectory-noise", lambda: _check_trajectory_noise(args.quick)),
         ("density-noise", lambda: _check_density_noise(args.quick)),
-        ("stream-keys", lambda: _check_stream_keys(args.quick)),
     ]
     failures = 0
     for name, check in checks:

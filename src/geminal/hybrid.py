@@ -152,7 +152,10 @@ class QuantumObjective:
 
     Each call prepares the compiled ansatz at t, estimates occupations (one
     Z-basis preparation) and, in measured phase mode, window signs (two
-    rotated-basis preparations), mitigates, and assembles the energy.
+    rotated-basis preparations), mitigates, and assembles the energy
+    against ``pair``, which a caller may replace between outer steps.
+    Every preparation draws from the one shot generator of its sampler,
+    so the steps of a point that share an objective never replay a draw.
     Preparation counts are tracked per call so the constant-cost
     tomography contract stays testable.
     """
@@ -168,10 +171,7 @@ class QuantumObjective:
         self.phase_programs = (
             tomography.phase_measurement_programs(self.r, config.noise) if measured else None
         )
-        self.counter = tomography.PreparationCounter()
-        self.sampler = tomography.ShotSampler(
-            self.program, config.shots, config.seed, self.counter
-        )
+        self.sampler = tomography.ShotSampler(self.program, config.shots, config.seed)
         self.n_evals = 0
         self.last_eval_preparations = 0
         self.last_retained = 1.0
@@ -199,7 +199,7 @@ class QuantumObjective:
         t = np.asarray(t, dtype=float)
         if self.config.shots is None:
             repeats = 1
-        before = self.counter.count
+        before = self.sampler.counter.count
         if repeats == 1:
             n, phases, phase_var, self.last_retained = self._measure_raw(t)
         else:
@@ -226,7 +226,7 @@ class QuantumObjective:
 
         if self.config.project:
             n = mitigation.project_polytope(n).occupations
-        self.last_eval_preparations = (self.counter.count - before) // repeats
+        self.last_eval_preparations = (self.sampler.counter.count - before) // repeats
         return GeminalState(n, xi)
 
     def __call__(self, t: np.ndarray) -> float:
@@ -338,7 +338,6 @@ class QuantumStepResult:
     t: np.ndarray
     state: GeminalState
     energy: float
-    n_evals: int
     converged: bool
     retained_fraction: float = 1.0
 
@@ -350,8 +349,9 @@ def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> Q
     from t0, later ones from jittered copies) and keeps the best.  The
     jitter draws from the seed on sampled runs and from a fixed key on
     exact ones, which draw nothing else.  The caller owns ``objective``,
-    so its evaluation count survives a step that a symmetry-filter
-    rejection aborts.
+    so its shot generator carries on into the next step, and its
+    evaluation count survives a step that a symmetry-filter rejection
+    aborts.
     """
     config, r = objective.config, objective.r
     if t0 is None:
@@ -376,14 +376,7 @@ def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> Q
     # returned (n, xi) is less noisy than a single optimizer evaluation
     state = objective.measure_state(best.x, repeats=1 if config.shots is None else 4)
     energy = assemble_2dm_energy(state, objective.pair)
-    return QuantumStepResult(
-        best.x,
-        state,
-        float(energy),
-        objective.n_evals,
-        converged,
-        objective.last_retained,
-    )
+    return QuantumStepResult(best.x, state, float(energy), converged, objective.last_retained)
 
 
 @dataclass
@@ -497,14 +490,17 @@ def run_hybrid(
 ) -> CurvePoint:
     """Optimize one geometry, alternating quantum and orbital steps.
 
-    Starts from the RHF orbitals.  Converged when two successive outer
+    Starts from the RHF orbitals.  One ``QuantumObjective`` serves every
+    outer step, each step handing it the pair integrals of its orbitals,
+    so the steps draw in turn from the point's one shot generator and
+    ``n_evals`` counts them all.  Converged when two successive outer
     energies agree within OUTER_THRESHOLD.  A zero outer-iteration cap
     short-circuits to the single-pair energy in the RHF basis (the RHF
     determinant itself).  When the symmetry filters reject every shot of
     a preparation in outer step k, the loop stops there, the point keeps
     the best energy of the completed steps and carries the flag
     ``all-shots-rejected-outer-<k>``; the evaluations of the aborted
-    step count in ``n_evals``.  When outer steps ran and none
+    step count too.  When outer steps ran and none
     reached the RHF energy, the point reports the RHF start and carries
     the flag ``no-gain-over-rhf``.
     """
@@ -519,26 +515,24 @@ def run_hybrid(
     n0[0] = 1.0
     state = GeminalState(n0, np.ones(r - 1, dtype=int))
     h, eri = chem.transform_integrals(ints, C)
-    energy = assemble_2dm_energy(state, pair_integrals(h, eri, ints.enuc))
+    objective = QuantumObjective(h, eri, ints.enuc, config)
+    energy = assemble_2dm_energy(state, objective.pair)
     trace = [energy]
     t = np.zeros(r - 1)
-    total_evals = 0
     converged = rejected = False
     best_energy = energy
     best_state, best_retained, best_outer = state, 1.0, 0
 
     for outer in range(1, config.outer_max_iter + 1):
-        h, eri = chem.transform_integrals(ints, C)
-        objective = QuantumObjective(h, eri, ints.enuc, config)
+        if outer > 1:  # the orbital step moved C
+            objective.pair = pair_integrals(*chem.transform_integrals(ints, C), ints.enuc)
         try:
             qres = quantum_step(objective, t0=t)
         except mitigation.AllShotsRejectedError:
-            total_evals += objective.n_evals
             flags.append(f"all-shots-rejected-outer-{outer}")
             rejected = True
             break
         t, state = qres.t, qres.state
-        total_evals += qres.n_evals
         if not qres.converged:
             flags.append(f"nm-iteration-cap-outer-{outer}")
         ores = orbital_step(ints, C, state)
@@ -562,7 +556,7 @@ def run_hybrid(
         energy_fci=float(fci.energy),
         energy_rhf=float(rhf.energy),
         outer_iterations=len(trace) - 1,
-        n_evals=total_evals,
+        n_evals=objective.n_evals,
         converged=converged or config.outer_max_iter == 0,
         state=best_state,
         retained_fraction=best_retained,

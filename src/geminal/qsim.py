@@ -46,13 +46,11 @@ that combines the unitary, the depolarising twirl and the damping.
 Both engines are measured by one rule (``sample``): one multinomial
 draw over ``state.probabilities()``, for rho its readout-confused
 diagonal, which is exactly the distribution of one shot per trajectory,
-from a generator the caller hands in.  Production draws come from
-``ShotStreams``: one PCG64 per sampler or command, re-keyed per draw to
-exactly the state ``make_rng(seed, SHOT_KEY, stream)`` starts from, with
-the states derived in blocks by a vectorised copy of numpy's
-SeedSequence hash.  A histogram is therefore reproducible bit-for-bit
-for a given (seed, stream), and equals the draw of a generator built
-for that key.
+from a generator the caller hands in.  Production draws come in order
+from one shot generator ``make_rng(seed, SHOT_KEY)`` per curve point or
+per ``scan``/``vtable`` command, so a histogram is reproducible
+bit-for-bit for a given seed and its place in that order, and no two
+preparations of a point start from the same generator state.
 
 The trajectory engine (``run_trajectories``) is the independent
 reference that tests check the density-matrix engine against; no
@@ -487,7 +485,7 @@ def make_rng(*keys: int) -> np.random.Generator:
 
 
 # every generator key of the package, in one place
-SHOT_KEY = 202  # the middle key of every shot stream: make_rng(seed, SHOT_KEY, stream)
+SHOT_KEY = 202  # the shot generator make_rng(seed, SHOT_KEY) of a point or a command
 BOOTSTRAP_KEY = 303  # the V-interval resampling: make_rng(seed, BOOTSTRAP_KEY)
 JITTER_KEY = 404  # restart jitter: make_rng(seed, JITTER_KEY) sampled, make_rng(JITTER_KEY) exact
 POINT_SEED_STRIDE = 104729  # the prime between the seeds of neighbouring curve points
@@ -496,128 +494,6 @@ POINT_SEED_STRIDE = 104729  # the prime between the seeds of neighbouring curve 
 def point_seed(seed: int, index: int) -> int:
     """The seed of point ``index`` of a curve whose base seed is ``seed``."""
     return seed + POINT_SEED_STRIDE * index
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the multiplier of PCG64's 128-bit LCG
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _uint32_words(key: int) -> list[int]:
-    """SeedSequence's entropy words of one nonnegative integer, least significant first."""
-    words = [key & _MASK32]
-    while key > _MASK32:
-        key >>= 32
-        words.append(key & _MASK32)
-    return words
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix, applied to the rows of a uint32 array as consecutive calls.
-
-    The hash constant advances once per call, whatever the value, so row
-    j of one application is hashed as the j-th next call for every key.
-    """
-
-    def step(rows: np.ndarray) -> np.ndarray:
-        nonlocal const
-        consts = [const]
-        for _ in range(len(rows)):
-            consts.append(consts[-1] * mult & _MASK32)
-        const = consts[-1]
-        consts = np.array(consts, dtype=np.uint32)[:, None]
-        rows = (rows ^ consts[:-1]) * consts[1:]
-        return rows ^ (rows >> 16)
-
-    return step
-
-
-def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(key).generate_state(4, np.uint64)`` for many keys at once.
-
-    ``entropy`` holds one row of uint32 words per entropy word, and one
-    column per key; row i of the result holds the four words for key i.
-    A transcription of numpy's ``mix_entropy`` and ``generate_state``
-    (pool size 4) in uint32 array arithmetic, which wraps as the C code
-    does.  Within one source word of the mixing loop the pool words it
-    updates are independent, so each source word is one array step.
-    """
-    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
-
-    n_words, n_keys = entropy.shape
-    first = np.zeros((4, n_keys), dtype=np.uint32)
-    first[: min(n_words, 4)] = entropy[:4]
-    pool = hashmix(first)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3]))
-    for word in entropy[4:]:
-        pool = mix(pool, hashmix(np.tile(word, (4, 1))))
-    words = _hasher(_HASH_INIT_B, _HASH_MULT_B)(pool[[0, 1, 2, 3, 0, 1, 2, 3]])
-    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8")
-
-
-class ShotStreams:
-    """The shot streams ``make_rng(seed, SHOT_KEY, stream)`` of one seed, from one PCG64.
-
-    ``generator(stream)`` sets one PCG64 to the state that generator
-    starts from and returns its Generator, so every draw is bit-for-bit
-    the one ``make_rng`` would give, without building a generator per
-    draw.  The seeds come from ``_pcg64_seeds`` for a block of
-    consecutive streams at a time: a stream outside the current block
-    derives a new block starting at it, FIRST_BLOCK streams long the
-    first time and twice as long each time after.  Every call re-keys
-    the same Generator, so draw from it before asking for the next
-    stream.  Streams from 2**32 on, which SeedSequence reads as two
-    words, come from ``make_rng``.
-    """
-
-    # one block costs about what 10 default_rng calls do, at any size up to
-    # this one, which covers a scan's 121 streams and most objectives
-    FIRST_BLOCK = 256
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValueError("rng keys must be nonnegative")
-        self._words = [*_uint32_words(self.seed), SHOT_KEY]
-        self._block = self.FIRST_BLOCK
-        self._start = 0
-        self._seeds = np.empty((0, 4), dtype=np.uint64)
-        self._bits = np.random.PCG64(0)
-        self._generator = np.random.Generator(self._bits)
-
-    def generator(self, stream: int) -> np.random.Generator:
-        offset = stream - self._start
-        if not 0 <= offset < len(self._seeds):
-            if not 0 <= stream <= _MASK32:
-                return make_rng(self.seed, SHOT_KEY, stream)
-            keys = np.arange(stream, min(stream + self._block, _MASK32 + 1))
-            entropy = np.empty((len(self._words) + 1, keys.size), dtype=np.uint32)
-            entropy[:-1] = np.array(self._words, dtype=np.uint32)[:, None]
-            entropy[-1] = keys
-            self._seeds = _pcg64_seeds(entropy)
-            self._start, offset = stream, 0
-            self._block *= 2
-        # PCG64's seeding step: initstate and initseq are 128-bit, high word first
-        init_hi, init_lo, seq_hi, seq_lo = self._seeds[offset].tolist()
-        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-        state = ((((init_hi << 64) | init_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        self._bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._generator
 
 
 def _apply_readout_flips(
@@ -634,8 +510,8 @@ def _apply_readout_flips(
 def sample(state, shots: int, rng: np.random.Generator) -> ShotHistogram:
     """One multinomial draw of ``shots`` outcomes from a Statevector or DensityMatrix.
 
-    The draw comes from ``rng``; production callers pass the generator a
-    ``ShotStreams`` keyed for the preparation's stream.
+    The draw comes from ``rng``; production callers pass the shot
+    generator ``make_rng(seed, SHOT_KEY)`` of their point or command.
     """
     if shots < 1:
         raise ValueError("shots must be positive")

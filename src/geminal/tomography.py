@@ -59,35 +59,23 @@ class ShotSampler:
     prepared at ``angles`` from |0...0> (a
     statevector, or a density matrix for a program compiled under a
     noise model) and executed for ``shots`` shots, or exactly when
-    ``shots`` is None.  Each run draws the stream numbered by the
-    preparations ``counter`` has counted so far, so samplers sharing a
-    counter never reuse a stream and the whole sequence is deterministic
-    in the seed.  The sampler owns one ``qsim.ShotStreams`` for its seed,
-    so a run re-keys one generator to ``make_rng(seed, SHOT_KEY,
-    stream)``'s state instead of building that generator.
+    ``shots`` is None.  The sampler's ``counter`` counts its runs.  Runs
+    draw in order from one shot generator, ``make_rng(seed, SHOT_KEY)``,
+    so the whole sequence is deterministic in the seed and no run
+    replays another's draw.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        shots: int | None,
-        seed: int = 0,
-        counter: PreparationCounter | None = None,
-        angles=(),
-    ):
+    def __init__(self, program: Program, shots: int | None, seed: int = 0, angles=()):
         self.program = program
         self.angles = angles
         self.shots = None if shots is None else int(shots)
-        self.seed = int(seed)
-        self.counter = counter if counter is not None else PreparationCounter()
-        self.streams = None if self.shots is None else qsim.ShotStreams(self.seed)
+        self.counter = PreparationCounter()
+        self.rng = None if self.shots is None else qsim.make_rng(seed, qsim.SHOT_KEY)
 
     def run(self, program: Program | None = None) -> ShotHistogram:
         state = (self.program if program is None else program).run(self.angles)
-        stream = self.counter.count
         self.counter.bump()
-        rng = None if self.streams is None else self.streams.generator(stream)
-        return measure(state, self.shots, rng)
+        return measure(state, self.shots, self.rng)
 
 
 # ---------------------------------------------------------------------------

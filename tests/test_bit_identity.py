@@ -103,45 +103,46 @@ def test_projection_matches_numpy(r):
 
 
 # energies of the first 50 evaluations at angles drawn from default_rng(14),
-# HybridConfig(shots=2048, seed=1), RHF orbitals; pinned from the former path
+# HybridConfig(shots=2048, seed=1), RHF orbitals; pinned from the path whose
+# preparations draw in order from one make_rng(seed, SHOT_KEY) generator
 PINNED = {
     ("h2", 1.4): [
-        -0.0898477021902796, -0.3790824989048952, 0.4281524881394848,
-        -0.39184738662005814, -0.023585795245677055, -0.8713403849094526,
-        0.41633711293695236, 0.46404309465983556, -1.123917201109458,
-        -0.6749229944177874, 0.46781488855546055, -0.7302143732812173,
-        0.03297903746966091, 0.4805497323954243, -0.7594825885575541,
-        -1.1167143250625697, 0.4800873833536617, 0.09198632202203594,
-        -1.1327054540768269, 0.21622703607447008, -1.1157991339070468,
-        -0.6554555573851021, -0.8400082549050648, -0.9163379087308118,
-        0.215193130630571, -0.9813055199898094, 0.1287072962318877,
-        -0.4643664924146115, 0.14128516866679042, -0.993281279599172,
-        -0.93640699033406, 0.4517977128446365, -1.1372677930741935,
-        0.4181131614099226, -0.9312567175223833, -0.20708469670105167,
-        0.460576462217275, 0.2003663501309798, -0.003857614623290484,
-        0.48037466852553634, 0.36947361971055953, 0.35055749879968146,
-        0.22122263417056964, 0.043491394773433, 0.19901239096897871,
-        0.35577067595497025, 0.11958000702520122, 0.3541425332004176,
-        0.3642054529372261, -1.123952751400755,
+        -0.0898477021902796, -0.3646669266233723, 0.42356165117368594,
+        -0.35904501270816047, -0.007313759856203972, -0.8899300259049944,
+        0.4276052036781489, 0.4659431154307037, -1.1197937313519977,
+        -0.6721943630136181, 0.46781488855546055, -0.7423905702893127,
+        0.034433633400781205, 0.4805497323954243, -0.7180642905904927,
+        -1.0976282446471868, 0.4792513963454506, 0.0727021218331858,
+        -1.128983228001125, 0.19994207949517817, -1.1137244416005219,
+        -0.6956566393182878, -0.843006467666307, -0.8840347912527778,
+        0.21988458364522168, -0.993281279599172, 0.13779837043038368,
+        -0.48924421032401744, 0.1322081809740704, -0.9993926062424064,
+        -0.9434546656396045, 0.460576462217275, -1.1365024244112738,
+        0.4318022264507936, -0.9182930320847055, -0.2221708433142875,
+        0.4444014746543964, 0.20509731151186017, -0.006560443942121519,
+        0.48110899555766706, 0.381023402503059, 0.3299365665774261,
+        0.24578114189467737, 0.03156182124565565, 0.1888261777380802,
+        0.33111697148337216, 0.12168948880970898, 0.33483347317487455,
+        0.36126066314680655, -1.123952751400755,
     ],
     ("h3plus", 1.65): [
-        -0.0830799114815568, 0.16149322817150424, -0.06751667995489385,
-        0.35194496412618315, -1.2466514810663052, 0.3975634225189826,
-        -0.06311719388241865, -0.807264453816521, 0.44496770468354896,
-        -1.1613486317967092, -1.1514931320462563, -1.051786845998316,
-        -0.18881794104189642, -0.2177231042376111, -0.28159099058242654,
-        -1.036614520435619, -1.2440780676099317, -0.8598156265251433,
-        0.430047145354862, -0.09139359110950296, 0.05072615642124423,
-        -0.013185859377092157, -0.20141456399662316, 0.03388107450769007,
-        0.03331016771894224, -0.23470644381604866, -1.1930129877652462,
-        -0.8345711862480127, 0.3556766226352399, -1.0421820902281669,
-        -1.2464796111120033, -1.237547699944473, -0.3061961234269577,
-        0.2168869070342334, -0.1309029505297048, -1.1182556930701841,
-        -1.2516615732300538, -1.2586357860988733, -0.9478102527178318,
-        -0.8293611656646351, -1.1016252844501684, -0.003679515343012696,
-        -0.8071418698546713, 0.09169126062394484, -1.1420796288830501,
-        -1.2227497076776552, 0.21643424158751645, 0.4199636930532662,
-        -0.25524470251906695, -1.1953299063460612,
+        -0.0830799114815568, 0.17421669403494078, -0.07883890505778468,
+        0.3420229328429272, -1.249127455757512, 0.38878619586232976,
+        -0.07172684375113225, -0.8425612187274669, 0.44441120245555243,
+        -1.149574162977175, -1.137693003126685, -1.0388975084445173,
+        -0.16046271206025842, -0.22929039779059823, -0.27442704471864654,
+        -1.025844039898314, -1.2453552048932808, -0.8806363089867102,
+        0.4282446707924741, -0.07406703091657785, 0.05241910701193442,
+        -0.014554056087073608, -0.18823983811753586, 0.03731192480533996,
+        0.03608315933981898, -0.24162017754198328, -1.1935828866576916,
+        -0.8267333038104707, 0.35393413738932433, -1.0048519421789786,
+        -1.242810151034776, -1.237547699944473, -0.30579374652137736,
+        0.22433217683840767, -0.12356642936329298, -1.1307100439437272,
+        -1.2431236967979504, -1.2537736464413667, -0.9140839973527084,
+        -0.8578342650144017, -1.097454676333194, 0.017665436733345308,
+        -0.7798766642681219, 0.07935211241770568, -1.1623542218947234,
+        -1.223153160982218, 0.2156650063123522, 0.42625141223283847,
+        -0.223036750646864, -1.1920233804945342,
     ],
 }
 

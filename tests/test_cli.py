@@ -635,19 +635,9 @@ def test_vtable_requires_two_orbitals():
 def test_selftest_quick_passes(capsys):
     assert run_cli(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok") == 10
+    assert out.count("ok") == 9
     assert "ok    density-noise" in out
     assert "ok    compiled-preparation" in out
-    assert "ok    stream-keys" in out
-
-
-def test_selftest_flags_a_moved_seed_sequence(monkeypatch, capsys):
-    # a SeedSequence hash other than numpy's, as a numpy upgrade could bring
-    monkeypatch.setattr(qsim, "_HASH_INIT_A", qsim._HASH_INIT_A ^ 1)
-    assert run_cli(["selftest", "--quick"]) == 1
-    err = capsys.readouterr().err
-    want = "FAIL  stream-keys: seed 0, stream 0: ShotStreams no longer gives default_rng's state"
-    assert want in err
 
 
 def test_selftest_flags_corrupt_calibration(tmp_path, capsys):

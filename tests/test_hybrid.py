@@ -385,7 +385,7 @@ class TestRunHybrid:
         state = GeminalState(np.array([0.9, 0.1]), np.array([-1]))
 
         def fake_quantum_step(objective, t0):
-            return hybrid.QuantumStepResult(t0, state, e_rhf + offset, 1, True, 0.5)
+            return hybrid.QuantumStepResult(t0, state, e_rhf + offset, True, 0.5)
 
         def fake_orbital_step(ints, C, state):
             return hybrid.OrbitalStepResult(C, e_rhf + offset, True)
@@ -408,7 +408,9 @@ class TestRunHybrid:
                 for angle in (0.1, 0.2, 0.3):  # three real evaluations before the rejection
                     objective(np.array([angle]))
                 raise mitigation.AllShotsRejectedError("symmetry filters rejected every shot")
-            return hybrid.QuantumStepResult(t0, state, e_rhf - 0.01, 5, True, 0.5)
+            for angle in (0.1, 0.2, 0.3, 0.4, 0.5):  # five evaluations in the completed step
+                objective(np.array([angle]))
+            return hybrid.QuantumStepResult(t0, state, e_rhf - 0.01, True, 0.5)
 
         monkeypatch.setattr(hybrid, "quantum_step", fake_quantum_step)
         point = run_hybrid(chem.h2_molecule(1.4), HybridConfig(shots=64))
@@ -462,7 +464,9 @@ class TestDissociationCurve:
 
 
 class TestShotStreamConstruction:
-    """Production sampling re-keys one generator per sampler or command; it builds none per draw."""
+    """Production sampling draws in order from one shot generator per point or command."""
+
+    NOISY_POINT = dict(shots=2048, seed=1, restarts=1, nm_max_iter=60, outer_max_iter=2)
 
     @pytest.fixture
     def constructions(self, monkeypatch):
@@ -478,45 +482,58 @@ class TestShotStreamConstruction:
             monkeypatch.setattr(owner, name, counted)
         return counts
 
-    def test_noisy_point_builds_only_its_jitter_keys(self, constructions, monkeypatch):
-        steps = []
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The objective handed to each quantum step, in order."""
+        seen = []
         step = hybrid.quantum_step
 
         def counted_step(objective, t0):
-            steps.append(objective)
+            seen.append(objective)
             return step(objective, t0)
 
         monkeypatch.setattr(hybrid, "quantum_step", counted_step)
-        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
-        config = HybridConfig(
-            shots=2048, noise=noise, seed=1, restarts=1, nm_max_iter=60, outer_max_iter=2
-        )
-        run_hybrid(chem.h2_molecule(1.4), config)
-        assert constructions["sample"] >= 100
-        # one jitter key per quantum step, and one stream source per step's sampler
-        assert constructions["default_rng"] == len(steps)
-        assert constructions["PCG64"] == len(steps)
+        return seen
 
-    def test_patched_make_rng_sees_one_jitter_key_per_quantum_step(self, monkeypatch):
-        keys, steps = [], []
-        make_rng, step = qsim.make_rng, hybrid.quantum_step
+    def run_noisy_point(self):
+        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+        return run_hybrid(chem.h2_molecule(1.4), HybridConfig(noise=noise, **self.NOISY_POINT))
+
+    def test_noisy_point_builds_only_its_jitter_keys(self, constructions, steps):
+        self.run_noisy_point()
+        assert constructions["sample"] >= 100
+        # one shot generator for the point, and one jitter generator per quantum step
+        assert len(steps) == 2
+        assert constructions["default_rng"] == 1 + len(steps)
+        assert constructions["PCG64"] == 0
+
+    def test_patched_make_rng_sees_one_jitter_key_per_quantum_step(self, monkeypatch, steps):
+        keys = []
+        make_rng = qsim.make_rng
 
         def recorded(*args):
             keys.append(args)
             return make_rng(*args)
 
-        def counted_step(objective, t0):
-            steps.append(objective)
-            return step(objective, t0)
-
         monkeypatch.setattr(qsim, "make_rng", recorded)
-        monkeypatch.setattr(hybrid, "quantum_step", counted_step)
-        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
-        config = HybridConfig(
-            shots=2048, noise=noise, seed=1, restarts=1, nm_max_iter=60, outer_max_iter=2
-        )
-        run_hybrid(chem.h2_molecule(1.4), config)
-        assert steps and keys == [(1, 404)] * len(steps)
+        self.run_noisy_point()
+        assert steps and keys == [(1, 202)] + [(1, 404)] * len(steps)
+
+    def test_noisy_point_draws_from_no_state_twice(self, monkeypatch, steps):
+        # every outer step shares the point's shot generator, so no draw replays another
+        starts = []
+        draw = qsim.sample
+
+        def recorded(state, shots, rng):
+            bits = rng.bit_generator.state
+            starts.append((bits["state"]["state"], bits["state"]["inc"], bits["has_uint32"]))
+            return draw(state, shots, rng)
+
+        monkeypatch.setattr(qsim, "sample", recorded)
+        point = self.run_noisy_point()
+        assert len(steps) == 2 and len(set(steps)) == 1
+        assert len(starts) >= 3 * point.n_evals
+        assert len(set(starts)) == len(starts)
 
     def test_noisy_vtable_builds_only_its_bootstrap_keys(self, constructions, monkeypatch):
         bootstraps = []
@@ -530,5 +547,7 @@ class TestShotStreamConstruction:
         noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 4, damping=True)
         cli.vtable_rows(2, 2048, 3, noise)
         assert constructions["sample"] == len(mitigation.scan_angles())
-        assert constructions["default_rng"] == len(bootstraps) == 8
-        assert constructions["PCG64"] == 1
+        # one shot generator for the command, and one per bootstrap interval
+        assert len(bootstraps) == 8
+        assert constructions["default_rng"] == 1 + len(bootstraps)
+        assert constructions["PCG64"] == 0

@@ -288,49 +288,6 @@ def test_make_rng_rejects_negative():
         qsim.make_rng(1, -2)
 
 
-SHOT_STREAM_SEEDS = [0, 1, 104729 * 19 + 1, 2**32 - 1, 2**32, 2**64 + 3]
-
-
-@pytest.mark.parametrize("seed", SHOT_STREAM_SEEDS)
-def test_shot_streams_match_default_rng(seed):
-    # the re-keyed generator against numpy's own construction, state and draw,
-    # for one-, two- and three-word seeds and streams on both sides of 2**32
-    streams = qsim.ShotStreams(seed)
-    p = np.random.default_rng(3).dirichlet(np.ones(16))
-    for stream in [*range(601), 2**32 - 1, 2**32]:
-        want = np.random.default_rng([seed, 202, stream])
-        got = streams.generator(stream)
-        assert got.bit_generator.state == want.bit_generator.state, stream
-        np.testing.assert_array_equal(got.multinomial(2048, p), want.multinomial(2048, p))
-
-
-def test_shot_streams_reject_negative_keys():
-    with pytest.raises(ValueError):
-        qsim.ShotStreams(-1)
-    with pytest.raises(ValueError):
-        qsim.ShotStreams(1).generator(-2)
-
-
-def test_sampler_streams_grow_across_block_edges(monkeypatch):
-    # a sampler's source derives 256 streams, then 512, then 1024: draws on
-    # either side of each edge are the ones make_rng gives, in counter order
-    blocks = []
-    derive = qsim._pcg64_seeds
-
-    def counted(entropy):
-        blocks.append(entropy[-1, [0, -1]].tolist())
-        return derive(entropy)
-
-    monkeypatch.setattr(qsim, "_pcg64_seeds", counted)
-    circuit = Circuit(3).h(0).h(1).h(2)
-    state = qsim.run_circuit(circuit)
-    sampler = tomography.ShotSampler(qsim.Program(circuit), 64, seed=8)
-    for stream in range(800):
-        want = qsim.sample(state, 64, qsim.make_rng(8, qsim.SHOT_KEY, stream))
-        assert sampler.run() == want, stream
-    assert blocks == [[0, 255], [256, 767], [768, 1791]]
-
-
 # ---------------------------------------------------------------------------
 # calibration and noise model
 # ---------------------------------------------------------------------------
@@ -750,11 +707,11 @@ def test_trajectory_histogram_matches_density_engine(case):
 
 
 def test_sample_is_one_multinomial_draw_on_its_stream():
-    # the one measurement rule of both engines, on a stream of a ShotStreams
+    # the one measurement rule of both engines, on a shot generator from make_rng
     circ, _, noise = engine_case("r2-ibm-5")
     for state in (qsim.run_circuit(circ), qsim.run_density(circ, noise)):
-        hist = qsim.sample(state, 2048, qsim.ShotStreams(7).generator(3))
-        want = qsim.make_rng(7, 202, 3).multinomial(2048, state.probabilities())
+        hist = qsim.sample(state, 2048, qsim.make_rng(7, qsim.SHOT_KEY))
+        want = np.random.default_rng([7, 202]).multinomial(2048, state.probabilities())
         np.testing.assert_array_equal(hist.counts, want)
         assert (hist.n_qubits, hist.shots) == (circ.n_qubits, 2048)
 

@@ -23,9 +23,9 @@ def bell_circuit() -> Circuit:
     return Circuit(2).h(0).cx(0, 1)
 
 
-def sampler_for(circuit, shots, seed=0, noise=None, counter=None) -> ShotSampler:
+def sampler_for(circuit, shots, seed=0, noise=None) -> ShotSampler:
     """A sampler of ``circuit`` compiled for the engine ``noise`` selects."""
-    return ShotSampler(qsim.Program(circuit, noise), shots, seed, counter)
+    return ShotSampler(qsim.Program(circuit, noise), shots, seed)
 
 
 def ansatz_sampler(r, t, shots, seed=0, noise=None) -> ShotSampler:
@@ -38,8 +38,8 @@ def gate_by_gate(circuit, noise=None):
     return qsim.run_circuit(circuit) if noise is None else qsim.run_density(circuit, noise)
 
 
-def exact_sampler(circuit, counter=None) -> ShotSampler:
-    return sampler_for(circuit, None, counter=counter)
+def exact_sampler(circuit) -> ShotSampler:
+    return sampler_for(circuit, None)
 
 
 class TestExactDistribution:
@@ -107,10 +107,14 @@ class TestSamplers:
 
         monkeypatch.setattr(qsim, "sample", counted)
         noise = chain_noise(2, 0.01, 0.02, 0.03)
-        hist = sampler_for(bell_circuit(), shots=256, seed=4, noise=noise).run()
-        assert len(calls) == 1 and isinstance(calls[0], qsim.DensityMatrix)
-        rng = qsim.make_rng(4, qsim.SHOT_KEY, 0)
-        assert hist == draw(qsim.run_density(bell_circuit(), noise), 256, rng)
+        sampler = sampler_for(bell_circuit(), shots=256, seed=4, noise=noise)
+        # run k is the k-th in-order draw of the sampler's one shot generator
+        rng = qsim.make_rng(4, qsim.SHOT_KEY)
+        reference = qsim.run_density(bell_circuit(), noise)
+        for k in range(3):
+            hist = sampler.run()
+            assert len(calls) == k + 1 and isinstance(calls[k], qsim.DensityMatrix)
+            assert hist == draw(reference, 256, rng), k
 
     def test_shot_sampler_noise_path(self):
         noise = chain_noise(2, 0.0, 0.25, 0.0)
@@ -128,9 +132,9 @@ class TestSamplers:
         sampler = ansatz_sampler(2, t, shots=512, seed=6, noise=noise)
         programs = (None, *tomography.phase_measurement_programs(2, noise))
         rotations = (Circuit(4), *phase_measurement_circuits(2))
-        for stream, (program, rotation) in enumerate(zip(programs, rotations)):
+        rng = qsim.make_rng(6, qsim.SHOT_KEY)  # the runs draw from it in order
+        for program, rotation in zip(programs, rotations):
             whole = ansatz.build_ansatz_circuit(2, t).extend(rotation)
-            rng = qsim.make_rng(6, qsim.SHOT_KEY, stream)
             want = tomography.measure(gate_by_gate(whole, noise), 512, rng)
             assert sampler.run(program) == want
         assert sampler.counter.count == 3
@@ -141,12 +145,6 @@ class TestSamplers:
         # Bell state in the X basis keeps even parity: one whole circuit, Bell then h h
         assert dist.parity(0b11) == pytest.approx(1.0)
         assert sampler.counter.count == 1
-
-    def test_shared_counter(self):
-        counter = tomography.PreparationCounter()
-        exact_sampler(bell_circuit(), counter).run()
-        exact_sampler(bell_circuit(), counter).run()
-        assert counter.count == 2
 
 
 class TestOccupations:
