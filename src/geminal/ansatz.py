@@ -187,7 +187,7 @@ def pair_excitation_generator_full(k: int, r: int) -> PauliSum:
     return (d + ddag.scaled(-1.0)).simplify()
 
 
-def compile_pauli_exponential(pauli: PauliString, theta: float, n_qubits: int | None = None) -> Circuit:
+def compile_pauli_exponential(pauli: PauliString, theta: float) -> Circuit:
     """Circuit for exp(-i theta/2 P) via the standard CNOT parity ladder.
 
     Basis layer maps X to Z with h and Y to Z with sdg,h; the ladder
@@ -195,11 +195,10 @@ def compile_pauli_exponential(pauli: PauliString, theta: float, n_qubits: int | 
     Consecutive support qubits keep the ladder nearest-neighbour.  CNOT
     cost is 2(w - 1) for weight w.
     """
-    n = pauli.n_qubits if n_qubits is None else n_qubits
     support = pauli.support
     if not support:
         raise ValueError("cannot exponentiate the identity string")
-    circ = Circuit(n)
+    circ = Circuit(pauli.n_qubits)
     ys = pauli.xmask & pauli.zmask
     xs = pauli.xmask & ~pauli.zmask
     for q in support:

@@ -13,7 +13,7 @@ Two-electron repulsion integrals follow the chemists' convention
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,7 +303,6 @@ def _eri_contracted(pairs, a, b, c, d) -> float:
 class RHFResult:
     energy: float
     mo_coeff: np.ndarray
-    mo_energy: np.ndarray
     density: np.ndarray
     converged: bool
     iterations: int
@@ -330,11 +329,9 @@ def run_rhf(
     X = U @ np.diag(w ** -0.5) @ U.T
 
     def solve(F):
-        eps, Cp = np.linalg.eigh(X.T @ F @ X)
-        C = X @ Cp
-        return eps, C
+        return X @ np.linalg.eigh(X.T @ F @ X)[1]
 
-    eps, C = solve(h)
+    C = solve(h)
     D = np.outer(C[:, 0], C[:, 0])
     energy = 0.0
     prev_res = math.inf
@@ -345,7 +342,7 @@ def run_rhf(
         K = np.einsum("prqs,rs->pq", eri, D)
         F = h + 2.0 * J - K
         energy = float(np.sum(D * (h + F))) + integrals.enuc
-        eps, C = solve(F)
+        C = solve(F)
         D_new = np.outer(C[:, 0], C[:, 0])
         res = float(np.linalg.norm(D_new - D))
         if res < tol:
@@ -356,7 +353,7 @@ def run_rhf(
             D_new = 0.5 * (D_new + D)  # damp oscillating fixed point
         D = D_new
         prev_res = res
-    return RHFResult(energy, C, eps, D, converged, it)
+    return RHFResult(energy, C, D, converged, it)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +364,6 @@ def run_rhf(
 class FCIResult:
     energy: float
     coeff: np.ndarray  # c[i, j]: amplitude of |i_alpha j_beta>
-    spectrum: np.ndarray = field(repr=False)
 
 
 def fci_two_electron(h: np.ndarray, eri: np.ndarray, enuc: float) -> FCIResult:
@@ -388,19 +384,20 @@ def fci_two_electron(h: np.ndarray, eri: np.ndarray, enuc: float) -> FCIResult:
     flat = np.argmax(np.abs(c))
     if c.ravel()[flat] < 0:
         c = -c
-    return FCIResult(float(w[0]) + enuc, c, w + enuc)
+    return FCIResult(float(w[0]) + enuc, c)
 
 
-def pair_spectrum(coeff: np.ndarray, tol: float = 1e-8):
+def pair_spectrum(coeff: np.ndarray):
     """Eigen-decompose a (symmetric) two-electron coefficient matrix.
 
     Returns signed geminal amplitudes g sorted by decreasing |g| and the
     orthogonal matrix whose columns are the corresponding natural
     orbitals (in the basis the coefficients were expressed in).  The
-    global gauge is fixed so g[0] > 0.
+    global gauge is fixed so g[0] > 0.  A matrix further than 1e-8 from
+    symmetric raises ValueError.
     """
     asym = float(np.linalg.norm(coeff - coeff.T))
-    if asym > tol:
+    if asym > 1e-8:
         raise ValueError(f"coefficient matrix is not symmetric (|c - c^T| = {asym:.2e})")
     g, U = np.linalg.eigh(0.5 * (coeff + coeff.T))
     order = np.argsort(-np.abs(g))

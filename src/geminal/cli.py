@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +81,10 @@ def resolve_molecule_builder(args):
         except (OSError, UnicodeDecodeError) as exc:
             raise chem.GeometryError(f"not a readable text file ({exc})") from None
         molecule = chem.parse_geometry(text)
+        if molecule.n_electrons != 2:
+            raise chem.GeometryError(
+                f"{molecule.n_electrons} electrons; geminal treats two-electron systems"
+            )
         return (lambda _=0.0: molecule), molecule.label or path.stem
     return SYSTEM_BUILDERS[args.system], args.system
 
@@ -143,31 +146,24 @@ def requested_shots(args) -> int | None:
     return None if args.exact else args.shots
 
 
-
-def hybrid_config(args) -> hybrid.HybridConfig:
-    symmetries, project = parse_mitigate(args.mitigate)
-    return hybrid.HybridConfig(
-        shots=requested_shots(args),
-        noise=None,  # attached per run once the qubit count is known
-        seed=args.seed,
-        symmetries=symmetries,
-        project=project,
-        phase_mode=args.phase,
-    )
-
-
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
 
 def cmd_curve(args) -> int:
-    base = hybrid_config(args)
+    symmetries, project = parse_mitigate(args.mitigate)
     builder, label = SYSTEM_BUILDERS[args.system], args.system
     values = parse_scan_range(args.scan or DEFAULT_SCANS[args.system])
 
     probe = chem.compute_integrals(builder(values[0]))
-    noise = load_noise(args.noise, 2 * probe.n_basis, args.damping)
-    base = replace(base, noise=noise)
+    config = hybrid.HybridConfig(
+        shots=requested_shots(args),
+        noise=load_noise(args.noise, 2 * probe.n_basis, args.damping),
+        seed=args.seed,
+        symmetries=symmetries,
+        project=project,
+        phase_mode=args.phase,
+    )
 
     if args.jobs > 1:
         # imported here, so that commands without a pool skip loading multiprocessing
@@ -176,13 +172,13 @@ def cmd_curve(args) -> int:
 
         try:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                points = hybrid.dissociation_curve(builder, values, base, mapper=pool.map)
+                points = hybrid.dissociation_curve(builder, values, config, mapper=pool.map)
         except BrokenProcessPool as exc:
             raise SystemExit(
                 f"curve --jobs {args.jobs}: a worker process died ({exc}); no table written"
             ) from exc
     else:
-        points = hybrid.dissociation_curve(builder, values, base)
+        points = hybrid.dissociation_curve(builder, values, config)
 
     lines = header_lines(args, {"system": label})
     lines.append("# R_bohr  E_hybrid  E_FCI  E_RHF  abs_error_mhartree  iterations  flags")
@@ -420,13 +416,13 @@ def _check_circuit_equivalence(quick):
 
 
 def _check_pauli_reduction(quick):
-    from scipy.linalg import expm
-
     for r in (2,) if quick else (2, 3):
         for k in range(r - 1):
             theta = -0.813
             gen = ansatz.pair_excitation_generator_full(k, r).dense()
-            target = expm(theta * gen)
+            # gen is anti-Hermitian: exp(theta gen) from the eigenbasis of 1j gen
+            w, v = np.linalg.eigh(1j * gen)
+            target = (v * np.exp(-1j * theta * w)) @ v.conj().T
             circuit = ansatz.optimized_pair_gate(k, theta, r)
             for idx in ansatz.paired_subspace_indices(r):
                 basis = qsim.Statevector.basis_state(2 * r, idx)
@@ -458,8 +454,7 @@ def _check_energy_assembly(quick):
         for _ in range(20 if quick else 100):
             t = rng.uniform(-np.pi, np.pi, size=r - 1)
             amps = ansatz.givens_chain_amplitudes(t)
-            prods = amps[:-1] * amps[1:]
-            state = hybrid.GeminalState(amps**2, np.where(prods >= 0, 1, -1))
+            state = hybrid.GeminalState(amps**2, tomography.classical_phase_assignment(t))
             e = hybrid.assemble_2dm_energy(state, pair)
             ref = qsim.run_circuit(ansatz.build_ansatz_circuit(r, t)).expectation(ham)
             assert abs(e - ref) < 1e-10
@@ -568,20 +563,11 @@ def cmd_integrals(args) -> int:
         for row in matrix:
             lines.append("  ".join(f"{v:16.12f}" for v in row))
     lines.append("# eri (pq|rs), unique elements with |value| > 1e-12")
-    seen = set()
-    for p in range(n):
-        for q in range(n):
-            for u in range(n):
-                for v in range(n):
-                    key = min(
-                        (p, q, u, v), (q, p, u, v), (p, q, v, u), (q, p, v, u),
-                        (u, v, p, q), (v, u, p, q), (u, v, q, p), (v, u, q, p),
-                    )
-                    if key in seen or abs(ints.eri[p, q, u, v]) <= 1e-12:
-                        continue
-                    seen.add(key)
-                    a, b, c, d = key
-                    lines.append(f"{a} {b} {c} {d}  {ints.eri[a, b, c, d]:16.12f}")
+    # lexicographic order meets each 8-fold symmetry class (pq|uv) = (qp|uv) =
+    # (uv|pq) = ... first at its least index: p <= q, u <= v and (p, q) <= (u, v)
+    for p, q, u, v in itertools.product(range(n), repeat=4):
+        if p <= q and u <= v and (p, q) <= (u, v) and abs(ints.eri[p, q, u, v]) > 1e-12:
+            lines.append(f"{p} {q} {u} {v}  {ints.eri[p, q, u, v]:16.12f}")
     lines.append(f"E_RHF = {rhf.energy:.12f}")
     lines.append(f"E_FCI = {fci.energy:.12f}")
     out = output_dir(args)

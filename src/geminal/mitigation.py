@@ -221,9 +221,13 @@ def project_polytope(
 # scan metrics
 # ---------------------------------------------------------------------------
 
-def scan_angles(n_points: int = 11) -> np.ndarray:
-    """Standard rotation-angle grid from -pi to 0."""
-    return np.linspace(-np.pi, 0.0, n_points)
+SCAN_POINTS = 11  # angles per axis of the standard scan grid
+BOOTSTRAP_RESAMPLES = 1000  # resampled curves behind each V interval
+
+
+def scan_angles() -> np.ndarray:
+    """Standard rotation-angle grid from -pi to 0, SCAN_POINTS angles."""
+    return np.linspace(-np.pi, 0.0, SCAN_POINTS)
 
 
 def v_metric(angles: np.ndarray, n1: np.ndarray, n2: np.ndarray) -> float:
@@ -243,16 +247,16 @@ def bootstrap_v_interval(
     n1: np.ndarray,
     n2: np.ndarray,
     shots: int | None,
-    n_resamples: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float, float]:
     """V with a binomial-resampling 95 percent confidence interval.
 
     Each occupation estimate is treated as a proportion over ``shots``
-    effective shots; resampled curves feed the same V integral.  The
-    resampled values are shifted by their bias, mean - V, which
-    |n2 - n1| >= 0 makes positive, and the interval is clipped at 0.
-    Exact estimates (``shots=None``) give the interval (V, V).
+    effective shots; BOOTSTRAP_RESAMPLES resampled curves feed the same
+    V integral.  The resampled values are shifted by their bias,
+    mean - V, which |n2 - n1| >= 0 makes positive, and the interval is
+    clipped at 0.  Exact estimates (``shots=None``) give the interval
+    (V, V).
     """
     n1 = np.clip(np.asarray(n1, dtype=float), 0.0, 1.0)
     n2 = np.clip(np.asarray(n2, dtype=float), 0.0, 1.0)
@@ -260,8 +264,8 @@ def bootstrap_v_interval(
     if shots is None:
         return v, v, v
     rng = qsim.make_rng(seed, qsim.BOOTSTRAP_KEY)
-    draws1 = rng.binomial(shots, n1, size=(n_resamples, n1.size)) / shots
-    draws2 = rng.binomial(shots, n2, size=(n_resamples, n2.size)) / shots
+    draws1 = rng.binomial(shots, n1, size=(BOOTSTRAP_RESAMPLES, n1.size)) / shots
+    draws2 = rng.binomial(shots, n2, size=(BOOTSTRAP_RESAMPLES, n2.size)) / shots
     vals = np.trapezoid(np.abs(draws2 - draws1), np.asarray(angles), axis=1)
     lo, hi = np.maximum(np.percentile(vals - (vals.mean() - v), [2.5, 97.5]), 0.0)
     return v, float(lo), float(hi)

@@ -633,9 +633,10 @@ class NoiseModel:
 
     ``one_qubit``/``readout`` map qubit index to probability;
     ``two_qubit`` maps ordered coupling pairs (looked up direction-
-    agnostically).  ``t1_ns``/``t2_ns`` enable relaxation only when
-    ``damping`` is set; the defaults emulate gate errors and readout
-    only, which is the regime the error-rate tables describe.
+    agnostically).  ``t1_ns``/``t2_ns`` enable relaxation when set;
+    ``from_calibration`` sets them only with ``damping``, so by default
+    a model emulates gate errors and readout only, which is the regime
+    the error-rate tables describe.
 
     The density-matrix engine keeps what it builds from these rates in
     ``_channels``: one superoperator per parameter-free gate, one noise
@@ -654,7 +655,6 @@ class NoiseModel:
     readout: dict[int, float]
     t1_ns: dict[int, float] | None = None
     t2_ns: dict[int, float] | None = None
-    damping: bool = False
     _channels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -662,16 +662,19 @@ class NoiseModel:
         """Restrict a device table to qubits 0..n_qubits-1 (identity layout).
 
         The linear chain (0,1), (1,2), ... must exist on the device; a
-        missing qubit or coupling raises CalibrationError.
+        missing qubit or coupling raises CalibrationError.  ``damping``
+        keeps the qubits' T1/T2 times, which switches relaxation on.
         """
         one = {q: cal.qubit(q).u2_error for q in range(n_qubits)}
         ro = {q: cal.qubit(q).readout_error for q in range(n_qubits)}
         two = {}
         for q in range(n_qubits - 1):
             two[(q, q + 1)] = cal.cx_error(q, q + 1)
+        if not damping:
+            return cls(one, two, ro)
         t1 = {q: cal.qubit(q).t1_us * 1000.0 for q in range(n_qubits)}
         t2 = {q: cal.qubit(q).t2_us * 1000.0 for q in range(n_qubits)}
-        return cls(one, two, ro, t1, t2, damping)
+        return cls(one, two, ro, t1, t2)
 
     @classmethod
     def uniform(cls, n_qubits: int, p1: float = 0.0):
@@ -738,7 +741,7 @@ def _noise_channel(noise: NoiseModel, gate: Gate) -> np.ndarray:
     lam = noise.p_gate(gate) * d * d / (d * d - 1)
     ident = np.eye(d).reshape(-1)
     chan = (1.0 - lam) * np.eye(d * d) + (lam / d) * np.outer(ident, ident)
-    if noise.damping and noise.t1_ns is not None:
+    if noise.t1_ns is not None:
         duration = CNOT_GATE_NS if gate.name == "cx" else ONE_QUBIT_GATE_NS
         for m, q in enumerate(gate.qubits):
             gamma, pz = _relaxation(duration, noise.t1_ns[q], noise.t2_ns[q])
@@ -1152,7 +1155,6 @@ def run_trajectories(
     rng = make_rng(seed, SHOT_KEY, stream)
     amps2 = np.zeros((nt, 1 << circuit.n_qubits), dtype=complex)
     amps2[:, 0] = 1.0
-    damping = noise.damping and noise.t1_ns is not None
     for gate in circuit.gates:
         if gate.name == "cx":
             _kernels.apply_cnot_batch(amps2, *gate.qubits)
@@ -1166,7 +1168,7 @@ def run_trajectories(
             else:
                 codes = rng.integers(0, 3, size=hit.size) + 1  # X, Y, Z
             _apply_pauli_errors(amps2, hit, codes, gate.qubits)
-        if damping:
+        if noise.t1_ns is not None:
             dur = CNOT_GATE_NS if gate.name == "cx" else ONE_QUBIT_GATE_NS
             for q in gate.qubits:
                 gamma, pz = _relaxation(dur, noise.t1_ns[q], noise.t2_ns[q])

@@ -54,9 +54,10 @@ def measure(state, shots: int | None, rng: np.random.Generator | None = None) ->
 class ShotSampler:
     """Samples compiled preparations at the pair angles ``angles``.
 
-    A caller may set ``angles`` between runs.  Each ``run`` is one
-    circuit preparation: a compiled program, by default ``program``,
-    prepared at ``angles`` from |0...0> (a
+    ``angles`` starts empty, which suits a program that binds no angle;
+    a caller sets it before running the ansatz and may change it between
+    runs.  Each ``run`` is one circuit preparation: a compiled program,
+    by default ``program``, prepared at ``angles`` from |0...0> (a
     statevector, or a density matrix for a program compiled under a
     noise model) and executed for ``shots`` shots, or exactly when
     ``shots`` is None.  The sampler's ``counter`` counts its runs.  Runs
@@ -65,9 +66,9 @@ class ShotSampler:
     replays another's draw.
     """
 
-    def __init__(self, program: Program, shots: int | None, seed: int = 0, angles=()):
+    def __init__(self, program: Program, shots: int | None, seed: int = 0):
         self.program = program
-        self.angles = angles
+        self.angles = ()
         self.shots = None if shots is None else int(shots)
         self.counter = PreparationCounter()
         self.rng = None if self.shots is None else qsim.make_rng(seed, qsim.SHOT_KEY)

@@ -127,6 +127,18 @@ def test_importing_the_cli_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_selftest_passes_without_scipy():
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from geminal import cli; raise SystemExit(cli.main(['selftest', '--quick']))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only `curve --jobs N` uses the pool, and it is imported there
     code = (
@@ -250,6 +262,9 @@ def test_nearly_coincident_nuclei_are_clean_exit_before_any_file(tmp_path, argv)
         ("H 0 0 0\nXx 0 0 1.4\n", "line 2: unsupported element 'Xx'"),
         (b"\xff\xfeH 0 0 0\n", "not a readable text file ("),  # undecodable bytes
         (None, "not a readable text file ("),  # a directory
+        ("He 0 0 0\nHe 0 0 5.6\n", "4 electrons; geminal treats two-electron systems"),
+        ("charge 1\nH 0 0 0\n", "0 electrons; geminal treats two-electron systems"),
+        ("charge -2\nH 0 0 0\nH 0 0 1.4\n", "4 electrons; geminal treats two-electron systems"),
     ],
 )
 def test_unusable_geometry_file_is_clean_exit_before_work(tmp_path, monkeypatch, atoms, message):
@@ -265,6 +280,17 @@ def test_unusable_geometry_file_is_clean_exit_before_work(tmp_path, monkeypatch,
     with pytest.raises(SystemExit, match=re.escape(f"bad geometry file {geom}: {message}")):
         run_cli(["integrals", "--geometry", str(geom), "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "vtable"])
+def test_scan_commands_refuse_a_geometry_without_two_electrons(tmp_path, monkeypatch, command):
+    refuse_work(monkeypatch)
+    geom = tmp_path / "he2.txt"
+    geom.write_text("He 0 0 0\nHe 0 0 5.6\n")
+    message = f"bad geometry file {geom}: 4 electrons; geminal treats two-electron systems"
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        run_cli([command, "--geometry", str(geom), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_geometry_file_is_clean_error(tmp_path):
@@ -393,7 +419,7 @@ def test_curve_goes_on_past_a_rejected_point(tmp_path, monkeypatch):
     quantum_step = hybrid.quantum_step
 
     def reject_at_one_bohr(objective, t0=None):
-        if objective.enuc == pytest.approx(1.0):  # the R = 1.0 bohr point
+        if objective.pair.enuc == pytest.approx(1.0):  # the R = 1.0 bohr point
             raise cli.mitigation.AllShotsRejectedError("symmetry filters rejected every shot")
         return quantum_step(objective, t0=t0)
 
@@ -539,7 +565,7 @@ def test_scan_grid_prepares_each_point_once(tmp_path, monkeypatch, argv, points)
 
 def test_scan_rejects_unsupported_size(tmp_path):
     geom = tmp_path / "chain.txt"
-    geom.write_text("H 0 0 0\nH 0 0 1.6\nH 0 0 3.2\nH 0 0 4.8\n")
+    geom.write_text("charge 2\nH 0 0 0\nH 0 0 1.6\nH 0 0 3.2\nH 0 0 4.8\n")
     with pytest.raises(SystemExit, match="2 or 3 orbitals"):
         run_cli(["scan", "--geometry", str(geom), "--out", str(tmp_path)])
 

@@ -172,7 +172,7 @@ class TestQuantumObjective:
             obj = QuantumObjective(h, eri, ints.enuc, HybridConfig(shots=256, seed=3))
             devs = []
             for _ in range(30):
-                state = obj.measure_state(t, repeats=repeats)
+                state, _ = obj.measure_state(t, repeats=repeats)
                 devs.append(np.abs(state.n - ideal).max())
             return np.mean(devs)
 

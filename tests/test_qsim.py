@@ -693,7 +693,7 @@ def test_damped_trajectory_histogram_matches_density_matrix(angles, seed):
 def test_density_engine_matches_kraus_oracle(case):
     circ, cal, noise = engine_case(case)
     got = qsim.run_density(circ, noise).probabilities()
-    want = density_matrix_outcomes(circ, cal, damping=noise.damping)
+    want = density_matrix_outcomes(circ, cal, damping=noise.t1_ns is not None)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -746,7 +746,8 @@ def test_gate_order_cache_holds_every_evaluation_key():
     def evaluate_each_mode():
         for r, noise in modes:
             program = ansatz.compiled_ansatz(r, noise)
-            sampler = tomography.ShotSampler(program, 64, seed=1, angles=np.full(r - 1, 0.4))
+            sampler = tomography.ShotSampler(program, 64, seed=1)
+            sampler.angles = np.full(r - 1, 0.4)
             tomography.measure_occupations(sampler, r)
             tomography.estimate_phases(sampler, tomography.phase_measurement_programs(r, noise))
 

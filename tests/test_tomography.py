@@ -30,7 +30,9 @@ def sampler_for(circuit, shots, seed=0, noise=None) -> ShotSampler:
 
 def ansatz_sampler(r, t, shots, seed=0, noise=None) -> ShotSampler:
     """A sampler of the production preparation: the compiled ansatz at angles t."""
-    return ShotSampler(ansatz.compiled_ansatz(r, noise), shots, seed, angles=np.asarray(t))
+    sampler = ShotSampler(ansatz.compiled_ansatz(r, noise), shots, seed)
+    sampler.angles = np.asarray(t)
+    return sampler
 
 
 def gate_by_gate(circuit, noise=None):
