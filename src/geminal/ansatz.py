@@ -290,10 +290,14 @@ def givens_chain_amplitudes(t: np.ndarray, r: int | None = None) -> np.ndarray:
         r = t.size + 1
     elif t.shape != (r - 1,):
         raise ValueError(f"need {r - 1} angles for r = {r}")
-    amps = np.empty(r)
-    running = 1.0
-    for p in range(r - 1):
-        amps[p] = math.cos(t[p]) * running
-        running *= math.sin(t[p])
-    amps[r - 1] = running
+    return np.array(chain_amplitudes(t.tolist()))
+
+
+def chain_amplitudes(t: list[float]) -> list[float]:
+    """``givens_chain_amplitudes`` on Python floats: one amplitude per pair, len(t) + 1."""
+    amps, running = [], 1.0
+    for angle in t:
+        amps.append(math.cos(angle) * running)
+        running *= math.sin(angle)
+    amps.append(running)
     return amps

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,7 +35,10 @@ DEFAULT_SCANS = {"h2": "0.5:5.0:12", "h3plus": "1.0:3.0:8"}
 def parse_scan_range(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        values = np.linspace(float(start), float(stop), int(count))
+        start, stop = float(start), float(stop)
+        if math.isinf(start) or math.isinf(stop):  # linspace would warn and make NaN points
+            raise ValueError("infinite start or stop")
+        values = np.linspace(start, stop, int(count))
     except ValueError as exc:
         raise SystemExit(f"bad scan range {text!r}; expected start:stop:npoints") from exc
     if values.size < 1:

@@ -16,6 +16,8 @@ agree within a threshold.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,13 +39,17 @@ class GeminalState:
         self.xi = np.asarray(self.xi, dtype=int)
         if self.xi.shape != (self.n.size - 1,):
             raise ValueError("need one sign per adjacent orbital pair")
-        if not np.all(np.abs(self.xi) == 1):
+        if not {*self.xi.tolist()} <= {1, -1}:
             raise ValueError("phases must be +-1")
 
     @property
     def g(self) -> np.ndarray:
-        signs = np.concatenate([[1], np.cumprod(self.xi)])
-        return signs * np.sqrt(np.clip(self.n, 0.0, None))
+        """s_p sqrt(max(n_p, 0)), on Python floats: sqrt rounds correctly either way.
+
+        The clip sends -0.0 to 0.0 and keeps a NaN, as ``np.clip`` does.
+        """
+        signs = itertools.accumulate(self.xi.tolist(), operator.mul, initial=1)
+        return np.array([s * math.sqrt(0.0 if v <= 0.0 else v) for s, v in zip(signs, self.n.tolist())])
 
 
 @dataclass(frozen=True)
@@ -176,13 +182,13 @@ class QuantumObjective:
         self.last_eval_preparations = 0
 
     def _measure_raw(self, t: np.ndarray):
-        """One tomography batch: raw occupations, phase estimates and their variances."""
+        """One tomography batch: raw occupations, phase estimates and their standard errors."""
         self.sampler.angles = t
         occ = tomography.measure_occupations(self.sampler, self.r, self.config.symmetries)
         n = 0.5 * (occ.n_alpha + occ.n_beta)
         if self.phase_programs is not None:
             est = tomography.estimate_phases(self.sampler, self.phase_programs)
-            return n, est.values, est.stderr**2, occ.retained_fraction
+            return n, est.values, est.stderr, occ.retained_fraction
         return n, None, None, occ.retained_fraction
 
     def measure_state(self, t: np.ndarray, repeats: int = 1) -> tuple[GeminalState, float]:
@@ -194,31 +200,35 @@ class QuantumObjective:
         preparation count; the retained fraction is averaged likewise.
         Exact mode ignores ``repeats``.  A single batch is taken as
         measured, since adding it to zeros and dividing it by 1 would
-        change no bit.
+        change no bit, and so is its standard error: the root of its
+        square over one batch is the error itself, as sqrt(x * x) == x
+        for every double x >= 0 whose square neither overflows nor
+        underflows (a nonzero error is at least about 1 / shots).
         """
         t = np.asarray(t, dtype=float)
         if self.config.shots is None:
             repeats = 1
         before = self.sampler.counter.count
         if repeats == 1:  # kept apart: the accumulator loop timed 1-8% slower per evaluation
-            n, phases, phase_var, retained = self._measure_raw(t)
+            n, phases, phase_err, retained = self._measure_raw(t)
         else:
             n_acc = np.zeros(self.r)
             ph_acc = np.zeros(max(self.r - 1, 0))
             phase_var = np.zeros(max(self.r - 1, 0))
             retained = 0.0
             for _ in range(repeats):
-                n, phases, var, frac = self._measure_raw(t)
+                n, phases, err, frac = self._measure_raw(t)
                 n_acc += n
                 retained += frac
                 if phases is not None:
                     ph_acc += phases
-                    phase_var += var
+                    phase_var += err**2
             n, phases, retained = n_acc / repeats, ph_acc / repeats, retained / repeats
+            phase_err = np.sqrt(phase_var) / repeats
 
         if self.phase_programs is not None:
-            xi, ambiguous = tomography.phase_signs(phases, np.sqrt(phase_var) / repeats)
-            if np.any(ambiguous):
+            xi, ambiguous = tomography.phase_signs(phases, phase_err)
+            if ambiguous.any():
                 xi[ambiguous] = tomography.classical_phase_assignment(t)[ambiguous]
         else:
             xi = tomography.classical_phase_assignment(t)

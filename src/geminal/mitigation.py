@@ -22,7 +22,6 @@ rotation-angle grid; its ideal value on the standard grid is 2.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +57,8 @@ def symmetry_verify(
     if hist.shots is None:
         fraction = float(weight / hist.counts.sum())
         return ShotHistogram(hist.n_qubits, None, kept / fraction), fraction
-    return ShotHistogram(hist.n_qubits, int(weight), kept), int(weight) / hist.shots
+    weight = int(weight)
+    return ShotHistogram(hist.n_qubits, weight, kept), weight / hist.shots
 
 
 @functools.lru_cache(maxsize=16)
@@ -170,10 +170,12 @@ def _project_onto_hull(point: list[float]) -> list[float]:
     sorted probability-simplex threshold finishes the projection
     (Condat 2016): tau_k = (y_1 + ... + y_k - 1) / k, rho is the last k
     with y_k > tau_k, and the result is max(y - tau_rho, 0).  It runs on
-    Python floats, which beat numpy at r <= 5, with the operations of
-    the vector formulas in their order: the partial sums run left to
-    right like ``np.cumsum``, and the clip maps -0.0 to 0.0 like
-    ``np.maximum(d, 0.0)``, so every bit equals the numpy result.
+    Python floats, which beat numpy at r <= 5, in one pass over y with
+    the operations of the vector formulas in their order: the partial
+    sums run left to right like ``np.cumsum`` (from 0.0, which changes
+    at most the sign of a zero sum and so no tau), and the clip maps
+    -0.0 to 0.0 like ``np.maximum(d, 0.0)``, so every bit equals the
+    numpy result.
     """
     sums, counts = [], []
     for value in point:
@@ -183,10 +185,15 @@ def _project_onto_hull(point: list[float]) -> list[float]:
             count += counts.pop()
         sums.append(total)
         counts.append(count)
-    y = [total / count for total, count in zip(sums, counts) for _ in range(count)]
-    tau = [(c - 1.0) / k for k, c in enumerate(itertools.accumulate(y), 1)]
-    rho = next(k for k in reversed(range(len(y))) if y[k] > tau[k])
-    return [d if d > 0.0 else 0.0 for d in (v - tau[rho] for v in y)]
+    if len(sums) < len(point):
+        point = [total / count for total, count in zip(sums, counts) for _ in range(count)]
+    total = 0.0
+    for k, value in enumerate(point, 1):
+        total += value
+        tau = (total - 1.0) / k
+        if value > tau:
+            tau_rho = tau
+    return [d if (d := value - tau_rho) > 0.0 else 0.0 for value in point]
 
 
 def project_polytope(

@@ -465,16 +465,17 @@ class ShotHistogram:
 
     def parity(self, mask: int) -> float:
         """Mean of (-1)**popcount(outcome & mask)."""
-        signs = _kernels.parity_signs(self.counts.size, mask)
-        return float(np.sum(self.counts * signs)) / self._norm
+        return float(self.parities(_kernels.parity_signs(self.counts.size, mask)))
 
-    def parity_estimate(self, mask: int) -> tuple[float, float]:
-        """``parity(mask)`` and its standard error, which is 0 for an exact record."""
-        p = self.parity(mask)
-        if self.shots is None:
-            return p, 0.0
-        var = max(0.0, 1.0 - p * p)
-        return p, math.sqrt(var / self.shots)
+    def parities(self, signs: np.ndarray) -> np.ndarray:
+        """Mean over shots of each row of ``signs``, one +-1 per outcome.
+
+        One product weighs every row, and each row is then summed along
+        itself in the order ``np.sum`` sums one vector, so a table of
+        many masks costs one call and each row keeps the bits of its
+        mask's parity taken alone.
+        """
+        return np.add.reduce(self.counts * signs, axis=-1) / self._norm
 
 
 def make_rng(*keys: int) -> np.random.Generator:
@@ -1024,7 +1025,11 @@ class Program:
         return flat if self._steps else flat.copy()
 
     def run(self, t=()):
-        """The state after the program at angles ``t``, from |0...0>."""
+        """The state after the program at angles ``t``, from |0...0>.
+
+        The angles bind as Python floats, the type ``_weights`` is fastest on.
+        """
+        t = np.asarray(t, dtype=float).tolist()
         if len(t) != self.n_angles:
             raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
         table, readout = self._table, self._readout

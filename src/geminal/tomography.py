@@ -23,11 +23,13 @@ callers can fall back to the classically propagated sign.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from geminal import ansatz, mitigation, qsim
+from geminal import _kernels, ansatz, mitigation, qsim
 from geminal.qsim import Circuit, NoiseModel, Program, ShotHistogram
 
 
@@ -154,31 +156,45 @@ def window_mask(k: int) -> int:
     return 0b1111 << (2 * k)
 
 
+@functools.lru_cache(maxsize=16)
+def _window_signs(n_qubits: int) -> np.ndarray:
+    """Read-only (n_qubits // 2 - 1, 2**n_qubits) table: row k holds the parity signs of window k."""
+    dim, windows = 1 << n_qubits, n_qubits // 2 - 1
+    table = np.empty((windows, dim))
+    for k in range(windows):
+        table[k] = _kernels.parity_signs(dim, window_mask(k))
+    table.flags.writeable = False  # shared by every cached call
+    return table
+
+
 def estimate_phases(sampler, programs: tuple[Program, Program]) -> PhaseEstimate:
     """Two rotated-basis preparations giving all r-1 window signs.
 
     ``programs`` are the pair ``phase_measurement_programs`` compiles for
-    the sampler's r and noise model.
+    the sampler's r and noise model.  Each record gives every window's
+    parity from one product with the cached window-sign table, summed
+    per window like ``ShotHistogram.parity``, and a sampled one its
+    standard error sqrt((1 - p**2) / shots).
     """
     program_a, program_b = programs
     rec_a = sampler.run(program_a)
     rec_b = sampler.run(program_b)
-    r = program_a.n_qubits // 2
-    vals = np.empty(r - 1)
-    errs = np.empty(r - 1)
-    for k in range(r - 1):
-        mask = window_mask(k)
-        par_a, err_a = rec_a.parity_estimate(mask)
-        par_b, err_b = rec_b.parity_estimate(mask)
-        vals[k] = 0.25 * (par_a + par_b)
-        errs[k] = 0.25 * np.hypot(err_a, err_b)
-    return PhaseEstimate(vals, errs)
+    signs = _window_signs(program_a.n_qubits)
+    par_a, par_b = rec_a.parities(signs).tolist(), rec_b.parities(signs).tolist()
+    values = np.array([0.25 * (a + b) for a, b in zip(par_a, par_b)])
+    if rec_a.shots is None:
+        return PhaseEstimate(values, np.zeros(values.size))
+    err_a = [math.sqrt(max(0.0, 1.0 - p * p) / rec_a.shots) for p in par_a]
+    err_b = [math.sqrt(max(0.0, 1.0 - p * p) / rec_b.shots) for p in par_b]
+    return PhaseEstimate(values, 0.25 * np.hypot(err_a, err_b))
 
 
 def phase_signs(values: np.ndarray, stderr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signs +-1 of coherence estimates (zero is +1), and the ambiguous ones."""
-    xi = np.where(values >= 0, 1, -1).astype(int)
-    return xi, np.abs(values) < 2.0 * stderr
+    values, stderr = np.asarray(values, dtype=float).tolist(), np.asarray(stderr, dtype=float).tolist()
+    xi = [1 if v >= 0 else -1 for v in values]
+    ambiguous = [abs(v) < 2.0 * e for v, e in zip(values, stderr)]
+    return np.array(xi, dtype=int), np.array(ambiguous, dtype=bool)
 
 
 def classical_phase_assignment(t: np.ndarray) -> np.ndarray:
@@ -187,6 +203,5 @@ def classical_phase_assignment(t: np.ndarray) -> np.ndarray:
     xi_k = sign(amp_k amp_{k+1}) for the ideal chain amplitudes; an
     exactly vanishing product keeps sign +1.
     """
-    amps = ansatz.givens_chain_amplitudes(np.asarray(t, dtype=float))
-    prods = amps[:-1] * amps[1:]
-    return np.where(prods >= 0, 1, -1).astype(int)
+    amps = ansatz.chain_amplitudes(np.asarray(t, dtype=float).reshape(-1).tolist())
+    return np.array([1 if a * b >= 0 else -1 for a, b in zip(amps, amps[1:])], dtype=int)

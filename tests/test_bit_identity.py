@@ -1,21 +1,26 @@
 """The lean paths give the same bits as the former per-call numpy ones.
 
 ``hybrid.assemble_2dm_energy`` reads integrals gathered once per
-objective, ``mitigation.project_polytope`` runs on Python floats, and
-``qsim.Program``'s block path runs a compiled fixed prefix, binds fixed
-blocks once and moves the state between blocks by one gather.  Each keeps
-every float operation and its order, so the copies below of the former
-numpy versions must agree with them under ``==`` (compared as bytes, so a
--0.0 for a 0.0 fails too), and the energies one objective returns at
-seed 1 must equal those pinned from the former path.
+objective; ``mitigation.project_polytope``, ``hybrid.GeminalState.g`` and
+``tomography.classical_phase_assignment`` run on Python floats;
+``tomography.estimate_phases`` takes every window's parity from one
+product with a cached sign table; and ``qsim.Program``'s block path runs
+a compiled fixed prefix, binds fixed blocks once and moves the state
+between blocks by one gather.  Each keeps every float operation and its
+order, so the copies below of the former numpy versions must agree with
+them under ``==`` (compared as bytes, so a -0.0 for a 0.0 fails too), and
+the energies and shot-generator states of objectives at seed 1 must equal
+those pinned from the former path.
 """
 
 import functools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from geminal import ansatz, chem, hybrid, mitigation, qsim, tomography
+from geminal import _kernels, ansatz, chem, hybrid, mitigation, qsim, tomography
 from geminal.qsim import Circuit, NoiseModel
 
 
@@ -68,6 +73,105 @@ def random_points(rng, r):
 
 def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def numpy_g(n, xi):
+    """The former pair amplitudes: cumulative signs times the clipped square roots, in numpy."""
+    signs = np.concatenate([[1], np.cumprod(xi)])
+    return signs * np.sqrt(np.clip(n, 0.0, None))
+
+
+def numpy_classical_phase_assignment(t):
+    """The former classical signs: numpy products of the chain amplitudes."""
+    amps = ansatz.givens_chain_amplitudes(np.asarray(t, dtype=float))
+    prods = amps[:-1] * amps[1:]
+    return np.where(prods >= 0, 1, -1).astype(int)
+
+
+def former_parity_estimate(record, mask):
+    """The former ``ShotHistogram.parity_estimate``: one mask's parity and its standard error."""
+    norm = 1.0 if record.shots is None else record.shots
+    p = float(np.sum(record.counts * _kernels.parity_signs(record.counts.size, mask))) / norm
+    if record.shots is None:
+        return p, 0.0
+    return p, math.sqrt(max(0.0, 1.0 - p * p) / record.shots)
+
+
+def former_estimate_phases(rec_a, rec_b, r):
+    """The former window loop of ``estimate_phases``: two parity estimates per window."""
+    vals = np.empty(r - 1)
+    errs = np.empty(r - 1)
+    for k in range(r - 1):
+        mask = tomography.window_mask(k)
+        par_a, err_a = former_parity_estimate(rec_a, mask)
+        par_b, err_b = former_parity_estimate(rec_b, mask)
+        vals[k] = 0.25 * (par_a + par_b)
+        errs[k] = 0.25 * np.hypot(err_a, err_b)
+    return vals, errs
+
+
+class Replay:
+    """A sampler that hands out given records in turn, for ``estimate_phases``."""
+
+    def __init__(self, *records):
+        self._records = iter(records)
+
+    def run(self, program=None):
+        return next(self._records)
+
+
+def signed_zero_points(r):
+    """Occupations with +-0.0 and negative entries, length r."""
+    yield np.array([-0.0] + [1.0] * (r - 1))
+    yield np.array([0.0] * r)
+    yield np.array([-0.0] * r)
+    yield np.array([(-0.5) ** k for k in range(r)])
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_pair_amplitudes_match_numpy(r):
+    rng = np.random.default_rng(30 + r)
+    points = [*signed_zero_points(r)] + [p for _ in range(100) for p in random_points(rng, r)]
+    for n in points:
+        for xi in (np.ones(r - 1, int), -np.ones(r - 1, int), rng.choice([-1, 1], size=r - 1)):
+            assert hybrid.GeminalState(n, xi).g.tobytes() == numpy_g(n, xi).tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_classical_signs_match_numpy(r):
+    rng = np.random.default_rng(40 + r)
+    special = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]
+    angles = [rng.choice(special, size=r - 1) for _ in range(50)]
+    angles += [rng.uniform(-np.pi, np.pi, size=r - 1) for _ in range(200)]
+    for t in angles:
+        got = tomography.classical_phase_assignment(t)
+        want = numpy_classical_phase_assignment(t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_window_parities_match_the_per_window_loop(r):
+    # sampled records hold integer counts, exact ones probabilities with zeros in them
+    n = 2 * r
+    rng = np.random.default_rng(50 + r)
+    programs = (SimpleNamespace(n_qubits=n), SimpleNamespace(n_qubits=n))
+
+    def record(shots):
+        probs = rng.dirichlet(np.full(1 << n, rng.uniform(0.05, 2.0)))
+        zero = rng.random(probs.size) < 0.3
+        zero[rng.integers(probs.size)] = False
+        probs[zero] = 0.0
+        probs /= probs.sum()
+        counts = probs if shots is None else rng.multinomial(shots, probs)
+        return qsim.ShotHistogram(n, shots, counts)
+
+    for _ in range(100):
+        for shots in (2048, 1, None):
+            rec_a, rec_b = record(shots), record(shots)
+            est = tomography.estimate_phases(Replay(rec_a, rec_b), programs)
+            vals, errs = former_estimate_phases(rec_a, rec_b, r)
+            assert est.values.tobytes() == vals.tobytes()
+            assert est.stderr.tobytes() == errs.tobytes()
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -147,14 +251,75 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("system, bond", sorted(PINNED))
-def test_objective_energies_are_pinned(system, bond):
+# the PCG64 state of each objective's shot generator after those 50
+# evaluations: a draw added or dropped anywhere moves it
+PINNED_SHOT_STATE = {
+    ("h2", 1.4): 110788104526361994140319967028590353216,
+    ("h3plus", 1.65): 33074276014931186632147854195944660971,
+}
+
+
+def pinned_objective(system, bond, **settings):
     builder = {"h2": chem.h2_molecule, "h3plus": chem.h3plus_molecule}[system]
     ints, rhf, _ = chem.scf_reference(builder(bond))
     h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
-    objective = hybrid.QuantumObjective(h, eri, ints.enuc, hybrid.HybridConfig(seed=1))
-    angles = np.random.default_rng(14).uniform(-np.pi, np.pi, size=(50, ints.n_basis - 1))
+    config = hybrid.HybridConfig(seed=1, **settings)
+    return hybrid.QuantumObjective(h, eri, ints.enuc, config), ints.n_basis
+
+
+@pytest.mark.parametrize("system, bond", sorted(PINNED))
+def test_objective_energies_are_pinned(system, bond):
+    objective, n_basis = pinned_objective(system, bond)
+    angles = np.random.default_rng(14).uniform(-np.pi, np.pi, size=(50, n_basis - 1))
     assert [objective(t) for t in angles] == PINNED[system, bond]
+    assert objective.sampler.rng.bit_generator.state["state"]["state"] == PINNED_SHOT_STATE[system, bond]
+
+
+def ibm5_noise():
+    return NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+
+
+# energies of 20 evaluations at angles drawn from default_rng(15), the first
+# three of them zero (the second with -0.0 first), seed 1, RHF orbitals, one
+# case per path: H3+ with measured phases (two windows), exact H2 (measured
+# phases on probabilities) and ibm-5 noisy H2; pinned from the per-window
+# parity loop and the numpy signs and amplitudes
+PINNED_PATHS = {
+    "h3plus-measured": ("h3plus", 1.65, dict(phase_mode="measured"), [
+        -1.237547699944473, -1.237547699944473, -1.237547699944473, 0.21550963516482358,
+        -1.0539292954324975, 0.2035108858336916, -1.1155573148097992, -1.2122189955588818,
+        -0.41358978364646437, -1.2076898052440088, -0.030193656925967316,
+        -1.124815299268265, 0.29115579762648625, -0.4500873240351828, 0.31165748587436815,
+        0.3883949649684062, -1.0047898226168306, -0.013045947075812192, 0.4132314071591596,
+        -1.1672268970788886,
+    ]),
+    "h2-exact": ("h2", 1.4, dict(shots=None), [
+        -1.1167143250625697, -1.1167143250625697, -1.1167143250625697, -0.8979907818492813,
+        -0.676520780523202, 0.05482603170656264, 0.4699448663556236, -0.2098636784255411,
+        -1.097630040731587, -1.134911592353094, 0.3299036790435802, -0.19412946109459261,
+        -0.8192686717452943, -1.0352080373101655, -1.0545207099457454, -0.6462804264573748,
+        -0.6516441319205136, 0.48113298426344353, -0.9682669048116838, -1.0498503425108248,
+    ]),
+    "h2-ibm-5": ("h2", 1.4, dict(noise=ibm5_noise), [
+        -0.839430433589048, -0.8694044082391604, -0.8637956418628804, -0.7370110957417336,
+        -0.5868114506693577, 0.026282849335785063, 0.3710263458043072,
+        -0.25164150525085893, -1.0170675289588194, -1.0394438180787677, 0.1357922331282052,
+        -0.2651745782391658, -0.6652637861852894, -0.9638647773041514, -0.8227201633240832,
+        -0.6439577726698534, -0.6019814355487597, 0.4005733401012255, -0.8055023826394657,
+        -0.9814528938087604,
+    ]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_PATHS))
+def test_objective_paths_are_pinned(label):
+    system, bond, settings, energies = PINNED_PATHS[label]
+    settings = {key: value() if callable(value) else value for key, value in settings.items()}
+    objective, n_basis = pinned_objective(system, bond, **settings)
+    angles = np.random.default_rng(15).uniform(-np.pi, np.pi, size=(20, n_basis - 1))
+    angles[:3] = 0.0
+    angles[1, :1] = -0.0
+    assert [objective(t) for t in angles] == energies
 
 
 def former_blocks(program, circuit, noise):

@@ -39,6 +39,21 @@ def test_parse_scan_range_rejects_garbage():
         cli.parse_scan_range("1.0:2.0")
 
 
+@pytest.mark.parametrize("text", ["inf:1:2", "-inf:1:2", "1:inf:2", "1:-inf:2", "-inf:inf:3"])
+def test_parse_scan_range_rejects_infinite_ends(text, recwarn):
+    # rejected before np.linspace, which would warn and hand back NaN points
+    with pytest.raises(SystemExit, match="^bad scan range"):
+        cli.parse_scan_range(text)
+    assert not recwarn.list
+
+
+def test_parse_scan_range_leaves_nan_to_the_geometry_check(recwarn):
+    # a NaN the user typed reaches the geometry check, which names it
+    # (test_unusable_geometry_is_clean_exit_before_work), with no numpy warning
+    assert np.isnan(cli.parse_scan_range("nan:1:2")[0])
+    assert not recwarn.list
+
+
 def test_parse_mitigate_full_chain():
     symmetries, project = cli.parse_mitigate("n,sz,polytope")
     assert symmetries == ("N", "Sz")

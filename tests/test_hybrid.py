@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geminal import ansatz, chem, cli, hybrid, mitigation, qsim
+from geminal import _kernels, ansatz, chem, cli, hybrid, mitigation, qsim, tomography
 from geminal.hybrid import (
     GeminalState,
     HybridConfig,
@@ -142,6 +142,28 @@ class TestQuantumObjective:
         )
         obj(np.array([-0.5]))
         assert obj.last_eval_preparations == 1
+
+    def test_repeated_evaluations_build_no_table(self, h2_reference, h3_reference):
+        # the tables an evaluation reads are built on first use, then only read
+        tables = (
+            mitigation._allowed_outcomes,
+            _kernels.outcome_bits,
+            _kernels.parity_signs,
+            tomography._window_signs,
+            qsim._local_order,
+        )
+        objectives = []
+        for ints, rhf, _ in (h2_reference, h3_reference):
+            h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
+            objective = QuantumObjective(h, eri, ints.enuc, HybridConfig(seed=1))
+            objective(np.full(ints.n_basis - 1, -0.3))
+            objectives.append(objective)
+        misses = [table.cache_info().misses for table in tables]
+        rng = np.random.default_rng(5)
+        for objective in objectives:
+            for t in rng.uniform(-np.pi, np.pi, size=(100, objective.r - 1)):
+                objective(t)
+        assert [table.cache_info().misses for table in tables] == misses
 
     def test_t_zero_is_rhf_energy(self, h2_reference):
         ints, rhf, _ = h2_reference

@@ -54,7 +54,7 @@ class TestExactDistribution:
         assert dist.occupation(1) == pytest.approx(0.5)
         assert dist.parity(0b11) == pytest.approx(1.0)  # correlated bits
         assert dist.parity(0b01) == pytest.approx(0.0)
-        assert dist.parity_estimate(0b11) == (dist.parity(0b11), 0.0)
+        assert dist.parities(np.array([[1.0, -1.0, -1.0, 1.0]])).tolist() == [dist.parity(0b11)]
 
     def test_exact_record_ignores_seed_and_stream(self):
         state = qsim.run_circuit(bell_circuit())
@@ -223,6 +223,24 @@ class TestPhaseEstimation:
                 est = estimate_phases(sampler, phase_measurement_programs(r))
                 np.testing.assert_allclose(est.values, expected, atol=1e-12)
                 assert sampler.counter.count == 2
+
+    def test_window_estimates_average_the_mask_parities(self):
+        # window k averages both records' parities at its mask; an exact record
+        # has no shot noise, a sampled one sqrt((1 - p**2) / shots) per record
+        t = np.array([-0.8, 0.5])
+        programs = phase_measurement_programs(3)
+        for shots in (None, 1024):
+            est = estimate_phases(ansatz_sampler(3, t, shots, seed=4), programs)
+            replay = ansatz_sampler(3, t, shots, seed=4)
+            rec_a, rec_b = replay.run(programs[0]), replay.run(programs[1])
+            for k in range(2):
+                par_a, par_b = rec_a.parity(window_mask(k)), rec_b.parity(window_mask(k))
+                assert est.values[k] == 0.25 * (par_a + par_b)
+                if shots is None:
+                    assert est.stderr[k] == 0.0
+                else:
+                    err_a, err_b = (np.sqrt((1.0 - p * p) / shots) for p in (par_a, par_b))
+                    assert est.stderr[k] == 0.25 * np.hypot(err_a, err_b)
 
     def test_exact_signs_and_no_ambiguity(self):
         t = np.array([-0.8])  # amplitudes (cos, sin) have opposite signs
