@@ -274,7 +274,7 @@ def ansatz_template(r: int) -> Circuit:
 
 
 def compiled_ansatz(r: int, noise: NoiseModel | None = None) -> qsim.Program:
-    """The ansatz compiled once per (r, noise model); ``run(t)`` prepares it at angles t."""
+    """The ansatz compiled once per (r, noise model); ``run(t)`` is its outcome distribution at t."""
     return qsim.compiled(ansatz_template, r, noise=noise)
 
 

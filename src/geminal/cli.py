@@ -498,15 +498,15 @@ def _check_density_noise(quick):
 
 
 def _check_compiled_preparation(quick):
-    # the compiled Z, A and B programs (the ansatz alone or followed by a
-    # basis rotation) against the gate-by-gate engines at random angles,
-    # read from their coefficient tables and, over the table budget, from their blocks
+    # the outcome tables of the compiled Z, A and B programs (the ansatz
+    # alone or followed by a basis rotation) against the gate-by-gate
+    # engines' distributions at random angles
     rng = np.random.default_rng(2)
     calibration = qsim.load_calibration("ibm-14")
-    cases = [(2, False, True), (3, True, False)]  # (r, noisy, tabulated)
+    cases = [(2, False), (3, True)]  # (r, noisy)
     if not quick:
-        cases += [(3, False, True), (2, True, True)]
-    for r, noisy, tabulated in cases:
+        cases += [(3, False), (2, True)]
+    for r, noisy in cases:
         noise = qsim.NoiseModel.from_calibration(calibration, 2 * r, damping=True) if noisy else None
         t = rng.uniform(-np.pi, np.pi, size=r - 1)
         programs = (
@@ -515,13 +515,9 @@ def _check_compiled_preparation(quick):
         rotations = (qsim.Circuit(2 * r), *tomography.phase_measurement_circuits(r))
         for basis, program, rotation in zip("ZAB", programs, rotations):
             case = f"r={r} noisy={noisy} basis {basis}"
-            assert program.tabulated == tabulated, f"{case}: tabulated={program.tabulated}"
             circuit = ansatz.build_ansatz_circuit(r, t).extend(rotation)
-            if noisy:
-                got, want = program.run(t).flat, qsim.run_density(circuit, noise).flat
-            else:
-                got, want = program.run(t).amps, qsim.run_circuit(circuit).amps
-            distance = np.max(np.abs(got - want))
+            state = qsim.run_circuit(circuit) if noise is None else qsim.run_density(circuit, noise)
+            distance = np.max(np.abs(program.run(t) - state.probabilities()))
             assert distance < 1e-12, f"{case}: distance {distance}"
 
 

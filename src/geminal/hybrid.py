@@ -135,6 +135,8 @@ class HybridConfig:
             raise ValueError(f"unknown phase mode {self.phase_mode!r}")
         if self.restarts < 1:
             raise ValueError("need at least one optimization run")
+        if self.nm_max_iter < 0 or self.outer_max_iter < 0:
+            raise ValueError("iteration caps must be nonnegative")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be positive or None for exact mode")
 
@@ -163,7 +165,10 @@ class QuantumObjective:
     ``phase_programs`` holds the two rotated-basis programs in measured
     phase mode and is None in classical mode.  Every preparation draws
     from the one shot generator of its sampler, so the steps of a point
-    that share an objective never replay a draw.  Preparation counts are
+    that share an objective never replay a draw; likewise ``jitter``, the
+    restart jitter of ``quantum_step``, is one generator per objective,
+    ``make_rng(seed, JITTER_KEY)`` on sampled runs and
+    ``make_rng(JITTER_KEY)`` on exact ones.  Preparation counts are
     tracked per call so the constant-cost tomography contract stays
     testable.
     """
@@ -178,6 +183,8 @@ class QuantumObjective:
             tomography.phase_measurement_programs(self.r, config.noise) if measured else None
         )
         self.sampler = tomography.ShotSampler(program, config.shots, config.seed)
+        keys = (qsim.JITTER_KEY,) if config.shots is None else (config.seed, qsim.JITTER_KEY)
+        self.jitter = qsim.make_rng(*keys)
         self.n_evals = 0
         self.last_eval_preparations = 0
 
@@ -356,21 +363,18 @@ def quantum_step(objective: QuantumObjective, t0: np.ndarray | None = None) -> Q
 
     Runs ``config.restarts`` independent Nelder-Mead searches (the first
     from t0, later ones from jittered copies) and keeps the best.  The
-    jitter draws from the seed on sampled runs and from a fixed key on
-    exact ones, which draw nothing else.  The caller owns ``objective``,
-    so its shot generator carries on into the next step, and its
-    evaluation count survives a step that a symmetry-filter rejection
-    aborts.
+    jitter draws from the objective's ``jitter`` generator.  The caller
+    owns ``objective``, so its shot and jitter generators carry on into
+    the next step, and its evaluation count survives a step that a
+    symmetry-filter rejection aborts.
     """
     config, r = objective.config, objective.r
     if t0 is None:
         t0 = np.zeros(r - 1)
-    keys = (qsim.JITTER_KEY,) if config.shots is None else (config.seed, qsim.JITTER_KEY)
-    jitter = qsim.make_rng(*keys)
     best = None
     converged = False
     for run in range(config.restarts):
-        start = t0 if run == 0 else t0 + jitter.uniform(-0.5, 0.5, size=r - 1)
+        start = t0 if run == 0 else t0 + objective.jitter.uniform(-0.5, 0.5, size=r - 1)
         out = nelder_mead(
             objective,
             start,

@@ -18,21 +18,14 @@ it.
 
 Production preparations run as compiled programs (``Program``, cached
 by ``compiled``), whose rotation angles are left open as ``Angle`` and
-bound per run by one rule.  Whatever depends on the angles, a block's
-local operator or the whole prepared state, is a trigonometric
-polynomial in them, so compiling stores it as a coefficient table and a
-run reads it as one weighted sum of the table's rows.  Consecutive gates
-fuse into blocks on at most two qubits, each compiled into the table of
-its operator.  Compiling also runs the leading fixed blocks once and
-binds every other fixed block once, so a run multiplies only the
-remaining blocks into the state and moves it from one block's index
-order to the next by one gather.  A program whose prepared state fits a
-table of TABLE_MAX_BYTES tabulates it from its blocks when compiled, and
-then applies no block per run.  Every run starts from |0...0>, so each
-measured circuit, such as the ansatz followed by a basis rotation, is a
-program of its own.  ``run_circuit`` and ``run_density``, gate by gate
-with ``_apply_local``, are the references both paths are checked
-against.
+bound per run.  A program holds what is measured, the Z-basis outcome
+distribution, as one coefficient table: the distribution is a
+trigonometric polynomial in the angles, so compiling evaluates it with
+the gate-by-gate engines at a few nodes and solves for the table, and a
+run reads it as one weighted sum of the table's rows.  A program too
+large to tabulate runs the gate-by-gate engine on every run instead.
+Every run starts from |0...0>, so each measured circuit, such as the
+ansatz followed by a basis rotation, is a program of its own.
 
 The noise model: gate errors are depolarising (a uniformly random
 non-identity Pauli on the gate's qubits, 3 choices after a one-qubit
@@ -44,11 +37,12 @@ Noisy preparations run on the density-matrix engine (``run_density``,
 up to MAX_DENSITY_QUBITS qubits).  Each gate is one local superoperator
 that combines the unitary, the depolarising twirl and the damping.
 Both engines are measured by one rule (``sample``): one multinomial
-draw over ``state.probabilities()``, for rho its readout-confused
-diagonal, which is exactly the distribution of one shot per trajectory,
-from a generator the caller hands in.  Production draws come in order
-from one shot generator ``make_rng(seed, SHOT_KEY)`` per curve point or
-per ``scan``/``vtable`` command, so a histogram is reproducible
+draw over the outcome distribution, ``state.probabilities()`` or a
+program's run, for rho its readout-confused diagonal, which is exactly
+the distribution of one shot per trajectory, from a generator the
+caller hands in.  Production draws come in order from one shot
+generator ``make_rng(seed, SHOT_KEY)`` per curve point or per
+``scan``/``vtable`` command, so a histogram is reproducible
 bit-for-bit for a given seed and its place in that order, and no two
 preparations of a point start from the same generator state.
 
@@ -77,7 +71,7 @@ from geminal import _kernels
 ONE_QUBIT_GATE_NS = 100.0
 CNOT_GATE_NS = 300.0
 MAX_DENSITY_QUBITS = 10  # rho then holds 2**20 complex entries (16 MiB)
-TABLE_MAX_BYTES = 256 * 1024  # largest coefficient table a Program keeps (noiseless r <= 4, rho r = 2)
+TABLE_MAX_ENTRIES = 1 << 20  # rows x state entries a Program tabulates: noiseless r <= 5, noisy r <= 3
 
 
 class CalibrationError(ValueError):
@@ -389,16 +383,10 @@ def _local_order(n_bits: int, bits: tuple[int, ...]) -> np.ndarray:
 
     Gathering with them gives a (2**k, rest) array whose row index holds
     bit ``bits[j]`` as its bit j, so ``bits[-1]`` is the local high bit;
-    the same indices scatter the result back (``_apply_local``).  A
-    compiled Program turns the orders of its blocks into link
-    permutations, so its runs look up none; the orders of the gates
-    within a block serve only to tabulate the block's operator when
-    compiled.  Compiling the three
-    measurement programs (the ansatz alone and followed by either basis
-    rotation) of noiseless and noisy r = 2 and r = 3 takes 32 keys, of
-    both kinds, and their evaluations add none.  The gate-by-gate
-    engines look up one key per gate.  An entry holds
-    2**n_bits indices, 32 KiB for rho at 6 qubits and 8 MiB at 10.
+    the same indices scatter the result back (``_apply_local``).  The
+    gate-by-gate engines look up one key per gate; a tabulated Program
+    looks keys up only while compiling, so its runs add none.  An entry
+    holds 2**n_bits indices, 32 KiB for rho at 6 qubits and 8 MiB at 10.
     """
     axes = [n_bits - 1 - b for b in reversed(bits)]
     rest = [a for a in range(n_bits) if a not in axes]
@@ -508,17 +496,17 @@ def _apply_readout_flips(
     return outcomes ^ mask
 
 
-def sample(state, shots: int, rng: np.random.Generator) -> ShotHistogram:
-    """One multinomial draw of ``shots`` outcomes from a Statevector or DensityMatrix.
+def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> ShotHistogram:
+    """One multinomial draw of ``shots`` outcomes from the outcome distribution ``probs``.
 
     The draw comes from ``rng``; production callers pass the shot
     generator ``make_rng(seed, SHOT_KEY)`` of their point or command.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = np.maximum(state.probabilities(), 0.0)
+    probs = np.maximum(probs, 0.0)
     counts = rng.multinomial(shots, probs / probs.sum())
-    return ShotHistogram(state.n_qubits, shots, counts)
+    return ShotHistogram(probs.size.bit_length() - 1, shots, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +631,12 @@ class NoiseModel:
     ``_channels``: one superoperator per parameter-free gate, one noise
     channel per qubit set of a rotation, and the programs ``compiled``
     for this model, so the cache is bounded by the qubit count and the
-    circuits compiled, and never holds an angle.  Those programs keep
-    only the readout rates, not the model, so the model and its cache
-    are freed with the last reference to the model, with no cycle to
-    collect.  The rates are read when a channel or a program is first
-    built; change them on a new model.
+    circuits compiled, and never holds an angle.  A tabulated program
+    keeps only its outcome table, not the model, so the model and its
+    cache are freed with the last reference to the model, with no cycle
+    to collect; a program too large to tabulate keeps the model and
+    waits for the collector.  The rates are read when a channel or a
+    table is built; change them on a new model.
     A pickled or copied model carries the rates without the cache.
     """
 
@@ -836,22 +825,12 @@ def _rho_bits(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
 # compiled programs
 # ---------------------------------------------------------------------------
 
-def _fusion_blocks(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
-    """Consecutive gates fused greedily into blocks on at most two qubits and one ``Angle``.
-
-    One angle per block keeps a block's coefficient table (``Program``)
-    linear in the block's gate count.
-    """
-    blocks: list[tuple[tuple[int, ...], list[Gate]]] = []
-    for gate in gates:
-        if blocks:
-            qubits, members = blocks[-1]
-            joint = qubits + tuple(q for q in gate.qubits if q not in qubits)
-            if len(joint) <= 2 and len(set(_angle_indices(members + [gate]))) <= 1:
-                blocks[-1] = (joint, members + [gate])
-                continue
-        blocks.append((gate.qubits, [gate]))
-    return blocks
+def bind(circuit: Circuit, t) -> Circuit:
+    """``circuit`` with every ``Angle(k)`` replaced by t[k]."""
+    return Circuit(circuit.n_qubits, [
+        Gate(g.name, g.qubits, float(t[g.param.index])) if isinstance(g.param, Angle) else g
+        for g in circuit
+    ])
 
 
 def _angle_indices(gates) -> list[int]:
@@ -859,182 +838,103 @@ def _angle_indices(gates) -> list[int]:
     return [g.param.index for g in gates if isinstance(g.param, Angle)]
 
 
-def _harmonics(degree: int, u: float) -> list[float]:
-    """A basis of the forms of degree D in (cos u, sin u): D + 1 functions of u.
-
-    They are 1 for even D, then cos(m u) and sin(m u) for every m of D's
-    parity from 1 or 2 up to D.
-    """
-    out = [] if degree % 2 else [1.0]
-    for m in range(2 - degree % 2, degree + 1, 2):
-        out += [math.cos(m * u), math.sin(m * u)]
+def _harmonics(order: int, angle: float) -> list[float]:
+    """1, then cos(m t) and sin(m t) for m = 1..order at t = ``angle``: 2 order + 1 functions."""
+    out = [1.0]
+    for m in range(1, order + 1):
+        out += [math.cos(m * angle), math.sin(m * angle)]
     return out
 
 
-def _weights(degrees, t) -> list[float]:
+def _weights(orders, t) -> list[float]:
     """Every product of one harmonic per angle at ``t``: the row weights of a coefficient table."""
     weights = [1.0]
-    for degree, angle in zip(degrees, t):
-        harmonics = _harmonics(degree, 0.5 * angle)
+    for order, angle in zip(orders, t):
+        harmonics = _harmonics(order, angle)
         weights = [w * h for w in weights for h in harmonics]
     return weights
 
 
-def _tabulate(degrees, evaluate) -> np.ndarray:
-    """The coefficient table of ``evaluate``, a form of the given degree along each angle.
+def _tabulate(orders, evaluate) -> np.ndarray:
+    """The coefficient table of ``evaluate``, of the given trigonometric order along each angle.
 
-    ``evaluate`` runs at D + 1 equispaced half-angle nodes per angle, and
-    the table, one flattened value per row, is solved for.  No angles
-    give a one-row table: the value itself.
+    ``evaluate`` runs at 2 order + 1 equispaced nodes per angle, and the
+    table, one returned vector per row, is solved for.  No angles give a
+    one-row table: the vector itself.
     """
-    grids = [np.pi * np.arange(d + 1) / (d + 1) for d in degrees]
-    nodes = [2.0 * np.array(u) for u in itertools.product(*grids)]
-    values = np.array([evaluate(t) for t in nodes]).reshape(len(nodes), -1)
-    table = np.linalg.solve(np.array([_weights(degrees, t) for t in nodes]), values)
+    grids = [2.0 * (np.pi * np.arange(2 * o + 1) / (2 * o + 1)) for o in orders]
+    nodes = list(itertools.product(*grids))
+    values = np.array([evaluate(t) for t in nodes])
+    table = np.linalg.solve(np.array([_weights(orders, t) for t in nodes]), values)
     table.flags.writeable = False
     return table
 
 
 class Program:
-    """A circuit compiled for one engine, its ``Angle`` parameters bound per run.
+    """A circuit's Z-basis outcome distribution on one engine, its ``Angle`` values bound per run.
 
-    Each rotation on angle t is cos(t/2) A + sin(t/2) B, so whatever D
-    rotations on angle k build is a form of degree D in (cos u, sin u),
-    u = t_k / 2, and of degree 2D on the density-matrix engine (``noise``
-    set), whose channels are quadratic in the unitaries: a sum of
-    ``_harmonics`` along each angle.  Every angle binds by this one rule.
-    Compiling evaluates such a form at D + 1 equispaced nodes in u per
-    angle and solves for its coefficient table (``_tabulate``); a run
-    reads it as one product of the ``_weights`` at t with the table.
+    Each rotation on angle t is cos(t/2) A + sin(t/2) B, and an outcome
+    probability is quadratic in the amplitudes on the statevector engine
+    and linear in the channels on the density-matrix engine (``noise``
+    set), which are quadratic in the unitaries.  Either way each rotation
+    contributes cos(t/2)**2, sin(t/2)**2 or their product, so the
+    distribution after R rotations on angle k is a trigonometric
+    polynomial of order R in t_k: a sum of the ``_harmonics`` 1,
+    cos(m t_k) and sin(m t_k), m <= R, along each angle.  Compiling
+    evaluates it with the gate-by-gate reference engine on the bound
+    circuit (``bind``), ``run_circuit`` or ``run_density``, whose
+    ``probabilities`` fold in the readout flips, at 2R + 1 equispaced
+    nodes per angle, and solves for its coefficient table
+    (``_tabulate``).  ``run(t)`` is one product of the
+    ``_weights`` at t with the table, a new array every run.  The table
+    keeps the reference's values to rounding, not bit for bit: an
+    outcome the reference gives 1e-33 may read exactly 0, or the reverse.
 
-    Consecutive gates fuse into blocks (``_fusion_blocks``), and each
-    block compiles to the table of its local operator: a unitary from
-    ``Gate.matrix()`` for the statevector engine, a superoperator from
-    ``_gate_channel`` for the density-matrix engine.  A block of fixed
-    gates has a one-row table, whose operator is read once when compiled.
-
-    The block path does, per run, only what depends on the angles.  The
-    leading fixed blocks run once, when compiled, from |0...0> through
-    ``_apply_local``, and their state is kept gathered into the first
-    remaining block's index order.  Each remaining block multiplies its
-    operator, read at t from its table if it binds an angle, into the
-    state, ``op @ x.reshape(d, -1)``, which leaves the state in that
-    block's order; one gather by the block's link, the inverse of its
-    order composed with the next block's order (or, after the last, with
-    the identity), brings it into the next order.  The products, their
-    operands and their order are those of ``_apply_local`` block by
-    block, so the states are bit-identical to that rule's.  When the table
-    of the whole prepared state fits in TABLE_MAX_BYTES, compiling
-    tabulates the state from the block path and ``run`` reads that table;
-    a larger program runs the block path.  No run builds a ``Gate`` or a
-    channel, and every run starts from |0...0> and returns a new array.
-
-    The noise model is read only while compiling: a program keeps what
-    a run reads, the model's ``readout_vector``, which every
-    ``DensityMatrix`` it returns carries.
-
-    ``run`` gives the state of ``run_circuit`` or ``run_density`` on the
-    bound circuit; fusion and the tables reorder the arithmetic, so
-    amplitudes agree to rounding, not bit for bit.
+    Tabulating costs one reference run per table row, so a program
+    tabulates when its rows times the flat-state entries of its engine,
+    2**n amplitudes or 4**n entries of rho, are at most
+    TABLE_MAX_ENTRIES.  A larger program runs the reference engine on
+    every run, so it keeps its circuit and its noise model, and the model
+    caches the program (``compiled``): that cycle waits for the
+    collector.  A tabulated program keeps neither, only its table.
     """
 
     def __init__(self, circuit: Circuit, noise: NoiseModel | None = None):
         n = self.n_qubits = circuit.n_qubits
-        # the model is read only here; a run reads only its readout rates
-        self._readout = None if noise is None else noise.readout_vector(n)
         angles = _angle_indices(circuit.gates)
         self.n_angles = max(angles) + 1 if angles else 0
-        # a rotation is linear in (cos u, sin u), and its channel quadratic
-        per_gate = 1 if noise is None else 2
-        readout = self._readout
-        flat = Statevector.zero(n).amps if readout is None else DensityMatrix.zero(n, readout).flat
-        blocks = []  # (order in the state, local dimension, angles bound, degrees, operator or table)
-        for qubits, gates in _fusion_blocks(circuit.gates):
-            order = _local_order(self._bit_count(n), self._bits(qubits, n))
-            bound = sorted(set(_angle_indices(gates)))
-            degrees = [per_gate * _angle_indices(gates).count(k) for k in bound]
-            operator = functools.partial(self._block_operator, noise, qubits, gates, bound)
-            dim = 1 << self._bit_count(len(qubits))
-            table = _tabulate(degrees, operator)
-            if not bound:  # a fixed block's operator is bound once, here
-                table = np.dot(_weights(degrees, []), table).reshape(dim, dim)
-                if not blocks:  # and the fixed prefix runs once
-                    _apply_local(flat, table, order)
-                    continue
-            blocks.append((order, dim, bound, degrees, table))
-        # a block's product holds the state in the block's order; its link
-        # gathers that into the next block's order, the last one's into the state's
-        positions = np.arange(flat.size)
-        orders = [block[0] for block in blocks] + [positions]
-        self._start = flat[orders[0]]
-        self._start.flags.writeable = False
-        self._steps = []  # (local dimension, angles bound, their degrees, operator or table, link)
-        for block, after in zip(blocks, orders[1:]):
-            inverse = np.empty_like(positions)
-            inverse[block[0]] = positions  # argsort of the block's order, in linear time
-            self._steps.append((*block[1:], inverse[after]))
-        self._state_degrees = [per_gate * angles.count(k) for k in range(self.n_angles)]
-        rows = math.prod(d + 1 for d in self._state_degrees)
-        fits = rows * (1 << self._bit_count(n)) * 16 <= TABLE_MAX_BYTES  # complex128 entries
-        self._table = _tabulate(self._state_degrees, self._run_blocks) if fits else None
+        self._orders = [angles.count(k) for k in range(self.n_angles)]
+        self._circuit, self._noise = Circuit(n, circuit.gates), noise
+        rows = math.prod(2 * o + 1 for o in self._orders)
+        entries = 1 << (n if noise is None else 2 * n)
+        self._table = None
+        if rows * entries <= TABLE_MAX_ENTRIES:
+            self._table = _tabulate(self._orders, self._reference)
+            self._circuit = self._noise = None
 
-    def _bit_count(self, n: int) -> int:
-        """Flat-state bits of an n-qubit register of this engine."""
-        return n if self._readout is None else 2 * n
-
-    def _bits(self, qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
-        """Flat-state bits of ``qubits`` on an n-qubit register of this engine."""
-        return qubits if self._readout is None else _rho_bits(qubits, n)
-
-    def _block_operator(self, noise, qubits, gates, bound, u) -> np.ndarray:
-        """The block's local operator under ``noise``, with angle ``bound[j]`` at ``u[j]``.
-
-        Each gate applies in turn to the rows of the identity: a row-major
-        operator holds its row index in the high bits of its flat array,
-        so the gate acts on those and the column bits ride along.
-        """
-        values = dict(zip(bound, u))
-        width = self._bit_count(len(qubits))
-        op = np.eye(1 << width, dtype=complex)
-        for gate in gates:
-            if isinstance(gate.param, Angle):
-                gate = Gate(gate.name, gate.qubits, float(values[gate.param.index]))
-            local = self._bits(tuple(qubits.index(q) for q in gate.qubits), len(qubits))
-            order = _local_order(2 * width, tuple(b + width for b in local))
-            matrix = gate.matrix() if noise is None else _gate_channel(noise, gate)
-            _apply_local(op.reshape(-1), matrix, order)
-        return op
+    def _reference(self, t) -> np.ndarray:
+        """The outcome distribution of the bound circuit from the gate-by-gate engine."""
+        circuit = bind(self._circuit, t)
+        if self._noise is None:
+            return run_circuit(circuit).probabilities()
+        return run_density(circuit, self._noise).probabilities()
 
     @property
     def tabulated(self) -> bool:
-        """Whether runs read the coefficient table of the whole state instead of the blocks."""
+        """Whether runs read the coefficient table instead of the reference engine."""
         return self._table is not None
 
-    def _run_blocks(self, t) -> np.ndarray:
-        """The block path: the flat state after every block at angles ``t``, from |0...0>.
-
-        The fixed prefix is compiled, so a run multiplies each later block
-        into the state, held in that block's order, and gathers the product
-        by the block's link.
-        """
-        flat = self._start
-        for dim, bound, degrees, op, link in self._steps:
-            if bound:
-                op = np.dot(_weights(degrees, [t[k] for k in bound]), op).reshape(dim, dim)
-            flat = (op @ flat.reshape(dim, -1)).reshape(-1)[link]
-        return flat if self._steps else flat.copy()
-
-    def run(self, t=()):
-        """The state after the program at angles ``t``, from |0...0>.
+    def run(self, t=()) -> np.ndarray:
+        """The outcome distribution after the program at angles ``t``, from |0...0>.
 
         The angles bind as Python floats, the type ``_weights`` is fastest on.
         """
         t = np.asarray(t, dtype=float).tolist()
         if len(t) != self.n_angles:
             raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
-        table, readout = self._table, self._readout
-        flat = self._run_blocks(t) if table is None else np.dot(_weights(self._state_degrees, t), table)
-        return Statevector(flat) if readout is None else DensityMatrix(flat, readout)
+        if self._table is None:
+            return self._reference(t)
+        return np.dot(_weights(self._orders, t), self._table)
 
 
 _NOISELESS_PROGRAMS: dict = {}
@@ -1044,9 +944,10 @@ def compiled(build, *args, noise: NoiseModel | None = None) -> Program:
     """``Program(build(*args), noise)``, compiled on first use and then reused.
 
     ``build`` is a module-level circuit builder and ``args`` its hashable
-    arguments.  A noisy program is kept in its noise model's cache with
-    the model's channels, so it lives as long as the model does; a
-    noiseless one in a module table.
+    arguments.  Compiling tabulates the circuit's outcome distribution
+    under the size rule of ``Program``.  A noisy program is kept in its
+    noise model's cache with the model's channels, so it lives as long as
+    the model does; a noiseless one in a module table.
     """
     cache = _NOISELESS_PROGRAMS if noise is None else noise._channels
     key = (build, *args)

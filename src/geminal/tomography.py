@@ -7,7 +7,7 @@ of r.  Samplers count their preparations so that budget is testable.
 Each of the three is its own whole circuit, as on a device: the ansatz
 for the Z basis, and the ansatz followed by basis rotation A or B for
 the phases, each compiled once per (r, noise model) with the pair
-angles left open and prepared from |0...0>.
+angles left open, into one table of its Z-basis outcome distribution.
 
 Phase estimator for window k (qubits 2k..2k+3): with circuit A rotating
 every qubit to the X basis and circuit B rotating alpha qubits to X and
@@ -41,16 +41,18 @@ class PreparationCounter:
         self.count += 1
 
 
-def measure(state, shots: int | None, rng: np.random.Generator | None = None) -> ShotHistogram:
-    """Z-basis record of a prepared state.
+def measure(
+    probs: np.ndarray, shots: int | None, rng: np.random.Generator | None = None
+) -> ShotHistogram:
+    """Z-basis record of a prepared outcome distribution ``probs``.
 
-    ``shots=None`` returns the exact outcome probabilities of the state,
-    noiseless or noisy, and ignores ``rng``; otherwise ``shots`` outcomes
-    are drawn from ``rng``.
+    ``shots=None`` returns the exact outcome probabilities, noiseless or
+    noisy, and ignores ``rng``; otherwise ``shots`` outcomes are drawn
+    from ``rng``.
     """
     if shots is None:
-        return ShotHistogram(state.n_qubits, None, state.probabilities())
-    return qsim.sample(state, shots, rng)
+        return ShotHistogram(probs.size.bit_length() - 1, None, probs)
+    return qsim.sample(probs, shots, rng)
 
 
 class ShotSampler:
@@ -59,13 +61,13 @@ class ShotSampler:
     ``angles`` starts empty, which suits a program that binds no angle;
     a caller sets it before running the ansatz and may change it between
     runs.  Each ``run`` is one circuit preparation: a compiled program,
-    by default ``program``, prepared at ``angles`` from |0...0> (a
-    statevector, or a density matrix for a program compiled under a
-    noise model) and executed for ``shots`` shots, or exactly when
-    ``shots`` is None.  The sampler's ``counter`` counts its runs.  Runs
-    draw in order from one shot generator, ``make_rng(seed, SHOT_KEY)``,
-    so the whole sequence is deterministic in the seed and no run
-    replays another's draw.
+    by default ``program``, reads its outcome table at ``angles``
+    (noiseless, or under the noise model it was compiled for) and is
+    measured for ``shots`` shots, or exactly when ``shots`` is None.
+    The sampler's ``counter`` counts its runs.  Runs draw in order from
+    one shot generator, ``make_rng(seed, SHOT_KEY)``, so the whole
+    sequence is deterministic in the seed and no run replays another's
+    draw.
     """
 
     def __init__(self, program: Program, shots: int | None, seed: int = 0):
@@ -76,9 +78,9 @@ class ShotSampler:
         self.rng = None if self.shots is None else qsim.make_rng(seed, qsim.SHOT_KEY)
 
     def run(self, program: Program | None = None) -> ShotHistogram:
-        state = (self.program if program is None else program).run(self.angles)
+        probs = (self.program if program is None else program).run(self.angles)
         self.counter.bump()
-        return measure(state, self.shots, self.rng)
+        return measure(probs, self.shots, self.rng)
 
 
 # ---------------------------------------------------------------------------

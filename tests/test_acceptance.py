@@ -62,7 +62,7 @@ def test_criterion_2_v_metric_calibration(acceptance):
     for i, t in enumerate(grid):
         circuit = ansatz.build_ansatz_circuit(2, np.array([t]))
         state = qsim.run_circuit(circuit)
-        hist = qsim.sample(state, 2048, qsim.make_rng(11, qsim.SHOT_KEY, i))
+        hist = qsim.sample(state.probabilities(), 2048, qsim.make_rng(11, qsim.SHOT_KEY, i))
         probs = state.probabilities()
         k = np.arange(probs.size)
         exact1.append(np.sum(probs[(k >> 0) & 1 == 1]))

@@ -2,18 +2,15 @@
 
 ``hybrid.assemble_2dm_energy`` reads integrals gathered once per
 objective; ``mitigation.project_polytope``, ``hybrid.GeminalState.g`` and
-``tomography.classical_phase_assignment`` run on Python floats;
+``tomography.classical_phase_assignment`` run on Python floats; and
 ``tomography.estimate_phases`` takes every window's parity from one
-product with a cached sign table; and ``qsim.Program``'s block path runs
-a compiled fixed prefix, binds fixed blocks once and moves the state
-between blocks by one gather.  Each keeps every float operation and its
-order, so the copies below of the former numpy versions must agree with
-them under ``==`` (compared as bytes, so a -0.0 for a 0.0 fails too), and
-the energies and shot-generator states of objectives at seed 1 must equal
-those pinned from the former path.
+product with a cached sign table.  Each keeps every float operation and
+its order, so the copies below of the former numpy versions must agree
+with them under ``==`` (compared as bytes, so a -0.0 for a 0.0 fails
+too), and the energies and shot-generator states of objectives at seed 1
+must equal those pinned from the programs' outcome tables.
 """
 
-import functools
 import math
 from types import SimpleNamespace
 
@@ -208,45 +205,39 @@ def test_projection_matches_numpy(r):
 
 # energies of the first 50 evaluations at angles drawn from default_rng(14),
 # HybridConfig(shots=2048, seed=1), RHF orbitals; pinned from the path whose
-# preparations draw in order from one make_rng(seed, SHOT_KEY) generator
+# preparations read compiled outcome tables and draw in order from one
+# make_rng(seed, SHOT_KEY) generator
 PINNED = {
     ("h2", 1.4): [
-        -0.0898477021902796, -0.3646669266233723, 0.42356165117368594,
-        -0.35904501270816047, -0.007313759856203972, -0.8899300259049944,
-        0.4276052036781489, 0.4659431154307037, -1.1197937313519977,
-        -0.6721943630136181, 0.46781488855546055, -0.7423905702893127,
-        0.034433633400781205, 0.4805497323954243, -0.7180642905904927,
-        -1.0976282446471868, 0.4792513963454506, 0.0727021218331858,
-        -1.128983228001125, 0.19994207949517817, -1.1137244416005219,
-        -0.6956566393182878, -0.843006467666307, -0.8840347912527778,
-        0.21988458364522168, -0.993281279599172, 0.13779837043038368,
-        -0.48924421032401744, 0.1322081809740704, -0.9993926062424064,
-        -0.9434546656396045, 0.460576462217275, -1.1365024244112738,
-        0.4318022264507936, -0.9182930320847055, -0.2221708433142875,
-        0.4444014746543964, 0.20509731151186017, -0.006560443942121519,
-        0.48110899555766706, 0.381023402503059, 0.3299365665774261,
-        0.24578114189467737, 0.03156182124565565, 0.1888261777380802,
-        0.33111697148337216, 0.12168948880970898, 0.33483347317487455,
+        -0.0898477021902796, -0.39264367076226725, 0.4214965805168186, -0.3726828056223509,
+        0.021315266416845002, -0.867251502571878, 0.4181131614099226, 0.46813845543043864,
+        -1.1194041826098933, -0.6996292576187281, 0.4703592259536796, -0.7508654070473132,
+        0.06408508126102808, 0.479002445378126, -0.7381431119030256, -1.0925003749762912,
+        0.4797763254700607, 0.07986134760095864, -1.1277037890109005, 0.23587806228472363,
+        -1.1162081353623567, -0.6701390512198967, -0.8611449846439735, -0.9058654254342094,
+        0.23653308384661798, -1.0018629063531121, 0.1287072962318877, -0.4557737377172163,
+        0.1600182220173859, -1.0018629063531121, -0.9724744832232292, 0.460576462217275,
+        -1.1366274692985892, 0.4181131614099226, -0.9182930320847055, -0.20876434419177048,
+        0.4444014746543964, 0.19968949529270452, -0.004758890126386417, 0.4808059541753026,
+        0.38273620565328537, 0.32501337054250246, 0.2477556454840839, 0.0647605930513504,
+        0.1888261777380802, 0.33111697148337216, 0.12168948880970898, 0.33483347317487455,
         0.36126066314680655, -1.123952751400755,
     ],
     ("h3plus", 1.65): [
-        -0.0830799114815568, 0.17421669403494078, -0.07883890505778468,
-        0.3420229328429272, -1.249127455757512, 0.38878619586232976,
-        -0.07172684375113225, -0.8425612187274669, 0.44441120245555243,
-        -1.149574162977175, -1.137693003126685, -1.0388975084445173,
-        -0.16046271206025842, -0.22929039779059823, -0.27442704471864654,
-        -1.025844039898314, -1.2453552048932808, -0.8806363089867102,
-        0.4282446707924741, -0.07406703091657785, 0.05241910701193442,
-        -0.014554056087073608, -0.18823983811753586, 0.03731192480533996,
-        0.03608315933981898, -0.24162017754198328, -1.1935828866576916,
-        -0.8267333038104707, 0.35393413738932433, -1.0048519421789786,
-        -1.242810151034776, -1.237547699944473, -0.30579374652137736,
-        0.22433217683840767, -0.12356642936329298, -1.1307100439437272,
-        -1.2431236967979504, -1.2537736464413667, -0.9140839973527084,
-        -0.8578342650144017, -1.097454676333194, 0.017665436733345308,
-        -0.7798766642681219, 0.07935211241770568, -1.1623542218947234,
-        -1.223153160982218, 0.2156650063123522, 0.42625141223283847,
-        -0.223036750646864, -1.1920233804945342,
+        -0.0830799114815568, 0.17421669403494078, -0.07883890505778468, 0.3420229328429272,
+        -1.2456206417942706, 0.39684781436030003, -0.059997601011350765,
+        -0.8139103463684279, 0.4471979264304635, -1.153307454611929, -1.135705283920317,
+        -1.0371918651260825, -0.1508227425750095, -0.21221677857396126,
+        -0.28161929012631126, -1.0211109306425008, -1.2485646595590916, -0.8720322252259434,
+        0.430920882295309, -0.10739896306285956, 0.06830396556896612, 0.004062994595709357,
+        -0.19471012671272514, 0.07441625933662732, 0.007602122480734108,
+        -0.22085388895001556, -1.20226685049874, -0.8029248377634468, 0.35903484465285507,
+        -1.0333735093185774, -1.241855135376649, -1.237547699944473, -0.33003905635471154,
+        0.22952189465191597, -0.10560247341570217, -1.1025254838972607, -1.248626313895245,
+        -1.255034205463027, -0.9348422604199234, -0.8837901918642206, -1.1142471421208733,
+        0.01217071857880958, -0.8028599919847486, 0.11296666419898993, -1.1591970886136098,
+        -1.212280992217065, 0.2129726359517552, 0.42008054292116515, -0.2513976449526847,
+        -1.1874060538766746,
     ],
 }
 
@@ -255,7 +246,7 @@ PINNED = {
 # evaluations: a draw added or dropped anywhere moves it
 PINNED_SHOT_STATE = {
     ("h2", 1.4): 110788104526361994140319967028590353216,
-    ("h3plus", 1.65): 33074276014931186632147854195944660971,
+    ("h3plus", 1.65): 329315449305032596147631736768674191742,
 }
 
 
@@ -283,22 +274,22 @@ def ibm5_noise():
 # three of them zero (the second with -0.0 first), seed 1, RHF orbitals, one
 # case per path: H3+ with measured phases (two windows), exact H2 (measured
 # phases on probabilities) and ibm-5 noisy H2; pinned from the per-window
-# parity loop and the numpy signs and amplitudes
+# parity loop and the numpy signs and amplitudes, and the noiseless cases
+# again from the programs' outcome tables
 PINNED_PATHS = {
     "h3plus-measured": ("h3plus", 1.65, dict(phase_mode="measured"), [
-        -1.237547699944473, -1.237547699944473, -1.237547699944473, 0.21550963516482358,
-        -1.0539292954324975, 0.2035108858336916, -1.1155573148097992, -1.2122189955588818,
-        -0.41358978364646437, -1.2076898052440088, -0.030193656925967316,
-        -1.124815299268265, 0.29115579762648625, -0.4500873240351828, 0.31165748587436815,
-        0.3883949649684062, -1.0047898226168306, -0.013045947075812192, 0.4132314071591596,
-        -1.1672268970788886,
+        -1.237547699944473, -1.237547699944473, -1.237547699944473, 0.22731691251129305,
+        -1.056386983100633, 0.2084872480504414, -1.1226204211261541, -1.2248994598566656,
+        -0.3985891526506282, -1.209015626152487, -0.043159491342095846, -1.1190203685581024,
+        0.2913236748107182, -0.4687868786447502, 0.31109180987267626, 0.392045594542896,
+        -1.0278686429227466, -0.068448418446857, 0.40971956035899093, -1.1566184686824406,
     ]),
     "h2-exact": ("h2", 1.4, dict(shots=None), [
-        -1.1167143250625697, -1.1167143250625697, -1.1167143250625697, -0.8979907818492813,
-        -0.676520780523202, 0.05482603170656264, 0.4699448663556236, -0.2098636784255411,
-        -1.097630040731587, -1.134911592353094, 0.3299036790435802, -0.19412946109459261,
-        -0.8192686717452943, -1.0352080373101655, -1.0545207099457454, -0.6462804264573748,
-        -0.6516441319205136, 0.48113298426344353, -0.9682669048116838, -1.0498503425108248,
+        -1.1167143250625697, -1.1167143250625697, -1.1167143250625697, -0.8979907818492815,
+        -0.676520780523202, 0.05482603170656264, 0.4699448663556236, -0.20986367842554088,
+        -1.097630040731587, -1.134911592353094, 0.32990367904358064, -0.19412946109459261,
+        -0.8192686717452943, -1.035208037310166, -1.0545207099457459, -0.6462804264573748,
+        -0.6516441319205134, 0.4811329842634435, -0.9682669048116838, -1.0498503425108248,
     ]),
     "h2-ibm-5": ("h2", 1.4, dict(noise=ibm5_noise), [
         -0.839430433589048, -0.8694044082391604, -0.8637956418628804, -0.7370110957417336,
@@ -322,77 +313,16 @@ def test_objective_paths_are_pinned(label):
     assert [objective(t) for t in angles] == energies
 
 
-def former_blocks(program, circuit, noise):
-    """The former compile: per fused block its order in the state, its dimension and its table."""
-    n, per_gate = program.n_qubits, 1 if noise is None else 2
-    blocks = []
-    for qubits, gates in qsim._fusion_blocks(circuit.gates):
-        order = qsim._local_order(program._bit_count(n), program._bits(qubits, n))
-        bound = sorted(set(qsim._angle_indices(gates)))
-        degrees = [per_gate * qsim._angle_indices(gates).count(k) for k in bound]
-        operator = functools.partial(program._block_operator, noise, qubits, gates, bound)
-        dim = 1 << program._bit_count(len(qubits))
-        blocks.append((order, dim, bound, degrees, qsim._tabulate(degrees, operator)))
-    return blocks
-
-
-def former_run_blocks(program, blocks, t):
-    """The former block path: every block bound per run, gathered, multiplied and scattered back."""
-    flat = np.zeros(1 << program._bit_count(program.n_qubits), dtype=complex)
-    flat[0] = 1.0  # |0...0>, or |0...0><0...0| on the density-matrix engine
-    for order, dim, bound, degrees, table in blocks:
-        op = np.dot(qsim._weights(degrees, [t[k] for k in bound]), table).reshape(dim, dim)
-        flat[order] = (op @ flat[order].reshape(dim, -1)).reshape(-1)
-    return flat
-
-
-def measurement_cases():
-    """(r, noise label): noiseless at r = 2, 3, 4, ibm-14 with damping at r <= 3, uniform at r = 4."""
-    for r in (2, 3, 4):
-        yield r, None
-        yield r, "ibm-14-damping" if r <= 3 else "uniform-1e-3"
-
-
-def noise_model(label, n_qubits):
-    if label is None:
-        return None
-    if label == "uniform-1e-3":
-        return NoiseModel.uniform(n_qubits, 1e-3)
-    return NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), n_qubits, damping=True)
-
-
-def flat_state(state) -> np.ndarray:
-    return state.amps if isinstance(state, qsim.Statevector) else state.flat
-
-
-@pytest.mark.parametrize("r, label", list(measurement_cases()))
-def test_block_path_matches_the_former_gather_scatter(r, label):
-    # the Z, A and B programs: the ansatz alone or followed by rotation A or B
-    noise = noise_model(label, 2 * r)
-    circuits = (ansatz.ansatz_template(r), *(tomography._phase_circuit(r, y) for y in (False, True)))
-    programs = (ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise))
-    rng = np.random.default_rng(80 + r)
-    for program, circuit in zip(programs, circuits):
-        blocks = former_blocks(program, circuit, noise)
-        for _ in range(3):
-            t = rng.uniform(-np.pi, np.pi, size=r - 1)
-            want = former_run_blocks(program, blocks, t).tobytes()
-            assert program._run_blocks(t).tobytes() == want
-            if not program.tabulated:
-                assert flat_state(program.run(t)).tobytes() == want
-
-
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("circuit", [Circuit(3), Circuit(3).h(0).cx(0, 1).s(1).cx(1, 2).h(2).x(0)])
 def test_fixed_program_runs_give_fresh_states(circuit, noisy):
-    # every block is fixed, so the whole state is the compiled prefix (the
-    # empty circuit has no block at all); a run must still hand out its own array
+    # a program that binds no angle has a one-row table, which is the
+    # reference distribution itself; a run must still hand out its own array
     noise = NoiseModel.uniform(3, 0.02) if noisy else None
     program = qsim.Program(circuit, noise)
-    former = former_run_blocks(program, former_blocks(program, circuit, noise), []).tobytes()
-    for run in (program._run_blocks, lambda t: flat_state(program.run(t))):
-        first = run([])
-        want = first.tobytes()
-        first[:] = 7.0
-        assert run([]).tobytes() == want
-    assert program._run_blocks([]).tobytes() == former
+    state = qsim.run_circuit(circuit) if noise is None else qsim.run_density(circuit, noise)
+    want = state.probabilities().tobytes()
+    first = program.run([])
+    assert first.tobytes() == want
+    first[:] = 7.0
+    assert program.run([]).tobytes() == want

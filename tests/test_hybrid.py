@@ -111,6 +111,10 @@ class TestConfig:
             HybridConfig(restarts=0)
         with pytest.raises(ValueError, match="shots"):
             HybridConfig(shots=0)
+        for cap in ("nm_max_iter", "outer_max_iter"):
+            with pytest.raises(ValueError, match="iteration caps"):
+                HybridConfig(**{cap: -1})
+            assert getattr(HybridConfig(**{cap: 0}), cap) == 0
 
     def test_exact_mode_takes_noise(self, h2_reference):
         noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
@@ -524,12 +528,12 @@ class TestShotStreamConstruction:
     def test_noisy_point_builds_only_its_jitter_keys(self, constructions, steps):
         self.run_noisy_point()
         assert constructions["sample"] >= 100
-        # one shot generator for the point, and one jitter generator per quantum step
+        # one shot generator and one jitter generator for the point, whatever its steps
         assert len(steps) == 2
-        assert constructions["default_rng"] == 1 + len(steps)
+        assert constructions["default_rng"] == 2
         assert constructions["PCG64"] == 0
 
-    def test_patched_make_rng_sees_one_jitter_key_per_quantum_step(self, monkeypatch, steps):
+    def test_patched_make_rng_sees_one_jitter_key_per_point(self, monkeypatch, steps):
         keys = []
         make_rng = qsim.make_rng
 
@@ -539,7 +543,7 @@ class TestShotStreamConstruction:
 
         monkeypatch.setattr(qsim, "make_rng", recorded)
         self.run_noisy_point()
-        assert steps and keys == [(1, 202)] + [(1, 404)] * len(steps)
+        assert len(steps) == 2 and keys == [(1, 202), (1, 404)]
 
     def test_noisy_point_draws_from_no_state_twice(self, monkeypatch, steps):
         # every outer step shares the point's shot generator, so no draw replays another
@@ -556,6 +560,25 @@ class TestShotStreamConstruction:
         assert len(steps) == 2 and len(set(steps)) == 1
         assert len(starts) >= 3 * point.n_evals
         assert len(set(starts)) == len(starts)
+
+    def test_restart_jitter_draws_on_across_quantum_steps(self, monkeypatch, steps):
+        # each step's second run starts from its t0 plus the next draws of
+        # the point's one jitter generator, so no step repeats an offset
+        starts = []
+        search = hybrid.nelder_mead
+
+        def recorded(f, x0, **kwargs):
+            starts.append(np.array(x0, dtype=float))
+            return search(f, x0, **kwargs)
+
+        monkeypatch.setattr(hybrid, "nelder_mead", recorded)
+        noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+        config = HybridConfig(noise=noise, **dict(self.NOISY_POINT, restarts=2))
+        run_hybrid(chem.h2_molecule(1.4), config)
+        assert len(steps) == 2 and len(starts) == 4
+        offsets = [starts[1] - starts[0], starts[3] - starts[2]]
+        want = qsim.make_rng(1, qsim.JITTER_KEY).uniform(-0.5, 0.5, size=(2, 1))
+        np.testing.assert_allclose(offsets, want, rtol=0, atol=1e-12)
 
     def test_noisy_vtable_builds_only_its_bootstrap_keys(self, constructions, monkeypatch):
         bootstraps = []

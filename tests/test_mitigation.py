@@ -149,7 +149,8 @@ class TestSymmetryVerify:
 
     def test_noiseless_ansatz_retains_everything(self):
         circuit = ansatz.build_ansatz_circuit(3, np.array([-1.0, 0.4]))
-        hist = qsim.sample(qsim.run_circuit(circuit), 2048, qsim.make_rng(1, qsim.SHOT_KEY, 0))
+        probs = qsim.run_circuit(circuit).probabilities()
+        hist = qsim.sample(probs, 2048, qsim.make_rng(1, qsim.SHOT_KEY, 0))
         _, frac = symmetry_verify(hist, ("N", "Sz"))
         assert frac == 1.0
 
@@ -161,7 +162,7 @@ class TestSymmetryVerify:
     def test_exact_noisy_record_keeps_and_renormalises_its_allowed_weight(self):
         circuit = ansatz.build_ansatz_circuit(2, np.array([-0.8]))
         noise = qsim.NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
-        record = tomography.measure(qsim.run_density(circuit, noise), None)
+        record = tomography.measure(qsim.run_density(circuit, noise).probabilities(), None)
         # one alpha (even qubit) and one beta (odd qubit) electron
         allowed = [0b0011, 0b0110, 0b1001, 0b1100]
         kept = record.counts[allowed]

@@ -262,11 +262,11 @@ def test_dense_statistics_equal_dict_reference():
 
 
 def test_sampling_is_deterministic_and_unbiased():
-    state = qsim.run_circuit(Circuit(2).h(0).cx(0, 1))
-    h1 = qsim.sample(state, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 0))
-    h2 = qsim.sample(state, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 0))
+    probs = qsim.run_circuit(Circuit(2).h(0).cx(0, 1)).probabilities()
+    h1 = qsim.sample(probs, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 0))
+    h2 = qsim.sample(probs, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 0))
     assert np.array_equal(h1.counts, h2.counts)
-    h3 = qsim.sample(state, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 1))
+    h3 = qsim.sample(probs, 4096, qsim.make_rng(9, qsim.SHOT_KEY, 1))
     assert not np.array_equal(h3.counts, h1.counts)
     assert set(np.flatnonzero(h1.counts)) <= {0b00, 0b11}
     # 5 sigma band around p = 0.5
@@ -277,7 +277,7 @@ def test_sampling_is_deterministic_and_unbiased():
 def test_sampling_readout_flips():
     readout_only = NoiseModel({}, {}, {0: 0.25, 1: 0.0, 2: 0.5})
     rng = qsim.make_rng(3, qsim.SHOT_KEY, 0)
-    hist = qsim.sample(qsim.run_density(Circuit(3), readout_only), 20000, rng)
+    hist = qsim.sample(qsim.run_density(Circuit(3), readout_only).probabilities(), 20000, rng)
     assert hist.occupation(0) == pytest.approx(0.25, abs=0.02)
     assert hist.occupation(1) == 0.0
     assert hist.occupation(2) == pytest.approx(0.5, abs=0.02)
@@ -433,20 +433,22 @@ def test_single_cnot_error_one_mean():
 def test_noisy_sampling_reproducible():
     circ = Circuit(2).h(0).cx(0, 1)
     nm = chain_noise(2, 0.01, 0.03, 0.05)
-    h1 = qsim.sample(qsim.run_density(circ, nm), 512, qsim.make_rng(21, qsim.SHOT_KEY, 3))
-    h2 = qsim.sample(qsim.run_density(circ, nm), 512, qsim.make_rng(21, qsim.SHOT_KEY, 3))
+    probs = qsim.run_density(circ, nm).probabilities()
+    h1 = qsim.sample(probs, 512, qsim.make_rng(21, qsim.SHOT_KEY, 3))
+    h2 = qsim.sample(probs, 512, qsim.make_rng(21, qsim.SHOT_KEY, 3))
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.counts.sum() == 512
-    h3 = qsim.sample(qsim.run_density(circ, nm), 512, qsim.make_rng(22, qsim.SHOT_KEY, 3))
+    h3 = qsim.sample(probs, 512, qsim.make_rng(22, qsim.SHOT_KEY, 3))
     assert not np.array_equal(h3.counts, h1.counts)
-    h4 = qsim.sample(qsim.run_density(circ, nm), 512, qsim.make_rng(21, qsim.SHOT_KEY, 4))
+    h4 = qsim.sample(probs, 512, qsim.make_rng(21, qsim.SHOT_KEY, 4))
     assert not np.array_equal(h4.counts, h1.counts)
 
 
 def test_readout_noise_on_prepared_state():
     circ = Circuit(2).x(0)
     nm = chain_noise(2, 0.0, 0.2, 0.0)
-    hist = qsim.sample(qsim.run_density(circ, nm), 20000, qsim.make_rng(5, qsim.SHOT_KEY, 0))
+    probs = qsim.run_density(circ, nm).probabilities()
+    hist = qsim.sample(probs, 20000, qsim.make_rng(5, qsim.SHOT_KEY, 0))
     assert hist.occupation(0) == pytest.approx(0.8, abs=0.02)
     assert hist.occupation(1) == pytest.approx(0.2, abs=0.02)
 
@@ -710,7 +712,7 @@ def test_sample_is_one_multinomial_draw_on_its_stream():
     # the one measurement rule of both engines, on a shot generator from make_rng
     circ, _, noise = engine_case("r2-ibm-5")
     for state in (qsim.run_circuit(circ), qsim.run_density(circ, noise)):
-        hist = qsim.sample(state, 2048, qsim.make_rng(7, qsim.SHOT_KEY))
+        hist = qsim.sample(state.probabilities(), 2048, qsim.make_rng(7, qsim.SHOT_KEY))
         want = np.random.default_rng([7, 202]).multinomial(2048, state.probabilities())
         np.testing.assert_array_equal(hist.counts, want)
         assert (hist.n_qubits, hist.shots) == (circ.n_qubits, 2048)
@@ -764,51 +766,40 @@ def test_gate_order_cache_holds_every_evaluation_key():
 COMPILED_NOISE_CASES = [(2, "ibm-5", False), (2, "ibm-14", True), (3, "ibm-14", False)]
 
 
-def block_path(program, t) -> np.ndarray:
-    """The flat state of ``program`` at ``t`` from its blocks, tabulated or not."""
-    return program._run_blocks(t)
+def reference_distribution(circuit: Circuit, noise) -> np.ndarray:
+    """The outcome distribution of the gate-by-gate engine ``noise`` selects."""
+    state = qsim.run_circuit(circuit) if noise is None else qsim.run_density(circuit, noise)
+    return state.probabilities()
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_compiled_ansatz_matches_run_circuit(r):
-    # the table holds 3**(r-1) rows of 4**r amplitudes: r <= 4 fit TABLE_MAX_BYTES, r = 5 does not
+    # 5**(r-1) rows, one per node of a 4**r-amplitude run: r <= 5 fit TABLE_MAX_ENTRIES
     program = ansatz.compiled_ansatz(r)
-    assert program.tabulated == (r <= 4)
+    assert program.tabulated
     rng = np.random.default_rng(40 + r)
     for _ in range(5):
         t = rng.uniform(-np.pi, np.pi, size=r - 1)
-        want = qsim.run_circuit(ansatz.build_ansatz_circuit(r, t)).amps
-        np.testing.assert_allclose(program.run(t).amps, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(block_path(program, t), want, rtol=0, atol=1e-12)
+        want = reference_distribution(ansatz.build_ansatz_circuit(r, t), None)
+        np.testing.assert_allclose(program.run(t), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("r, device, damping", COMPILED_NOISE_CASES)
 def test_compiled_ansatz_matches_run_density(r, device, damping):
-    # rho tables hold 5**(r-1) rows of 16**r entries: r = 2 fits TABLE_MAX_BYTES, r = 3 does not
+    # 5**(r-1) rows, one per node of a 16**r-entry rho run: r <= 3 fit TABLE_MAX_ENTRIES
     noise = NoiseModel.from_calibration(qsim.load_calibration(device), 2 * r, damping=damping)
     program = ansatz.compiled_ansatz(r, noise)
-    assert program.tabulated == (r == 2)
+    assert program.tabulated
     rng = np.random.default_rng(50 + r)
     for _ in range(3):
         t = rng.uniform(-np.pi, np.pi, size=r - 1)
-        got = program.run(t)
-        want = qsim.run_density(ansatz.build_ansatz_circuit(r, t), noise)
-        np.testing.assert_allclose(got.flat, want.flat, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(block_path(program, t), want.flat, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.probabilities(), want.probabilities(), rtol=0, atol=1e-12)
-
-
-def bind(circuit: Circuit, t) -> Circuit:
-    """``circuit`` with every ``Angle(k)`` replaced by t[k]."""
-    return Circuit(circuit.n_qubits, [
-        Gate(g.name, g.qubits, float(t[g.param.index])) if isinstance(g.param, qsim.Angle) else g
-        for g in circuit
-    ])
+        want = reference_distribution(ansatz.build_ansatz_circuit(r, t), noise)
+        np.testing.assert_allclose(program.run(t), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_table_takes_any_number_of_gates_per_angle(noisy):
-    # angle 0 drives one rotation (an odd degree) and angle 1 three, on both engines
+    # angle 0 drives one rotation and angle 1 three, on both engines
     a0, a1 = qsim.Angle(0), qsim.Angle(1)
     template = (
         Circuit(3).h(0).ry(0, a0).cx(0, 1).rz(1, a1).rx(2, a1).cx(1, 2).s(2).ry(1, a1).h(2)
@@ -819,52 +810,53 @@ def test_table_takes_any_number_of_gates_per_angle(noisy):
     rng = np.random.default_rng(7)
     for _ in range(4):
         t = rng.uniform(-np.pi, np.pi, size=2)
-        if noisy:
-            got, want = program.run(t).flat, qsim.run_density(bind(template, t), noise).flat
-        else:
-            got, want = program.run(t).amps, qsim.run_circuit(bind(template, t)).amps
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(block_path(program, t), want, rtol=0, atol=1e-12)
+        want = reference_distribution(qsim.bind(template, t), noise)
+        np.testing.assert_allclose(program.run(t), want, rtol=0, atol=1e-12)
     for wrong in ([0.1], [0.1, 0.2, 0.3]):
         with pytest.raises(ValueError, match=f"binds 2 angles, got {len(wrong)}"):
             program.run(wrong)
 
 
-@pytest.mark.parametrize(
-    "noisy, r", [(False, 2), (False, 3), (True, 2), (True, 3), ("uniform", 4)]
-)
+def measurement_noise(noisy, n_qubits: int) -> NoiseModel | None:
+    """None for False, ibm-14 with damping for True, else "uniform" or a device name [+ "-damping"]."""
+    if noisy is False:
+        return None
+    if noisy == "uniform":
+        return NoiseModel.uniform(n_qubits, 1e-3)
+    if noisy is True:
+        return NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), n_qubits, damping=True)
+    device, damping = noisy.removesuffix("-damping"), noisy.endswith("-damping")
+    return NoiseModel.from_calibration(qsim.load_calibration(device), n_qubits, damping=damping)
+
+
+@pytest.mark.parametrize("noisy, r", [
+    (False, 2), (False, 3), (False, 4), (False, 5), (False, 6),
+    (True, 2), (True, 3), ("ibm-14", 2), ("ibm-14", 3), ("ibm-5", 2), ("ibm-5-damping", 2),
+    ("uniform", 4),
+])
 def test_measurement_programs_match_the_whole_circuits(noisy, r):
     # the Z, A and B programs: the ansatz alone or followed by rotation A or
-    # B, each prepared whole from |0...0>, tabulated except noisy r >= 3;
-    # noisy is ibm-14 with damping, or a uniform model at r = 4, where
-    # ibm-14 has no chain of 8 qubits
-    if noisy == "uniform":
-        noise = NoiseModel.uniform(2 * r, 1e-3)
-    elif noisy:
-        noise = NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 2 * r, damping=True)
-    else:
-        noise = None
+    # B, each against the whole circuit's outcome distribution gate by gate.
+    # Noiseless r = 6 and the uniform model at r = 4 (ibm-14 has no chain of
+    # 8 qubits) lie over the size rule and run the reference engine; every
+    # other case reads its table
+    noise = measurement_noise(noisy, 2 * r)
     programs = (ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise))
     rotations = (Circuit(2 * r), *tomography.phase_measurement_circuits(r))
     rng = np.random.default_rng(60 + r)
     for program, rotation in zip(programs, rotations):
-        assert program.tabulated == (not noisy or r == 2)
+        assert program.tabulated == (r <= (5 if noise is None else 3))
         t = rng.uniform(-np.pi, np.pi, size=r - 1)
-        whole = ansatz.build_ansatz_circuit(r, t).extend(rotation)
-        if noisy:
-            got, want = program.run(t).flat, qsim.run_density(whole, noise).flat
-        else:
-            got, want = program.run(t).amps, qsim.run_circuit(whole).amps
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(block_path(program, t), want, rtol=0, atol=1e-12)
+        want = reference_distribution(ansatz.build_ansatz_circuit(r, t).extend(rotation), noise)
+        np.testing.assert_allclose(program.run(t), want, rtol=0, atol=1e-12)
 
 
 def test_compiled_runs_build_no_operator(monkeypatch):
-    # every angle binds through a coefficient table, so once compiled a
-    # run, tabulated or not, builds no gate matrix and no channel
+    # every angle binds through the outcome table, so once compiled a
+    # run builds no gate matrix and no channel
     ibm14 = qsim.load_calibration("ibm-14")
     rng = np.random.default_rng(70)
-    cases = []  # (program, angles, the gate-by-gate state)
+    cases = []  # (program, angles, the gate-by-gate distribution)
     for r in (2, 3):
         for noise in (None, NoiseModel.from_calibration(ibm14, 2 * r, damping=True)):
             programs = (
@@ -874,10 +866,7 @@ def test_compiled_runs_build_no_operator(monkeypatch):
             for program, rotation in zip(programs, rotations):
                 t = rng.uniform(-np.pi, np.pi, size=r - 1)
                 whole = ansatz.build_ansatz_circuit(r, t).extend(rotation)
-                if noise is None:
-                    cases.append((program, t, qsim.run_circuit(whole).amps))
-                else:
-                    cases.append((program, t, qsim.run_density(whole, noise).flat))
+                cases.append((program, t, reference_distribution(whole, noise)))
 
     def builds_an_operator(*_args, **_kwargs):
         raise AssertionError("a compiled run built an operator")
@@ -886,25 +875,7 @@ def test_compiled_runs_build_no_operator(monkeypatch):
     monkeypatch.setattr(qsim, "_superoperator", builds_an_operator)
     monkeypatch.setattr(qsim.Gate, "matrix", builds_an_operator)
     for program, t, want in cases:
-        state = program.run(t)
-        got = state.amps if isinstance(state, qsim.Statevector) else state.flat
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_fusion_blocks_span_at_most_two_qubits():
-    # r = 2: 18 gates in 6 blocks; r = 3: 34 gates in 11
-    for r, gates, blocks in ((2, 18, 6), (3, 34, 11)):
-        template = ansatz.ansatz_template(r)
-        fused = qsim._fusion_blocks(template.gates)
-        assert len(template) == gates and len(fused) == blocks
-        assert [g for _, members in fused for g in members] == template.gates
-        for qubits, members in fused:
-            assert len(qubits) <= 2
-            assert all(set(g.qubits) <= set(qubits) for g in members)
-    # a second angle on the same two qubits opens a block of its own
-    a0, a1 = qsim.Angle(0), qsim.Angle(1)
-    two_angles = Circuit(2).ry(0, a0).cx(0, 1).rz(1, a0).h(0).rx(1, a1).cx(0, 1)
-    assert [len(members) for _, members in qsim._fusion_blocks(two_angles.gates)] == [4, 2]
+        np.testing.assert_allclose(program.run(t), want, rtol=0, atol=1e-12)
 
 
 def test_template_leaves_exactly_the_pair_angles_open():
@@ -964,7 +935,18 @@ def test_noisy_programs_are_freed_without_a_collection(tmp_path, monkeypatch):
 
 
 def test_production_paths_prepare_through_compiled_programs(monkeypatch):
-    # the gate-by-gate builders and engines are references only
+    # the gate-by-gate builders and engines are references only: compiling
+    # evaluates them at the table's nodes, and no preparation after that
+    # reaches them, so every program is compiled before they are patched
+    ibm5 = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+    ibm14_damping = cli.load_noise("ibm-14", 4, damping=True)
+    ibm14 = NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 6)
+    for r, noise in ((2, None), (2, ibm5), (2, ibm14_damping), (3, ibm14)):
+        programs = (
+            ansatz.compiled_ansatz(r, noise), *tomography.phase_measurement_programs(r, noise)
+        )
+        assert all(program.tabulated for program in programs)
+
     def reference_only(*_args, **_kwargs):
         raise AssertionError("a production path ran a gate-by-gate reference")
 
@@ -972,16 +954,14 @@ def test_production_paths_prepare_through_compiled_programs(monkeypatch):
         monkeypatch.setattr(qsim, name, reference_only)
     monkeypatch.setattr(ansatz, "build_ansatz_circuit", reference_only)
     monkeypatch.setattr(tomography, "phase_measurement_circuits", reference_only)
-    ibm5 = NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
     for noise in (None, ibm5):
         config = hybrid.HybridConfig(
             noise=noise, seed=1, restarts=1, nm_max_iter=10, outer_max_iter=1
         )
         assert hybrid.run_hybrid(chem.h2_molecule(1.4), config).n_evals > 0
-    for noise in (None, cli.load_noise("ibm-14", 4, damping=True)):
+    for noise in (None, ibm14_damping):
         assert len(cli.vtable_rows(2, 2048, 1, noise)) == 4
-    # measured phases under noise at r = 3: the untabulated whole-circuit programs
-    ibm14 = NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 6)
+    # measured phases under noise at r = 3
     config = hybrid.HybridConfig(
         noise=ibm14, phase_mode="measured", seed=1, restarts=1, nm_max_iter=3, outer_max_iter=1
     )
