@@ -94,8 +94,16 @@ def resolve_molecule_builder(args):
 
 
 def output_dir(args) -> Path:
+    """The output directory, made if missing; exits naming it if it cannot be one.
+
+    Every command calls this after checking its arguments and before its
+    work, so an unusable ``--out`` costs no work and writes nothing.
+    """
     out = Path(args.out or os.environ.get("GEMINAL_OUT", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"cannot use output directory {out}: {exc.strerror or exc}") from exc
     return out
 
 
@@ -158,8 +166,9 @@ def cmd_curve(args) -> int:
     symmetries, project = parse_mitigate(args.mitigate)
     builder, label = SYSTEM_BUILDERS[args.system], args.system
     values = parse_scan_range(args.scan or DEFAULT_SCANS[args.system])
+    molecules = [builder(value) for value in values]  # a bad geometry exits here
 
-    probe = chem.compute_integrals(builder(values[0]))
+    probe = chem.compute_integrals(molecules[0])
     config = hybrid.HybridConfig(
         shots=requested_shots(args),
         noise=load_noise(args.noise, 2 * probe.n_basis, args.damping),
@@ -168,6 +177,7 @@ def cmd_curve(args) -> int:
         project=project,
         phase_mode=args.phase,
     )
+    out = output_dir(args)
 
     if args.jobs > 1:
         # imported here, so that commands without a pool skip loading multiprocessing
@@ -193,7 +203,6 @@ def cmd_curve(args) -> int:
             f"{p.parameter:10.5f}  {p.energy:16.10f}  {p.energy_fci:16.10f}  "
             f"{p.energy_rhf:16.10f}  {err_mha:12.6f}  {p.outer_iterations:4d}  {flags}"
         )
-    out = output_dir(args)
     write_lines(out / "curve.txt", lines)
     print("\n".join(lines))
 
@@ -217,11 +226,12 @@ def cmd_curve(args) -> int:
     ]
     (out / "curve_points.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
-    if args.strict and any(p.flags for p in points):
-        flagged = [f"{p.parameter:.5f}: {','.join(p.flags)}" for p in points if p.flags]
+    # the one exit rule: a point that is not converged carries a flag too
+    flagged = [f"{p.parameter:.5f}: {','.join(p.flags)}" for p in points if p.flags]
+    if flagged:
         print("flagged points: " + "; ".join(flagged), file=sys.stderr)
         return 1
-    return 0 if all(p.converged for p in points) else 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +302,7 @@ def cmd_scan(args) -> int:
     message = "occupation scans support systems with 2 or 3 orbitals"
     label, r, noise = scan_system(args, (2, 3), message)
     symmetries, project = parse_mitigate(args.mitigate)
+    out = output_dir(args)
     points, records = measure_scan_grid(r, shots, args.seed, noise)
     filtered, retained = filter_scan(points, records, symmetries)
 
@@ -307,7 +318,6 @@ def cmd_scan(args) -> int:
     ]
     stages = {"raw": raw, "verified": verified, "projected": projected}
 
-    out = output_dir(args)
     angle_names = "  ".join(f"t{k:<10}" for k in range(r - 1))
     occ_names = "  ".join(
         f"{half}_n{p}" for half in ("alpha", "beta") for p in range(r)
@@ -375,6 +385,7 @@ def vtable_rows(r, shots, seed, noise):
 def cmd_vtable(args) -> int:
     shots = requested_shots(args)
     label, r, noise = scan_system(args, (2,), "the V table is defined for two-orbital systems")
+    out = output_dir(args)
     rows = vtable_rows(r, shots, args.seed, noise)
     lines = header_lines(args, {"system": label})
     lines.append("# symmetries  V_half1  ci95_lo  ci95_hi  V_half2  ci95_lo  ci95_hi  retained")
@@ -384,7 +395,6 @@ def cmd_vtable(args) -> int:
             f"{row['setting']:<10}  {v1[0]:8.4f}  {v1[1]:8.4f}  {v1[2]:8.4f}  "
             f"{v2[0]:8.4f}  {v2[1]:8.4f}  {v2[2]:8.4f}  {row['retained']:8.4f}"
         )
-    out = output_dir(args)
     write_lines(out / "vtable.txt", lines)
     print("\n".join(lines))
     return 0
@@ -552,6 +562,7 @@ def cmd_selftest(args) -> int:
 def cmd_integrals(args) -> int:
     builder, label = resolve_molecule_builder(args)
     molecule = builder(args.at)
+    out = output_dir(args)
     ints, rhf, fci = chem.scf_reference(molecule)
     n = ints.n_basis
 
@@ -570,7 +581,6 @@ def cmd_integrals(args) -> int:
             lines.append(f"{p} {q} {u} {v}  {ints.eri[p, q, u, v]:16.12f}")
     lines.append(f"E_RHF = {rhf.energy:.12f}")
     lines.append(f"E_FCI = {fci.energy:.12f}")
-    out = output_dir(args)
     write_lines(out / "integrals.txt", lines)
     print("\n".join(lines))
     return 0
@@ -608,7 +618,6 @@ def make_parser() -> argparse.ArgumentParser:
     add_molecule_arguments(curve, single_geometry=False)
     add_sampling_arguments(curve)
     curve.add_argument("--phase", choices=["auto", "measured", "classical"], default="auto")
-    curve.add_argument("--strict", action="store_true", help="exit 1 if any point is flagged")
     curve.add_argument("--scan", help="geometry range start:stop:npoints")
     curve.add_argument("--jobs", type=positive_int, default=1)
     curve.set_defaults(func=cmd_curve)

@@ -102,6 +102,7 @@ BFGS_STEP = 1e-5  # central-difference step of the orbital gradient
 BFGS_GTOL = 1e-7
 BFGS_MAX_ITER = 100
 OUTER_THRESHOLD = 1e-3  # hartree; two successive outer energies this close end the loop
+RHF_GAIN_MIN = 1e-12  # hartree; a point that ends no further below its RHF start gained nothing
 
 
 @dataclass(frozen=True)
@@ -493,7 +494,7 @@ class CurvePoint:
     n_evals: int
     converged: bool
     state: GeminalState = field(repr=False)
-    retained_fraction: float = 1.0
+    retained_fraction: float | None = None  # None when the reported state is the RHF start
     energy_trace: list[float] = field(default_factory=list, repr=False)
     flags: list[str] = field(default_factory=list)
 
@@ -513,9 +514,12 @@ def run_hybrid(
     a preparation in outer step k, the loop stops there, the point keeps
     the best energy of the completed steps and carries the flag
     ``all-shots-rejected-outer-<k>``; the evaluations of the aborted
-    step count too.  When outer steps ran and none
-    reached the RHF energy, the point reports the RHF start and carries
-    the flag ``no-gain-over-rhf``.
+    step count too.  When outer steps ran and none ended more than
+    RHF_GAIN_MIN below the RHF start, a tie included, the point reports
+    the RHF start, which was never measured, so its
+    ``retained_fraction`` is None, and carries the flag
+    ``no-gain-over-rhf``.  A point that is not ``converged`` always
+    carries a flag.
     """
     ints, rhf, fci = chem.scf_reference(molecule)
     r = ints.n_basis
@@ -526,15 +530,14 @@ def run_hybrid(
     C = rhf.mo_coeff.copy()
     n0 = np.zeros(r)
     n0[0] = 1.0
-    state = GeminalState(n0, np.ones(r - 1, dtype=int))
+    start = GeminalState(n0, np.ones(r - 1, dtype=int))
     h, eri = chem.transform_integrals(ints, C)
     objective = QuantumObjective(h, eri, ints.enuc, config)
-    energy = assemble_2dm_energy(state, objective.pair)
+    energy = assemble_2dm_energy(start, objective.pair)
     trace = [energy]
     t = np.zeros(r - 1)
     converged = rejected = False
-    best_energy = energy
-    best_state, best_retained, best_outer = state, 1.0, 0
+    best_energy, best_state, best_retained = energy, start, None
 
     for outer in range(1, config.outer_max_iter + 1):
         if outer > 1:  # the orbital step moved C
@@ -553,15 +556,15 @@ def run_hybrid(
         energy = min(qres.energy, ores.energy)
         trace.append(energy)
         if energy <= best_energy:
-            best_energy = energy
-            best_state, best_retained, best_outer = state, qres.retained_fraction, outer
+            best_energy, best_state, best_retained = energy, state, qres.retained_fraction
         if abs(trace[-1] - trace[-2]) < OUTER_THRESHOLD:
             converged = True
             break
     if not (converged or rejected) and config.outer_max_iter > 0:
         flags.append("outer-iteration-cap")
-    if config.outer_max_iter > 0 and best_outer == 0:
+    if config.outer_max_iter > 0 and not best_energy < trace[0] - RHF_GAIN_MIN:
         flags.append("no-gain-over-rhf")
+        best_energy, best_state, best_retained = trace[0], start, None
 
     return CurvePoint(
         parameter=parameter,

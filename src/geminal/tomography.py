@@ -47,11 +47,12 @@ def measure(
     """Z-basis record of a prepared outcome distribution ``probs``.
 
     ``shots=None`` returns the exact outcome probabilities, noiseless or
-    noisy, and ignores ``rng``; otherwise ``shots`` outcomes are drawn
-    from ``rng``.
+    noisy, clipped at 0 (a table reads rounding-level negatives where
+    the reference engine gives 0), and ignores ``rng``; otherwise
+    ``shots`` outcomes are drawn from ``rng``, which clips likewise.
     """
     if shots is None:
-        return ShotHistogram(probs.size.bit_length() - 1, None, probs)
+        return ShotHistogram(probs.size.bit_length() - 1, None, np.maximum(probs, 0.0))
     return qsim.sample(probs, shots, rng)
 
 

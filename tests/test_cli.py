@@ -5,11 +5,14 @@ tmp_path, so these stay fast and leave no droppings.  Reproducibility
 checks compare whole files byte for byte.
 """
 
+import argparse
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +219,7 @@ def test_negative_seed_is_usage_error(command, tmp_path, monkeypatch, capsys):
         (["vtable", "--mitigate", "none"], "--mitigate none"),
         (["scan", "--strict"], "--strict"),
         (["curve", "--geometry", "h2.xyz"], "--geometry h2.xyz"),
+        (["curve", "--strict"], "--strict"),  # a flagged point fails every run
     ],
 )
 def test_options_a_command_does_not_read_are_usage_errors(argv, unread, capsys):
@@ -227,13 +231,64 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, unread, capsys):
     assert f"unrecognized arguments: {unread}" in err
 
 
+README_GROUPS = {
+    "molecule": {"--system", "--geometry", "--out"},
+    "sampling": {"--shots", "--exact", "--seed", "--noise", "--damping"},
+}
+
+
+def readme_command_options():
+    """{command: option strings} as the README's command table lists them."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | options |") + 2  # past the header and its rule
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+        command, options = (cell.strip() for cell in line.strip("|").split(" | "))
+        listed = set()
+        for entry in options.split(", "):
+            listed |= README_GROUPS.get(entry) or {re.match(r"`(--[\w-]+)", entry)[1]}
+        table[command.strip("`")] = listed
+    return table
+
+
+def test_readme_command_table_lists_every_option_of_the_parser():
+    (subparsers,) = [
+        action for action in cli.make_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert readme_command_options() == parsed
+
+
 def refuse_work(monkeypatch):
     """Make the first step of every command's real work raise."""
     def no_work(*_args, **_kwargs):
-        raise AssertionError("work started before the geometry check")
+        raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(chem, "scf_reference", no_work)  # integrals, and each curve point
+    monkeypatch.setattr(hybrid, "run_hybrid", no_work)  # each curve point
     monkeypatch.setattr(cli, "measure_scan_point", no_work)  # scan, vtable
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curve", "--exact", "--scan", "1.4:1.4:1"], ["scan", "--exact"], ["vtable", "--exact"],
+     ["integrals"]],
+)
+@pytest.mark.parametrize("under_file", [False, True])
+def test_unusable_out_is_clean_exit_before_work(tmp_path, monkeypatch, argv, under_file):
+    refuse_work(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    out = taken / "sub" if under_file else taken
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv + ["--out", str(out)])
+    message = str(exit_info.value.code)
+    assert message.startswith(f"cannot use output directory {out}: ") and "\n" not in message
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "a regular file\n"
 
 
 @pytest.mark.parametrize(
@@ -254,9 +309,10 @@ def refuse_work(monkeypatch):
 )
 def test_unusable_geometry_is_clean_exit_before_work(tmp_path, monkeypatch, argv, message):
     refuse_work(monkeypatch)
+    out = tmp_path / "out"
     with pytest.raises(SystemExit, match=f"^bad geometry: {re.escape(message)}"):
-        run_cli(argv + ["--out", str(tmp_path)])
-    assert not list(tmp_path.iterdir())
+        run_cli(argv + ["--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -403,7 +459,7 @@ def test_curve_dead_worker_is_clean_exit_without_table(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_curve_strict_fails_on_flagged_point(tmp_path, monkeypatch):
+def test_curve_exits_1_on_a_flagged_converged_point(tmp_path, monkeypatch, capsys):
     flagged = hybrid.CurvePoint(
         parameter=1.0, energy=-1.0, energy_fci=-1.0, energy_rhf=-0.9,
         outer_iterations=1, n_evals=10, converged=True,
@@ -412,8 +468,22 @@ def test_curve_strict_fails_on_flagged_point(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(cli.hybrid, "run_hybrid", lambda *a, **k: flagged)
     argv = ["curve", "--exact", "--scan", "1.0:1.0:1", "--out", str(tmp_path)]
-    assert run_cli(argv) == 0
-    assert run_cli(argv + ["--strict"]) == 1
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "flagged points: 1.00000: nm-iteration-cap-outer-1\n"
+    assert curve_rows(tmp_path)[0][-1] == "nm-iteration-cap-outer-1"
+
+
+def test_curve_quantum_step_that_ties_rhf_is_flagged(tmp_path, capsys):
+    # one shot per preparation lands the quantum step on the RHF vertex, E_RHF bit for bit
+    argv = ["curve", "--system", "h2", "--scan", "1.4:1.4:1", "--shots", "1", "--seed", "0",
+            "--out", str(tmp_path)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "flagged points: 1.40000: no-gain-over-rhf\n"
+    (row,) = curve_rows(tmp_path)
+    assert row[1] == row[3] and row[-1] == "no-gain-over-rhf"
+    (point,) = json.loads((tmp_path / "curve_points.json").read_text())
+    assert point["energy"] == point["energy_rhf"]
+    assert point["converged"] and point["retained_fraction"] is None
 
 
 def curve_rows(out_dir):
@@ -424,7 +494,7 @@ def curve_rows(out_dir):
 def test_curve_all_shots_rejected_is_flagged_row(tmp_path):
     argv = ["curve", "--system", "h2", "--scan", "1.4:1.4:1", "--noise", "ibm-5",
             "--shots", "2", "--seed", "1", "--out", str(tmp_path)]
-    assert run_cli(argv + ["--strict"]) == 1
+    assert run_cli(argv) == 1
     (row,) = curve_rows(tmp_path)
     assert "all-shots-rejected-outer-1" in row[-1].split(",")
     assert "outer-iteration-cap" not in row[-1]
@@ -439,7 +509,7 @@ def test_curve_goes_on_past_a_rejected_point(tmp_path, monkeypatch):
         return quantum_step(objective, t0=t0)
 
     monkeypatch.setattr(hybrid, "quantum_step", reject_at_one_bohr)
-    argv = ["curve", "--exact", "--scan", "1.0:2.0:2", "--out", str(tmp_path), "--strict"]
+    argv = ["curve", "--exact", "--scan", "1.0:2.0:2", "--out", str(tmp_path)]
     assert run_cli(argv) == 1
     rows = curve_rows(tmp_path)
     assert [float(row[0]) for row in rows] == [1.0, 2.0]

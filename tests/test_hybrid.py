@@ -403,10 +403,42 @@ class TestRunHybrid:
         assert point.energy == pytest.approx(point.energy_rhf, abs=1e-12)
         assert point.outer_iterations == 0
         assert point.converged
+        assert point.flags == [] and point.retained_fraction is None
 
-    @pytest.mark.parametrize("offset, flagged", [(1e-2, True), (0.0, False), (-1e-2, False)])
+    @pytest.mark.parametrize(
+        "reject_at, flags",
+        [
+            (None, ["outer-iteration-cap"]),
+            (1, ["all-shots-rejected-outer-1", "no-gain-over-rhf"]),
+            (2, ["all-shots-rejected-outer-2"]),
+        ],
+    )
+    def test_a_point_that_did_not_converge_carries_a_flag(self, monkeypatch, reject_at, flags):
+        # `curve` exits 1 iff a point carries a flag, which covers every unconverged point
+        e_rhf = chem.scf_reference(chem.h2_molecule(1.4))[1].energy
+        state = GeminalState(np.array([0.9, 0.1]), np.array([-1]))
+        steps = []
+
+        def fake_quantum_step(objective, t0):
+            steps.append(len(steps) + 1)
+            if steps[-1] == reject_at:
+                raise mitigation.AllShotsRejectedError("symmetry filters rejected every shot")
+            # each step 10 mHa below the last, so no two outer energies agree
+            return hybrid.QuantumStepResult(t0, state, e_rhf - 0.01 * steps[-1], True, 0.5)
+
+        def fake_orbital_step(ints, C, state):
+            return hybrid.OrbitalStepResult(C, 0.0, True)
+
+        monkeypatch.setattr(hybrid, "quantum_step", fake_quantum_step)
+        monkeypatch.setattr(hybrid, "orbital_step", fake_orbital_step)
+        point = run_hybrid(chem.h2_molecule(1.4), HybridConfig(shots=None, outer_max_iter=3))
+        assert not point.converged
+        assert point.flags == flags
+
+    @pytest.mark.parametrize("offset, flagged", [(1e-2, True), (0.0, True), (-1e-2, False)])
     def test_rhf_start_winning_is_flagged(self, monkeypatch, offset, flagged):
-        # every outer step lands `offset` above the RHF energy; a tie counts as a gain
+        # every outer step lands `offset` above the RHF energy; a tie is no gain, and
+        # a point that reports its RHF start reports no measured retained fraction
         e_rhf = chem.scf_reference(chem.h2_molecule(1.4))[1].energy
         state = GeminalState(np.array([0.9, 0.1]), np.array([-1]))
 
@@ -421,7 +453,7 @@ class TestRunHybrid:
         point = run_hybrid(chem.h2_molecule(1.4), HybridConfig(shots=None))
         assert ("no-gain-over-rhf" in point.flags) == flagged
         assert point.energy == min(e_rhf, e_rhf + offset)
-        assert point.retained_fraction == (1.0 if flagged else 0.5)
+        assert point.retained_fraction == (None if flagged else 0.5)
 
     def test_all_shots_rejected_stops_with_best_energy_so_far(self, monkeypatch):
         e_rhf = chem.scf_reference(chem.h2_molecule(1.4))[1].energy

@@ -62,6 +62,18 @@ class TestExactDistribution:
         second = tomography.measure(state.probabilities(), None, qsim.make_rng(2, qsim.SHOT_KEY, 5))
         assert first == second
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_exact_records_carry_no_negative_weight(self, r):
+        # a table reads rounding-level negatives where the reference engine gives 0
+        programs = (ansatz.compiled_ansatz(r), *phase_measurement_programs(r))
+        angles = np.random.default_rng(r).uniform(-np.pi, np.pi, size=(200, r - 1))
+        lowest = min(
+            tomography.measure(program.run(t), None).counts.min()
+            for t in angles
+            for program in programs
+        )
+        assert lowest >= 0.0
+
     def test_exact_record_under_noise_is_the_density_distribution(self):
         t = np.array([-0.8])
         circuit = ansatz.build_ansatz_circuit(2, t)
