@@ -219,6 +219,32 @@ def _pair_tables(funcs: list[BasisFunction]):
     return table
 
 
+def _primitive_overlaps(p: np.ndarray, pref: np.ndarray) -> np.ndarray:
+    """Overlaps of the primitive pairs of one basis pair, from its ``_pair_tables`` entry."""
+    return pref * (math.pi / p) ** 1.5
+
+
+def overlap_matrix(molecule: Molecule) -> np.ndarray:
+    """The basis overlap of ``compute_integrals``, alone: cheap enough to check a geometry with."""
+    funcs = build_basis(molecule)
+    S = np.zeros((len(funcs), len(funcs)))
+    for (a, b), (p, _, _, pref, _) in _pair_tables(funcs).items():
+        S[a, b] = S[b, a] = float(np.sum(_primitive_overlaps(p, pref)))
+    return S
+
+
+def overlap_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the overlap ``S``.
+
+    Raises GeometryError when ``S`` is numerically singular, as nearly
+    coincident nuclei make it: no orthonormal orbitals can be formed.
+    """
+    w, U = np.linalg.eigh(S)
+    if w.min() < 1e-10:
+        raise GeometryError("overlap matrix is numerically singular")
+    return w, U
+
+
 def compute_integrals(molecule: Molecule) -> IntegralSet:
     """Overlap, core Hamiltonian, and ERIs for the molecule's STO-3G basis.
 
@@ -233,7 +259,7 @@ def compute_integrals(molecule: Molecule) -> IntegralSet:
     V = np.zeros((n, n))
     charges = [ELEMENT_CHARGES[s] for s in molecule.symbols]
     for (a, b), (p, mu, rab2, pref, centers) in pairs.items():
-        s_prim = pref * (math.pi / p) ** 1.5
+        s_prim = _primitive_overlaps(p, pref)
         S[a, b] = S[b, a] = float(np.sum(s_prim))
         T[a, b] = T[b, a] = float(np.sum(mu * (3.0 - 2.0 * mu * rab2) * s_prim))
         v = 0.0
@@ -318,14 +344,12 @@ def run_rhf(
     between iterations, the density update is damped by 0.5 until the
     residual shrinks again.  Non-convergence is flagged, not raised; a
     numerically singular overlap (nearly coincident nuclei) raises
-    GeometryError.
+    GeometryError from ``overlap_eigh``.
     """
     if integrals.n_electrons != 2:
         raise ValueError("run_rhf supports exactly two electrons")
     S, h, eri = integrals.overlap, integrals.hcore, integrals.eri
-    w, U = np.linalg.eigh(S)
-    if w.min() < 1e-10:
-        raise GeometryError("overlap matrix is numerically singular")
+    w, U = overlap_eigh(S)
     X = U @ np.diag(w ** -0.5) @ U.T
 
     def solve(F):

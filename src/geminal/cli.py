@@ -48,6 +48,8 @@ def parse_scan_range(text: str) -> np.ndarray:
 
 def parse_mitigate(text: str) -> tuple[tuple[str, ...], bool]:
     tokens = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise SystemExit(f"empty mitigation list {text!r}; use none for no mitigation")
     if tokens == ["none"]:
         return (), False
     symmetries = []
@@ -91,6 +93,17 @@ def resolve_molecule_builder(args):
             )
         return (lambda _=0.0: molecule), molecule.label or path.stem
     return SYSTEM_BUILDERS[args.system], args.system
+
+
+def build_molecule(builder, value) -> chem.Molecule:
+    """``builder(value)``, refused by ``chem.overlap_eigh`` as ``chem.run_rhf`` would refuse it.
+
+    Commands build their molecules here, before ``output_dir``, so a
+    nearly coincident geometry makes no file and no directory.
+    """
+    molecule = builder(value)
+    chem.overlap_eigh(chem.overlap_matrix(molecule))
+    return molecule
 
 
 def output_dir(args) -> Path:
@@ -166,7 +179,7 @@ def cmd_curve(args) -> int:
     symmetries, project = parse_mitigate(args.mitigate)
     builder, label = SYSTEM_BUILDERS[args.system], args.system
     values = parse_scan_range(args.scan or DEFAULT_SCANS[args.system])
-    molecules = [builder(value) for value in values]  # a bad geometry exits here
+    molecules = [build_molecule(builder, value) for value in values]  # a bad geometry exits here
 
     probe = chem.compute_integrals(molecules[0])
     config = hybrid.HybridConfig(
@@ -241,7 +254,7 @@ def cmd_curve(args) -> int:
 def scan_system(args, orbital_counts: tuple[int, ...], message: str):
     """(system label, orbital count r, noise model); exits with ``message`` for another r."""
     builder, label = resolve_molecule_builder(args)
-    r = chem.compute_integrals(builder(args.at)).n_basis
+    r = chem.compute_integrals(build_molecule(builder, args.at)).n_basis
     if r not in orbital_counts:
         raise SystemExit(message)
     return label, r, load_noise(args.noise, 2 * r, args.damping)
@@ -299,9 +312,10 @@ def v_intervals(rows, shots, seed):
 
 def cmd_scan(args) -> int:
     shots = requested_shots(args)
+    # parsed before the integral probe, so a bad flag costs no work
+    symmetries, project = parse_mitigate(args.mitigate)
     message = "occupation scans support systems with 2 or 3 orbitals"
     label, r, noise = scan_system(args, (2, 3), message)
-    symmetries, project = parse_mitigate(args.mitigate)
     out = output_dir(args)
     points, records = measure_scan_grid(r, shots, args.seed, noise)
     filtered, retained = filter_scan(points, records, symmetries)
@@ -561,7 +575,7 @@ def cmd_selftest(args) -> int:
 
 def cmd_integrals(args) -> int:
     builder, label = resolve_molecule_builder(args)
-    molecule = builder(args.at)
+    molecule = build_molecule(builder, args.at)
     out = output_dir(args)
     ints, rhf, fci = chem.scf_reference(molecule)
     n = ints.n_basis

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +51,11 @@ def symmetry_verify(
     if not symmetries:
         return hist, 1.0
     kept = np.where(_allowed_outcomes(hist.n_qubits, tuple(symmetries)), hist.counts, 0)
-    weight = kept.sum()
+    weight = np.add.reduce(kept)  # what kept.sum() computes, without its Python wrapper
     if weight <= 0:
         raise AllShotsRejectedError("symmetry filters rejected every shot")
     if hist.shots is None:
-        fraction = float(weight / hist.counts.sum())
+        fraction = float(weight / np.add.reduce(hist.counts))
         return ShotHistogram(hist.n_qubits, None, kept / fraction), fraction
     weight = int(weight)
     return ShotHistogram(hist.n_qubits, weight, kept), weight / hist.shots
@@ -156,9 +156,24 @@ def estimate_affine_map(scan_angles, measured: np.ndarray, r: int) -> AffineMap:
 
 @dataclass
 class ProjectionResult:
+    """Projected occupations, and how far projection moved them from ``raw``.
+
+    ``raw`` holds the input occupations as Python floats.  ``distance``
+    and ``changed`` are worked out when read, so a caller that reads only
+    the occupations, as an objective evaluation does, forms no difference.
+    """
+
     occupations: np.ndarray
-    changed: bool
-    distance: float
+    raw: tuple[float, ...] = field(repr=False)
+
+    @property
+    def distance(self) -> float:
+        diff = self.occupations - np.array(self.raw)
+        return math.sqrt(diff.dot(diff))  # np.linalg.norm's formula
+
+    @property
+    def changed(self) -> bool:
+        return self.distance > 1e-12
 
 
 def _project_onto_hull(point: list[float]) -> list[float]:
@@ -209,8 +224,7 @@ def project_polytope(
     ``argsort(-n, kind="stable")`` and of the vector formulas, so the
     result is bit for bit the numpy one.
     """
-    n_raw = np.asarray(n_raw, dtype=float)
-    values = n_raw.tolist()
+    values = np.asarray(n_raw, dtype=float).tolist()
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     sorted_n = [values[i] for i in order]
     if affine is not None:
@@ -218,10 +232,7 @@ def project_polytope(
     out = [0.0] * len(values)
     for i, value in zip(order, _project_onto_hull(sorted_n)):
         out[i] = value
-    occupations = np.array(out)
-    diff = occupations - n_raw
-    distance = math.sqrt(diff.dot(diff))  # np.linalg.norm's formula
-    return ProjectionResult(occupations, distance > 1e-12, distance)
+    return ProjectionResult(np.array(out), tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -438,14 +438,14 @@ class ShotHistogram:
             and np.array_equal(self.counts, other.counts)
         )
 
-    @property
-    def _norm(self) -> float:
-        """Total weight of the counts: the shot count, or 1 for probabilities."""
-        return 1.0 if self.shots is None else self.shots
-
     def occupations(self) -> np.ndarray:
-        """Mean of every bit over shots, qubit q at entry q: one product with the cached bit table."""
-        return self.counts @ _kernels.outcome_bits(self.n_qubits) / self._norm
+        """Mean of every bit over shots, qubit q at entry q: one ``dot`` with the cached bit table.
+
+        An exact record's weights are probabilities, so its product is the
+        mean as it stands (dividing by 1.0 would change no bit).
+        """
+        weighted = self.counts.dot(_kernels.outcome_bits(self.n_qubits))
+        return weighted if self.shots is None else weighted / self.shots
 
     def occupation(self, qubit: int) -> float:
         """Mean of bit `qubit` over shots."""
@@ -458,12 +458,17 @@ class ShotHistogram:
     def parities(self, signs: np.ndarray) -> np.ndarray:
         """Mean over shots of each row of ``signs``, one +-1 per outcome.
 
-        One product weighs every row, and each row is then summed along
-        itself in the order ``np.sum`` sums one vector, so a table of
-        many masks costs one call and each row keeps the bits of its
-        mask's parity taken alone.
+        A sampled record takes every row in one product,
+        ``signs.dot(counts)``: each partial sum is an integer below 2**53,
+        which every summation order gives exactly.  An exact record's sums
+        are of floats, so their order sets the bits: one product weighs
+        every row, and each row is then summed along itself in the order
+        ``np.sum`` sums one vector, which keeps the bits of its mask's
+        parity taken alone.
         """
-        return np.add.reduce(self.counts * signs, axis=-1) / self._norm
+        if self.shots is None:
+            return np.add.reduce(self.counts * signs, axis=-1)
+        return signs.dot(self.counts) / self.shots
 
 
 def make_rng(*keys: int) -> np.random.Generator:

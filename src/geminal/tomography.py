@@ -206,5 +206,5 @@ def classical_phase_assignment(t: np.ndarray) -> np.ndarray:
     xi_k = sign(amp_k amp_{k+1}) for the ideal chain amplitudes; an
     exactly vanishing product keeps sign +1.
     """
-    amps = ansatz.chain_amplitudes(np.asarray(t, dtype=float).reshape(-1).tolist())
+    amps = ansatz.chain_amplitudes(np.asarray(t, dtype=float).ravel().tolist())
     return np.array([1 if a * b >= 0 else -1 for a, b in zip(amps, amps[1:])], dtype=int)

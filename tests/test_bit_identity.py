@@ -2,10 +2,13 @@
 
 ``hybrid.assemble_2dm_energy`` reads integrals gathered once per
 objective; ``mitigation.project_polytope``, ``hybrid.GeminalState.g`` and
-``tomography.classical_phase_assignment`` run on Python floats; and
+``tomography.classical_phase_assignment`` run on Python floats;
 ``tomography.estimate_phases`` takes every window's parity from one
-product with a cached sign table.  Each keeps every float operation and
-its order, so the copies below of the former numpy versions must agree
+product with a cached sign table; and the energy, the occupations and a
+sampled record's parities are ``ndarray.dot`` products where the former
+code used ``@`` or a multiply and a sum.  Each keeps every float
+operation and its order, or sums integers, which every order gives
+exactly, so the copies below of the former numpy versions must agree
 with them under ``==`` (compared as bytes, so a -0.0 for a 0.0 fails
 too), and the energies and shot-generator states of objectives at seed 1
 must equal those pinned from the programs' outcome tables.
@@ -165,24 +168,29 @@ def test_window_parities_match_the_per_window_loop(r):
     for _ in range(100):
         for shots in (2048, 1, None):
             rec_a, rec_b = record(shots), record(shots)
+            for rec in (rec_a, rec_b):  # the same records check the occupations' dot
+                want = rec.counts @ _kernels.outcome_bits(n) / (1.0 if shots is None else shots)
+                assert rec.occupations().tobytes() == want.tobytes()
             est = tomography.estimate_phases(Replay(rec_a, rec_b), programs)
             vals, errs = former_estimate_phases(rec_a, rec_b, r)
             assert est.values.tobytes() == vals.tobytes()
             assert est.stderr.tobytes() == errs.tobytes()
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_energy_matches_the_per_call_comprehensions(r):
+    # at r = 1 a zero amplitude's products take another sign under dot than under @,
+    # and the cross term's difference must still give the energy the same bits
     rng = np.random.default_rng(r)
     for _ in range(200):
         h = rng.normal(size=(r, r))
         eri = rng.normal(size=(r, r, r, r))
         enuc = float(rng.uniform(0.0, 2.0))
         pair = hybrid.pair_integrals(h, eri, enuc)
-        for n in random_points(rng, r):
+        for n in [*random_points(rng, r), *signed_zero_points(r)]:
             xi = rng.choice([-1, 1], size=r - 1)
             want = numpy_assemble_2dm_energy(n, xi, h, eri, enuc)
-            assert hybrid.assemble_2dm_energy(hybrid.GeminalState(n, xi), pair) == want
+            assert same_bits(hybrid.assemble_2dm_energy(hybrid.GeminalState(n, xi), pair), want)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

@@ -116,6 +116,20 @@ def test_geometry_parser_errors():
         chem.parse_geometry("# nothing here")
 
 
+def test_overlap_check_is_the_one_run_rhf_makes():
+    # the CLI checks a geometry from the overlap alone, before any integral is computed
+    for molecule in (chem.h2_molecule(1.4), chem.h3plus_molecule(1.65), chem.h2_molecule(1e-3)):
+        ints = chem.compute_integrals(molecule)
+        assert chem.overlap_matrix(molecule).tobytes() == ints.overlap.tobytes()
+        chem.overlap_eigh(ints.overlap)
+        chem.run_rhf(ints)
+    for molecule in (chem.h2_molecule(1e-8), chem.h3plus_molecule(1e-8)):
+        with pytest.raises(chem.GeometryError, match="overlap matrix is numerically singular"):
+            chem.overlap_eigh(chem.overlap_matrix(molecule))
+        with pytest.raises(chem.GeometryError, match="overlap matrix is numerically singular"):
+            chem.run_rhf(chem.compute_integrals(molecule))
+
+
 def test_builtin_molecules():
     h2 = chem.h2_molecule(1.4)
     assert h2.nuclear_repulsion() == pytest.approx(1.0 / 1.4, rel=1e-14)

@@ -68,6 +68,22 @@ def test_parse_mitigate_none_and_unknown():
     assert cli.parse_mitigate("sz") == (("Sz",), False)
     with pytest.raises(SystemExit):
         cli.parse_mitigate("n,bogus")
+    for empty in (",", "", " , "):  # an empty list would run with no filter and no projection
+        message = f"empty mitigation list {empty!r}; use none"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}"):
+            cli.parse_mitigate(empty)
+
+
+@pytest.mark.parametrize("flag", [",", "bogus"])
+def test_scan_checks_mitigate_before_its_integral_probe(tmp_path, monkeypatch, flag):
+    def no_probe(*_args, **_kwargs):
+        raise AssertionError("integrals computed before --mitigate was checked")
+
+    monkeypatch.setattr(chem, "compute_integrals", no_probe)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="mitigation"):
+        run_cli(["scan", "--mitigate", flag, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_load_noise_off_and_bad_file(tmp_path):
@@ -316,12 +332,21 @@ def test_unusable_geometry_is_clean_exit_before_work(tmp_path, monkeypatch, argv
 
 
 @pytest.mark.parametrize(
-    "argv", [["integrals", "--at", "1e-8"], ["curve", "--exact", "--scan", "1e-8:1e-8:1"]]
+    "argv",
+    [
+        ["integrals", "--at", "1e-8"],
+        ["curve", "--exact", "--scan", "1e-8:1e-8:1"],
+        ["scan", "--exact", "--at", "1e-8"],
+        ["vtable", "--exact", "--at", "1e-8"],
+        ["curve", "--exact", "--scan", "1.4:1e-8:2"],  # the bad point is not the probed first one
+    ],
 )
-def test_nearly_coincident_nuclei_are_clean_exit_before_any_file(tmp_path, argv):
+def test_nearly_coincident_nuclei_are_clean_exit_before_any_file(tmp_path, monkeypatch, argv):
+    refuse_work(monkeypatch)
+    out = tmp_path / "out"  # not made yet, so a directory made before the check shows
     with pytest.raises(SystemExit, match="^bad geometry: overlap matrix is numerically singular"):
-        run_cli(argv + ["--out", str(tmp_path)])
-    assert not list(tmp_path.iterdir())
+        run_cli(argv + ["--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
