@@ -1,9 +1,9 @@
 """Vectorised numpy kernels on little-endian layouts (qubit q is bit q).
 
-``parity_signs`` serves Pauli expectations and histogram parities, and
-``outcome_bits`` occupations and symmetry filters; both are read-only
-tables cached per size.  The gate kernels and ``sample_rows`` serve
-only the trajectory reference, one statevector per row of a 2-D array:
+``parity_signs`` serves histogram parities, and ``outcome_bits``
+occupations and symmetry filters; both are read-only tables cached per
+size.  The gate kernels and ``sample_rows`` serve only the trajectory
+reference, one statevector per row of a 2-D array:
 ``apply_1q_batch`` reshapes, ``apply_cnot_batch`` swaps index pairs.
 Production engines apply gates through ``qsim._apply_local`` instead,
 so the reference shares no gate code with what it checks.

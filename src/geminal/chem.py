@@ -95,9 +95,10 @@ def parse_geometry(text: str) -> Molecule:
         parts = line.split()
         key = parts[0].upper()
         if key == "CHARGE":
-            if len(parts) != 2:
-                raise GeometryError(f"line {ln}: charge takes one integer")
-            charge = int(parts[1])
+            try:
+                (charge,) = [int(v) for v in parts[1:]]
+            except ValueError:
+                raise GeometryError(f"line {ln}: charge takes one integer") from None
         elif key == "LABEL":
             label = line.split(None, 1)[1] if len(parts) > 1 else ""
         else:
@@ -105,8 +106,11 @@ def parse_geometry(text: str) -> Molecule:
                 raise GeometryError(f"line {ln}: unsupported element {parts[0]!r}")
             if len(parts) != 4:
                 raise GeometryError(f"line {ln}: expected 'element x y z'")
+            try:
+                rows.append([float(v) for v in parts[1:4]])
+            except ValueError:
+                raise GeometryError(f"line {ln}: coordinates must be numbers") from None
             symbols.append(key)
-            rows.append([float(v) for v in parts[1:4]])
     if not symbols:
         raise GeometryError("geometry contains no atoms")
     return Molecule(tuple(symbols), np.array(rows, dtype=float), charge, label)

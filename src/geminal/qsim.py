@@ -4,8 +4,6 @@ Conventions, used consistently by every consumer:
 
 * Little-endian basis indexing: qubit q is bit q of the basis index, so
   bitstrings print with qubit 0 rightmost.
-* Pauli labels read left to right as qubit 0, 1, 2, ...: ``"XY"`` means
-  X on qubit 0 and Y on qubit 1.
 * ``rz(t) = exp(-i t Z / 2)`` and likewise for rx/ry.
 
 Both engines apply a gate by one rule (``_apply_local``): gather the
@@ -76,126 +74,6 @@ TABLE_MAX_ENTRIES = 1 << 20  # rows x state entries a Program tabulates: noisele
 
 class CalibrationError(ValueError):
     """Raised when a calibration file is malformed or lacks needed entries."""
-
-
-# ---------------------------------------------------------------------------
-# Pauli algebra (symplectic masks)
-# ---------------------------------------------------------------------------
-
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """coeff * P where P = i**ny * X^xmask Z^zmask and ny = |Y positions|.
-
-    With this normalisation the mask pair (x, z) per qubit encodes
-    I/X/Y/Z as (0,0)/(1,0)/(1,1)/(0,1) and P is Hermitian, so a real
-    coeff means a Hermitian term.
-    """
-
-    n_qubits: int
-    xmask: int
-    zmask: int
-    coeff: complex = 1.0 + 0.0j
-
-    @classmethod
-    def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliString":
-        x = z = 0
-        for q, ch in enumerate(label.upper()):
-            try:
-                xb, zb = _LETTER_TO_BITS[ch]
-            except KeyError:
-                raise ValueError(f"bad Pauli letter {ch!r}") from None
-            x |= xb << q
-            z |= zb << q
-        return cls(len(label), x, z, complex(coeff))
-
-    @property
-    def label(self) -> str:
-        return "".join(
-            _BITS_TO_LETTER[((self.xmask >> q) & 1, (self.zmask >> q) & 1)]
-            for q in range(self.n_qubits)
-        )
-
-    @property
-    def weight(self) -> int:
-        return (self.xmask | self.zmask).bit_count()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        m = self.xmask | self.zmask
-        return tuple(q for q in range(self.n_qubits) if (m >> q) & 1)
-
-    @property
-    def n_y(self) -> int:
-        return (self.xmask & self.zmask).bit_count()
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit counts differ")
-        x = self.xmask ^ other.xmask
-        z = self.zmask ^ other.zmask
-        # i^(ny1+ny2-ny12) from re-canonicalising, (-1)^|z1&x2| from
-        # commuting Z^z1 past X^x2
-        k = (self.n_y + other.n_y - (x & z).bit_count()) % 4
-        phase = (1j) ** k * (-1.0) ** (self.zmask & other.xmask).bit_count()
-        return PauliString(self.n_qubits, x, z, self.coeff * other.coeff * phase)
-
-    def scaled(self, factor: complex) -> "PauliString":
-        return PauliString(self.n_qubits, self.xmask, self.zmask, self.coeff * factor)
-
-    def dense(self) -> np.ndarray:
-        """Dense matrix, for small-system oracles only."""
-        dim = 1 << self.n_qubits
-        k = np.arange(dim)
-        cols = k ^ self.xmask
-        signs = _kernels.parity_signs(dim, self.zmask)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[cols, k] = self.coeff * (1j**self.n_y) * signs
-        return mat
-
-
-class PauliSum:
-    """A real-or-complex linear combination of PauliStrings."""
-
-    def __init__(self, terms=()):
-        self.terms: list[PauliString] = list(terms)
-        if self.terms:
-            n = self.terms[0].n_qubits
-            if any(t.n_qubits != n for t in self.terms):
-                raise ValueError("mixed qubit counts in PauliSum")
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        return PauliSum(self.terms + list(other))
-
-    def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum([t.scaled(factor) for t in self.terms])
-
-    def simplify(self, tol: float = 1e-12) -> "PauliSum":
-        acc: dict[tuple[int, int], complex] = {}
-        n = self.terms[0].n_qubits if self.terms else 0
-        for t in self.terms:
-            key = (t.xmask, t.zmask)
-            acc[key] = acc.get(key, 0.0) + t.coeff
-        out = [
-            PauliString(n, x, z, c)
-            for (x, z), c in acc.items()
-            if abs(c) > tol
-        ]
-        return PauliSum(out)
-
-    def dense(self) -> np.ndarray:
-        if not self.terms:
-            raise ValueError("empty PauliSum")
-        return sum(t.dense() for t in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +224,6 @@ class Statevector:
         amps[0] = 1.0
         return cls(amps)
 
-    @classmethod
-    def basis_state(cls, n_qubits: int, index: int) -> "Statevector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
     @property
     def n_qubits(self) -> int:
         return self.amps.size.bit_length() - 1
@@ -361,20 +233,6 @@ class Statevector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
-
-    def expectation(self, op) -> complex:
-        if isinstance(op, PauliString):
-            return _expect_one(self.amps[None, :], op)[0]
-        return sum(_expect_one(self.amps[None, :], t)[0] for t in op)
-
-
-def _expect_one(amps2: np.ndarray, ps: PauliString) -> np.ndarray:
-    """Per-row <P> for a batch of statevectors."""
-    dim = amps2.shape[1]
-    idx = np.arange(dim) ^ ps.xmask
-    signs = _kernels.parity_signs(dim, ps.zmask)
-    vals = np.sum(np.conj(amps2) * signs[idx][None, :] * amps2[:, idx], axis=1)
-    return ps.coeff * (1j**ps.n_y) * vals
 
 
 @functools.lru_cache(maxsize=64)
@@ -447,14 +305,6 @@ class ShotHistogram:
         weighted = self.counts.dot(_kernels.outcome_bits(self.n_qubits))
         return weighted if self.shots is None else weighted / self.shots
 
-    def occupation(self, qubit: int) -> float:
-        """Mean of bit `qubit` over shots."""
-        return float(self.occupations()[qubit])
-
-    def parity(self, mask: int) -> float:
-        """Mean of (-1)**popcount(outcome & mask)."""
-        return float(self.parities(_kernels.parity_signs(self.counts.size, mask)))
-
     def parities(self, signs: np.ndarray) -> np.ndarray:
         """Mean over shots of each row of ``signs``, one +-1 per outcome.
 
@@ -463,8 +313,8 @@ class ShotHistogram:
         which every summation order gives exactly.  An exact record's sums
         are of floats, so their order sets the bits: one product weighs
         every row, and each row is then summed along itself in the order
-        ``np.sum`` sums one vector, which keeps the bits of its mask's
-        parity taken alone.
+        ``np.sum`` sums one vector, so a row of a stacked ``signs`` gives
+        the bits that row gives when passed alone as a 1-D ``signs``.
         """
         if self.shots is None:
             return np.add.reduce(self.counts * signs, axis=-1)
@@ -978,14 +828,6 @@ class TrajectoryEnsemble:
     @property
     def n_trajectories(self) -> int:
         return self.amps2.shape[0]
-
-    def expectation(self, op) -> float:
-        """Trajectory-averaged <op>, exact per trajectory (no shot noise)."""
-        if isinstance(op, PauliString):
-            vals = _expect_one(self.amps2, op)
-        else:
-            vals = sum(_expect_one(self.amps2, t) for t in op)
-        return float(np.mean(vals.real))
 
     def sample(self) -> ShotHistogram:
         """One measurement per trajectory, consuming the ensemble's stream."""

@@ -175,9 +175,10 @@ def estimate_phases(sampler, programs: tuple[Program, Program]) -> PhaseEstimate
 
     ``programs`` are the pair ``phase_measurement_programs`` compiles for
     the sampler's r and noise model.  Each record gives every window's
-    parity from one product with the cached window-sign table, summed
-    per window like ``ShotHistogram.parity``, and a sampled one its
-    standard error sqrt((1 - p**2) / shots).
+    parity from one product with the cached window-sign table
+    (``ShotHistogram.parities``), each window with the bits of its own
+    sign row taken alone, and a sampled one its standard error
+    sqrt((1 - p**2) / shots).
     """
     program_a, program_b = programs
     rec_a = sampler.run(program_a)

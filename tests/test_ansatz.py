@@ -1,8 +1,9 @@
 """Ansatz circuit checks against dense exponentials and the chem layer.
 
 The heavy oracles here are scipy.linalg.expm of dense Jordan-Wigner
-generators and explicit unitary reconstruction of circuits column by
-column; neither shares code with the compiled circuit path.
+generators from ``pauli_reference`` and explicit unitary reconstruction
+of circuits column by column; neither shares code with the compiled
+circuit path.
 """
 
 import math
@@ -11,24 +12,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import pauli_reference as pr
 from geminal import ansatz, chem
-from geminal.qsim import Circuit, PauliString, Statevector, run_circuit
-
-
-def circuit_unitary(circ: Circuit) -> np.ndarray:
-    dim = 1 << circ.n_qubits
-    cols = [
-        run_circuit(circ, Statevector.basis_state(circ.n_qubits, k)).amps
-        for k in range(dim)
-    ]
-    return np.array(cols).T
+from geminal.qsim import Circuit, run_circuit
 
 
 def generic_chain(r: int, t: np.ndarray) -> Circuit:
     """The ansatz chain built from the compiled 12-CNOT pair gates."""
     circ = ansatz.hf_circuit(r)
     for k in range(r - 1):
-        circ.extend(ansatz.generic_pair_gate(k, float(t[k]), r))
+        circ.extend(pr.generic_pair_gate(k, float(t[k]), r))
     return circ
 
 
@@ -46,7 +39,7 @@ def h2_system():
 def test_jw_number_operator():
     n = 3
     for j in range(n):
-        num = ansatz.jw_product([(j, True), (j, False)], n).dense()
+        num = pr.jw_product([(j, True), (j, False)], n).dense()
         want = np.diag([(k >> j) & 1 for k in range(1 << n)]).astype(complex)
         assert np.allclose(num, want, atol=1e-14)
 
@@ -55,12 +48,12 @@ def test_jw_anticommutation():
     n = 3
     for i in range(n):
         for j in range(n):
-            ai = ansatz.jw_annihilation(i, n).dense()
-            ajd = ansatz.jw_creation(j, n).dense()
+            ai = pr.jw_operator(i, False, n).dense()
+            ajd = pr.jw_operator(j, True, n).dense()
             anti = ai @ ajd + ajd @ ai
             want = np.eye(1 << n) * (1.0 if i == j else 0.0)
             assert np.allclose(anti, want, atol=1e-13), (i, j)
-            aj = ansatz.jw_annihilation(j, n).dense()
+            aj = pr.jw_operator(j, False, n).dense()
             assert np.allclose(ai @ aj + aj @ ai, 0.0, atol=1e-13)
 
 
@@ -69,7 +62,7 @@ def test_hf_state_is_pair_zero():
     want = np.zeros(64)
     want[0b000011] = 1.0
     assert np.allclose(st.amps, want)
-    assert ansatz.pair_basis_index(2) == 0b110000
+    assert pr.pair_basis_index(2) == 0b110000
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +71,18 @@ def test_hf_state_is_pair_zero():
 
 def test_jw_hamiltonian_reproduces_rhf_energy(h2_system):
     ints, rhf, fci, h, eri = h2_system
-    H = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc)
-    got = run_circuit(ansatz.hf_circuit(2)).expectation(H).real
+    H = pr.jordan_wigner_hamiltonian(h, eri, ints.enuc)
+    got = pr.expectation(run_circuit(ansatz.hf_circuit(2)).amps, H).real
     assert got == pytest.approx(rhf.energy, abs=1e-12)
 
 
 def test_jw_hamiltonian_reaches_fci_at_optimal_angle(h2_system):
     ints, rhf, fci, h, eri = h2_system
-    H = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc)
+    H = pr.jordan_wigner_hamiltonian(h, eri, ints.enuc)
     g, _ = chem.pair_spectrum(fci.coeff)  # MO basis is natural here
     t = math.atan2(g[1], g[0])
     state = run_circuit(ansatz.build_ansatz_circuit(2, [t]))
-    got = state.expectation(H).real
+    got = pr.expectation(state.amps, H).real
     assert got == pytest.approx(fci.energy, abs=1e-12)
 
 
@@ -97,7 +90,7 @@ def test_jw_hamiltonian_two_electron_block_matches_fci_spectrum(h2_system):
     # restrict the dense qubit Hamiltonian to the Sz = 0 two-electron
     # sector and compare its ground state with the determinant-basis FCI
     ints, rhf, fci, h, eri = h2_system
-    H = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc).dense()
+    H = pr.jordan_wigner_hamiltonian(h, eri, ints.enuc).dense()
     sector = [
         k
         for k in range(16)
@@ -110,8 +103,8 @@ def test_jw_hamiltonian_two_electron_block_matches_fci_spectrum(h2_system):
 def test_jw_hamiltonian_h3plus_hf_energy():
     ints, rhf, fci = chem.scf_reference(chem.h3plus_molecule(1.65))
     h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
-    H = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc)
-    got = run_circuit(ansatz.hf_circuit(3)).expectation(H).real
+    H = pr.jordan_wigner_hamiltonian(h, eri, ints.enuc)
+    got = pr.expectation(run_circuit(ansatz.hf_circuit(3)).amps, H).real
     assert got == pytest.approx(rhf.energy, abs=1e-12)
 
 
@@ -120,17 +113,17 @@ def test_jw_hamiltonian_h3plus_hf_energy():
 # ---------------------------------------------------------------------------
 
 def test_pair_terms_are_the_expected_window_strings():
-    terms = ansatz.pair_excitation_pauli_terms(0, 2)
+    terms = pr.pair_excitation_pauli_terms(0, 2)
     labels = sorted(t.label for t in terms)
     assert labels == ["XXXY", "YXYY"]
     assert all(t.coeff == pytest.approx(0.5) for t in terms)
-    terms1 = ansatz.pair_excitation_pauli_terms(1, 3)
+    terms1 = pr.pair_excitation_pauli_terms(1, 3)
     labels1 = sorted(t.label for t in terms1)
     assert labels1 == ["IIXXXY", "IIYXYY"]
     a, b = (t.dense() for t in terms)
     assert np.allclose(a @ b, b @ a)
     with pytest.raises(ValueError):
-        ansatz.pair_excitation_pauli_terms(1, 2)
+        pr.pair_excitation_pauli_terms(1, 2)
 
 
 def test_compile_pauli_exponential_matches_expm():
@@ -141,25 +134,25 @@ def test_compile_pauli_exponential_matches_expm():
         if set(label) == {"I"}:
             continue
         theta = float(rng.uniform(-math.pi, math.pi))
-        ps = PauliString.from_label(label)
-        got = circuit_unitary(ansatz.compile_pauli_exponential(ps, theta))
+        ps = pr.PauliString.from_label(label)
+        got = pr.circuit_unitary(pr.compile_pauli_exponential(ps, theta))
         want = scipy.linalg.expm(-0.5j * theta * ps.dense())
         assert np.abs(got - want).max() < 1e-12, (label, theta)
 
 
 def test_compile_rejects_identity():
     with pytest.raises(ValueError):
-        ansatz.compile_pauli_exponential(PauliString.from_label("II"), 0.3)
+        pr.compile_pauli_exponential(pr.PauliString.from_label("II"), 0.3)
 
 
 def test_cnot_counts():
     assert ansatz.optimized_pair_gate(0, 0.3, 2).cx_count == 8
-    assert ansatz.generic_pair_gate(0, 0.3, 2).cx_count == 12
+    assert pr.generic_pair_gate(0, 0.3, 2).cx_count == 12
     assert ansatz.optimized_pair_gate(1, 0.3, 3).cx_count == 8
 
 
 def test_entangler_uses_only_nearest_neighbour_couplings():
-    for circ in (ansatz.optimized_pair_gate(0, 0.7, 3), ansatz.generic_pair_gate(0, 0.7, 3)):
+    for circ in (ansatz.optimized_pair_gate(0, 0.7, 3), pr.generic_pair_gate(0, 0.7, 3)):
         for g in circ:
             if g.name == "cx":
                 assert abs(g.qubits[0] - g.qubits[1]) == 1
@@ -167,8 +160,8 @@ def test_entangler_uses_only_nearest_neighbour_couplings():
 
 def test_optimized_equals_generic_up_to_global_phase():
     for t in np.linspace(-math.pi, math.pi, 16):
-        u8 = circuit_unitary(ansatz.optimized_pair_gate(0, float(t), 2))
-        u12 = circuit_unitary(ansatz.generic_pair_gate(0, float(t), 2))
+        u8 = pr.circuit_unitary(ansatz.optimized_pair_gate(0, float(t), 2))
+        u12 = pr.circuit_unitary(pr.generic_pair_gate(0, float(t), 2))
         tr = np.trace(u8.conj().T @ u12)
         assert abs(tr) > 1e-9
         assert np.abs(u12 - (tr / abs(tr)) * u8).max() < 1e-10
@@ -179,11 +172,11 @@ def test_entangler_matches_full_generator_on_paired_subspace():
     for r in (2, 3):
         for k in range(r - 1):
             full = scipy.linalg.expm(
-                t * ansatz.pair_excitation_generator_full(k, r).dense()
+                t * pr.pair_excitation_generator_full(k, r).dense()
             )
-            for style_gate in (ansatz.generic_pair_gate, ansatz.optimized_pair_gate):
-                u = circuit_unitary(style_gate(k, t, r))
-                for idx in ansatz.paired_subspace_indices(r):
+            for style_gate in (pr.generic_pair_gate, ansatz.optimized_pair_gate):
+                u = pr.circuit_unitary(style_gate(k, t, r))
+                for idx in pr.paired_subspace_indices(r):
                     err = np.abs(u[:, idx] - full[:, idx]).max()
                     assert err < 1e-10, (r, k, style_gate.__name__, idx)
 
@@ -191,7 +184,7 @@ def test_entangler_matches_full_generator_on_paired_subspace():
 def test_rotation_convention_cos_sin():
     t = 0.4321
     st = run_circuit(ansatz.build_ansatz_circuit(2, [t]))
-    amps = st.amps[ansatz.paired_subspace_indices(2)]
+    amps = st.amps[pr.paired_subspace_indices(2)]
     amps = amps * (abs(amps[0]) / amps[0])  # the global phase is unobservable
     assert amps[0] == pytest.approx(math.cos(t), abs=1e-12)
     assert amps[1] == pytest.approx(math.sin(t), abs=1e-12)
@@ -207,14 +200,14 @@ def test_chain_amplitudes_match_statevector():
         for build in (ansatz.build_ansatz_circuit, generic_chain):
             t = rng.uniform(-math.pi, math.pi, size=r - 1)
             state = run_circuit(build(r, t))
-            got = state.amps[ansatz.paired_subspace_indices(r)]
+            got = state.amps[pr.paired_subspace_indices(r)]
             want = ansatz.givens_chain_amplitudes(t)
             # the global phase is unobservable; align on the largest entry
             j = int(np.argmax(np.abs(want)))
             got = got * (np.sign(want[j]) * abs(got[j]) / got[j])
             assert np.allclose(got, want, atol=1e-10), (r, build.__name__)
             # no leakage out of the paired subspace
-            inside = np.sum(np.abs(state.amps[ansatz.paired_subspace_indices(r)]) ** 2)
+            inside = np.sum(np.abs(state.amps[pr.paired_subspace_indices(r)]) ** 2)
             assert inside == pytest.approx(1.0, abs=1e-12)
 
 

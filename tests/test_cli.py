@@ -356,6 +356,9 @@ def test_nearly_coincident_nuclei_are_clean_exit_before_any_file(tmp_path, monke
         ("H 0 0 0\nH 0 0 1.4\nH 0 0 1.4\n", "atoms 1 and 2 coincide"),
         ("H 0 0 0\nH 0 nan 1.4\n", "non-finite nuclear coordinates"),
         ("H 0 0 0\nXx 0 0 1.4\n", "line 2: unsupported element 'Xx'"),
+        ("H 0 0 0\nH 0 0 1.4x\n", "line 2: coordinates must be numbers"),
+        ("charge one\nH 0 0 0\nH 0 0 1.4\n", "line 1: charge takes one integer"),
+        ("charge 0 1\nH 0 0 0\nH 0 0 1.4\n", "line 1: charge takes one integer"),
         (b"\xff\xfeH 0 0 0\n", "not a readable text file ("),  # undecodable bytes
         (None, "not a readable text file ("),  # a directory
         ("He 0 0 0\nHe 0 0 5.6\n", "4 electrons; geminal treats two-electron systems"),
@@ -768,12 +771,25 @@ def test_vtable_requires_two_orbitals():
 # selftest and integrals
 # ---------------------------------------------------------------------------
 
+SELFTEST_CHECKS = [
+    "calibration-files",
+    "compiled-preparation",
+    "polytope-projection",
+    "fci-consistency",
+    "density-noise",
+]
+
+
 def test_selftest_quick_passes(capsys):
     assert run_cli(["selftest", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok") == 9
-    assert "ok    density-noise" in out
-    assert "ok    compiled-preparation" in out
+    assert capsys.readouterr().out.splitlines() == [f"ok    {name}" for name in SELFTEST_CHECKS]
+
+
+def test_selftest_full_passes(capsys):
+    # the full checks: run_hybrid exact in fci-consistency, and compiled
+    # preparation also at noiseless r = 3 and noisy r = 2
+    assert run_cli(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"ok    {name}" for name in SELFTEST_CHECKS]
 
 
 def test_selftest_flags_corrupt_calibration(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pauli_reference as pr
 from geminal import _kernels, ansatz, chem, cli, hybrid, mitigation, qsim, tomography
 from geminal.hybrid import (
     GeminalState,
@@ -61,7 +62,7 @@ class TestAssembleEnergy:
         for ref, r in ((h2_reference, 2), (h3_reference, 3)):
             ints, rhf, _ = ref
             h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
-            ham = ansatz.jordan_wigner_hamiltonian(h, eri, ints.enuc)
+            ham = pr.jordan_wigner_hamiltonian(h, eri, ints.enuc)
             pair = pair_integrals(h, eri, ints.enuc)
             for _ in range(100):
                 t = rng.uniform(-np.pi, np.pi, size=r - 1)
@@ -72,7 +73,7 @@ class TestAssembleEnergy:
                     amps**2, np.where(prods >= 0, 1, -1).astype(int)
                 )
                 e = assemble_2dm_energy(state, pair)
-                assert e == pytest.approx(state_vec.expectation(ham), abs=1e-10)
+                assert e == pytest.approx(pr.expectation(state_vec.amps, ham), abs=1e-10)
 
     def test_fci_natural_orbitals_reach_fci(self, h2_reference):
         ints, rhf, fci = h2_reference

@@ -2,7 +2,9 @@
 
 The oracle embeds local unitaries by explicit Kronecker products over the
 little-endian layout and uses scipy's expm for rotation gates, so none of
-the simulator's own kernels or Pauli machinery appear on the oracle side.
+the simulator's own kernels appear on the oracle side.  The Pauli algebra
+of the test-side ``pauli_reference`` is checked against the same
+Kronecker products, and its ``expectation`` reads Pauli means off states.
 
 The trajectory engine, one statevector per shot, is checked against
 closed-form decay laws.  The density-matrix engine, which runs every
@@ -21,17 +23,16 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from geminal import ansatz, chem, cli, hybrid, qsim, tomography
+from geminal import _kernels, ansatz, chem, cli, hybrid, qsim, tomography
 from geminal.qsim import (
     CalibrationError,
     Circuit,
     Gate,
     NoiseModel,
-    PauliString,
-    PauliSum,
     ShotHistogram,
     Statevector,
 )
+from pauli_reference import PauliString, PauliSum, expectation
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,7 +65,7 @@ def random_state(n: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pauli algebra
+# Pauli algebra (pauli_reference)
 # ---------------------------------------------------------------------------
 
 def test_pauli_label_roundtrip():
@@ -184,10 +185,10 @@ def test_bell_state_and_expectations():
     circ = Circuit(2).h(0).cx(0, 1)
     state = qsim.run_circuit(circ)
     assert np.allclose(state.probabilities(), [0.5, 0, 0, 0.5], atol=1e-14)
-    assert state.expectation(PauliString.from_label("XX")).real == pytest.approx(1.0)
-    assert state.expectation(PauliString.from_label("ZZ")).real == pytest.approx(1.0)
-    assert state.expectation(PauliString.from_label("YY")).real == pytest.approx(-1.0)
-    assert state.expectation(PauliString.from_label("ZI")).real == pytest.approx(0.0)
+    assert expectation(state.amps, PauliString.from_label("XX")).real == pytest.approx(1.0)
+    assert expectation(state.amps, PauliString.from_label("ZZ")).real == pytest.approx(1.0)
+    assert expectation(state.amps, PauliString.from_label("YY")).real == pytest.approx(-1.0)
+    assert expectation(state.amps, PauliString.from_label("ZI")).real == pytest.approx(0.0)
 
 
 def test_expectation_matches_dense_oracle():
@@ -196,7 +197,7 @@ def test_expectation_matches_dense_oracle():
         n = int(rng.integers(1, 5))
         label = "".join(rng.choice(list("IXYZ")) for _ in range(n))
         psi = random_state(n, rng)
-        got = Statevector(psi).expectation(PauliString.from_label(label)).real
+        got = expectation(psi, PauliString.from_label(label)).real
         want = (psi.conj() @ dense_pauli(label) @ psi).real
         assert got == pytest.approx(want, abs=1e-12), label
 
@@ -242,9 +243,9 @@ def reference_parity(counts: dict, shots: int, mask: int) -> float:
 
 def test_histogram_statistics():
     hist = histogram(4, 1024, {0b0101: 700, 0b0100: 200, 0b0110: 124})
-    assert hist.occupation(0) == pytest.approx(700 / 1024)
-    assert hist.occupation(2) == pytest.approx(1.0)
-    assert hist.parity(0b0101) == pytest.approx((700 - 200 + 124 * -1) / 1024)
+    assert hist.occupations()[[0, 2]] == pytest.approx([700 / 1024, 1.0])
+    parity = hist.parities(_kernels.parity_signs(16, 0b0101))
+    assert parity == pytest.approx((700 - 200 + 124 * -1) / 1024)
 
 
 def test_dense_statistics_equal_dict_reference():
@@ -255,10 +256,11 @@ def test_dense_statistics_equal_dict_reference():
             counts = {int(k): int(rng.integers(1, 5000)) for k in keys}
             shots = sum(counts.values())
             hist = histogram(n, shots, counts)
-            for q in range(n):
-                assert hist.occupation(q) == reference_occupation(counts, shots, q)
-            for mask in range(1 << n):
-                assert hist.parity(mask) == reference_parity(counts, shots, mask)
+            want = [reference_occupation(counts, shots, q) for q in range(n)]
+            assert hist.occupations().tolist() == want
+            signs = np.array([_kernels.parity_signs(1 << n, mask) for mask in range(1 << n)])
+            want = [reference_parity(counts, shots, mask) for mask in range(1 << n)]
+            assert hist.parities(signs).tolist() == want
 
 
 def test_sampling_is_deterministic_and_unbiased():
@@ -278,9 +280,10 @@ def test_sampling_readout_flips():
     readout_only = NoiseModel({}, {}, {0: 0.25, 1: 0.0, 2: 0.5})
     rng = qsim.make_rng(3, qsim.SHOT_KEY, 0)
     hist = qsim.sample(qsim.run_density(Circuit(3), readout_only).probabilities(), 20000, rng)
-    assert hist.occupation(0) == pytest.approx(0.25, abs=0.02)
-    assert hist.occupation(1) == 0.0
-    assert hist.occupation(2) == pytest.approx(0.5, abs=0.02)
+    occupations = hist.occupations()
+    assert occupations[0] == pytest.approx(0.25, abs=0.02)
+    assert occupations[1] == 0.0
+    assert occupations[2] == pytest.approx(0.5, abs=0.02)
 
 
 def test_make_rng_rejects_negative():
@@ -408,7 +411,7 @@ def test_one_qubit_depolarising_decay_law():
         circ.rz(0, 0.0)
     ens = qsim.run_trajectories(circ, NoiseModel.uniform(1, p1=p), nt, seed=12)
     want = (1.0 - 4.0 * p / 3.0) ** n_gates
-    got = ens.expectation(PauliString.from_label("Z"))
+    got = expectation(ens.amps2, PauliString.from_label("Z")).real.mean()
     sem = math.sqrt((1.0 - want**2) / nt)
     assert abs(got - want) < 5 * sem
 
@@ -419,15 +422,16 @@ def test_cnot_error_one_fully_depolarises():
     nt = 30000
     circ = Circuit(2).cx(0, 1).cx(0, 1).cx(0, 1)
     ens = qsim.run_trajectories(circ, chain_noise(2, 0.0, 0.0, 1.0), nt, seed=4)
-    assert abs(ens.expectation(PauliString.from_label("ZI"))) < 0.03
-    assert abs(ens.expectation(PauliString.from_label("IZ"))) < 0.03
+    assert abs(expectation(ens.amps2, PauliString.from_label("ZI")).real.mean()) < 0.03
+    assert abs(expectation(ens.amps2, PauliString.from_label("IZ")).real.mean()) < 0.03
 
 
 def test_single_cnot_error_one_mean():
     nt = 60000
     circ = Circuit(2).cx(0, 1)
     ens = qsim.run_trajectories(circ, chain_noise(2, 0.0, 0.0, 1.0), nt, seed=8)
-    assert ens.expectation(PauliString.from_label("IZ")) == pytest.approx(-1.0 / 15.0, abs=0.02)
+    got = expectation(ens.amps2, PauliString.from_label("IZ")).real.mean()
+    assert got == pytest.approx(-1.0 / 15.0, abs=0.02)
 
 
 def test_noisy_sampling_reproducible():
@@ -449,8 +453,7 @@ def test_readout_noise_on_prepared_state():
     nm = chain_noise(2, 0.0, 0.2, 0.0)
     probs = qsim.run_density(circ, nm).probabilities()
     hist = qsim.sample(probs, 20000, qsim.make_rng(5, qsim.SHOT_KEY, 0))
-    assert hist.occupation(0) == pytest.approx(0.8, abs=0.02)
-    assert hist.occupation(1) == pytest.approx(0.2, abs=0.02)
+    assert hist.occupations() == pytest.approx([0.8, 0.2], abs=0.02)
 
 
 def test_amplitude_damping_relaxes_excited_state():
@@ -460,7 +463,7 @@ def test_amplitude_damping_relaxes_excited_state():
     nm = NoiseModel.from_calibration(cal, 1, damping=True)
     circ = Circuit(1).x(0)
     ens = qsim.run_trajectories(circ, nm, 2000, seed=2)
-    assert ens.expectation(PauliString.from_label("Z")) > 0.99
+    assert expectation(ens.amps2, PauliString.from_label("Z")).real.mean() > 0.99
     norms = np.linalg.norm(ens.amps2, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-10)
 
@@ -472,7 +475,7 @@ def test_damping_decay_fraction_matches_t1():
     circ = Circuit(1).x(0)
     nt = 40000
     ens = qsim.run_trajectories(circ, nm, nt, seed=6)
-    p1 = 0.5 * (1.0 - ens.expectation(PauliString.from_label("Z")))
+    p1 = 0.5 * (1.0 - expectation(ens.amps2, PauliString.from_label("Z")).real.mean())
     want = math.exp(-1.0)
     assert p1 == pytest.approx(want, abs=5 * math.sqrt(want * (1 - want) / nt))
 
@@ -483,7 +486,7 @@ def test_dephasing_shrinks_coherence():
     nm = NoiseModel.from_calibration(cal, 1, damping=True)
     circ = Circuit(1).h(0)
     ens = qsim.run_trajectories(circ, nm, 20000, seed=7)
-    x = ens.expectation(PauliString.from_label("X"))
+    x = expectation(ens.amps2, PauliString.from_label("X")).real.mean()
     # p_z = (1 - exp(-100/Tphi))/2 with 1/Tphi ~ 1/t2: coherence = 1 - 2 p_z
     want = math.exp(-100.0 / 50.0 + 100.0 * 0.5 / 1e9)
     assert x == pytest.approx(want, abs=0.05)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from geminal import ansatz, qsim, tomography
+from geminal import _kernels, ansatz, qsim, tomography
 from geminal.qsim import Circuit, NoiseModel
 from geminal.tomography import (
     ShotSampler,
@@ -50,11 +50,11 @@ class TestExactDistribution:
         dist = exact_sampler(bell_circuit()).run()
         assert dist.shots is None
         np.testing.assert_array_equal(dist.counts, state.probabilities())
-        assert dist.occupation(0) == pytest.approx(0.5)
-        assert dist.occupation(1) == pytest.approx(0.5)
-        assert dist.parity(0b11) == pytest.approx(1.0)  # correlated bits
-        assert dist.parity(0b01) == pytest.approx(0.0)
-        assert dist.parities(np.array([[1.0, -1.0, -1.0, 1.0]])).tolist() == [dist.parity(0b11)]
+        assert dist.occupations() == pytest.approx([0.5, 0.5])
+        both, first = _kernels.parity_signs(4, 0b11), _kernels.parity_signs(4, 0b01)
+        assert dist.parities(both) == pytest.approx(1.0)  # correlated bits
+        assert dist.parities(first) == pytest.approx(0.0)
+        assert dist.parities(np.array([[1.0, -1.0, -1.0, 1.0]])).tolist() == [dist.parities(both)]
 
     def test_exact_record_ignores_seed_and_stream(self):
         state = qsim.run_circuit(bell_circuit())
@@ -137,8 +137,7 @@ class TestSamplers:
         sampler = sampler_for(Circuit(2), shots=4000, seed=9, noise=noise)
         hist = sampler.run()
         # |00> through 25% readout flips: each bit reads 1 a quarter of the time
-        assert hist.occupation(0) == pytest.approx(0.25, abs=0.04)
-        assert hist.occupation(1) == pytest.approx(0.25, abs=0.04)
+        assert hist.occupations() == pytest.approx([0.25, 0.25], abs=0.04)
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_shared_preparation_gives_the_whole_circuit_counts(self, noisy):
@@ -167,7 +166,7 @@ class TestSamplers:
         sampler = exact_sampler(bell_circuit())
         dist = sampler.run(qsim.Program(bell_circuit().h(0).h(1)))
         # Bell state in the X basis keeps even parity: one whole circuit, Bell then h h
-        assert dist.parity(0b11) == pytest.approx(1.0)
+        assert dist.parities(_kernels.parity_signs(4, 0b11)) == pytest.approx(1.0)
         assert sampler.counter.count == 1
 
 
@@ -256,7 +255,8 @@ class TestPhaseEstimation:
             replay = ansatz_sampler(3, t, shots, seed=4)
             rec_a, rec_b = replay.run(programs[0]), replay.run(programs[1])
             for k in range(2):
-                par_a, par_b = rec_a.parity(window_mask(k)), rec_b.parity(window_mask(k))
+                signs = _kernels.parity_signs(rec_a.counts.size, window_mask(k))  # one row alone
+                par_a, par_b = rec_a.parities(signs), rec_b.parities(signs)
                 assert est.values[k] == 0.25 * (par_a + par_b)
                 if shots is None:
                     assert est.stderr[k] == 0.0
