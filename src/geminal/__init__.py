@@ -6,8 +6,6 @@ orbital/amplitude optimization to dissociation curves checked against an
 internal full-CI oracle.
 """
 
-from geminal._kernels import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -196,7 +196,6 @@ class IntegralSet:
     eri: np.ndarray  # chemists' convention (pq|rs)
     enuc: float
     n_electrons: int
-    molecule: Molecule
 
     @property
     def n_basis(self) -> int:
@@ -292,7 +291,6 @@ def compute_integrals(molecule: Molecule) -> IntegralSet:
         eri=eri,
         enuc=molecule.nuclear_repulsion(),
         n_electrons=molecule.n_electrons,
-        molecule=molecule,
     )
 
 

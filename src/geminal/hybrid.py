@@ -175,13 +175,15 @@ class QuantumObjective:
     ``make_rng(seed, JITTER_KEY)`` on sampled runs and
     ``make_rng(JITTER_KEY)`` on exact ones.  Preparation counts are
     tracked per call so the constant-cost tomography contract stays
-    testable.
+    testable.  The ansatz needs at least one angle, so r >= 2 orbitals.
     """
 
     def __init__(self, h: np.ndarray, eri: np.ndarray, enuc: float, config: HybridConfig):
+        self.r = h.shape[0]
+        if self.r < 2:
+            raise ValueError(f"the paired ansatz needs at least 2 orbitals, got {self.r}")
         self.pair = pair_integrals(h, eri, enuc)
         self.config = config
-        self.r = h.shape[0]
         program = ansatz.compiled_ansatz(self.r, config.noise)
         measured = config.resolve_phase_mode(self.r) == "measured"
         self.phase_programs = (
@@ -225,8 +227,8 @@ class QuantumObjective:
             n, phases, phase_err, retained = self._measure_raw(t)
         else:
             n_acc = np.zeros(self.r)
-            ph_acc = np.zeros(max(self.r - 1, 0))
-            phase_var = np.zeros(max(self.r - 1, 0))
+            ph_acc = np.zeros(self.r - 1)
+            phase_var = np.zeros(self.r - 1)
             retained = 0.0
             for _ in range(repeats):
                 n, phases, err, frac = self._measure_raw(t)

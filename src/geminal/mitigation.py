@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from geminal import _kernels, qsim
+from geminal import qsim
 from geminal.qsim import ShotHistogram
 
 
@@ -67,7 +67,7 @@ def _allowed_outcomes(n_qubits: int, symmetries: tuple[str, ...]) -> np.ndarray:
     unknown = set(symmetries) - {"N", "Sz"}
     if unknown:
         raise ValueError(f"unknown symmetries {sorted(unknown)}; expected 'N' or 'Sz'")
-    bits = _kernels.outcome_bits(n_qubits)
+    bits = qsim.outcome_bits(n_qubits)
     n_alpha, n_beta = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
     keep = np.ones(bits.shape[0], dtype=bool)
     if "N" in symmetries:
@@ -222,9 +222,12 @@ def project_polytope(
     unchanged, so the map is idempotent.  Sorting and the projection run
     on Python floats, with the operations and order of numpy's
     ``argsort(-n, kind="stable")`` and of the vector formulas, so the
-    result is bit for bit the numpy one.
+    result is bit for bit the numpy one.  A NaN or infinite occupation
+    has no nearest physical vector and raises ValueError.
     """
     values = np.asarray(n_raw, dtype=float).tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"cannot project non-finite occupations {values}")
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     sorted_n = [values[i] for i in order]
     if affine is not None:

@@ -42,7 +42,10 @@ caller hands in.  Production draws come in order from one shot
 generator ``make_rng(seed, SHOT_KEY)`` per curve point or per
 ``scan``/``vtable`` command, so a histogram is reproducible
 bit-for-bit for a given seed and its place in that order, and no two
-preparations of a point start from the same generator state.
+preparations of a point start from the same generator state.  Every
+estimate read from a record reads the outcome bits from one cached
+table, ``outcome_bits``: the occupations here, the N and Sz masks of the
+symmetry filter, and the window parity signs of the phase estimator.
 
 The trajectory engine (``run_trajectories``) is the independent
 reference that tests check the density-matrix engine against; no
@@ -228,9 +231,6 @@ class Statevector:
     def n_qubits(self) -> int:
         return self.amps.size.bit_length() - 1
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.amps.copy())
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
@@ -259,22 +259,26 @@ def _apply_local(flat: np.ndarray, op: np.ndarray, order: np.ndarray) -> None:
     flat[order] = (op @ flat[order].reshape(op.shape[0], -1)).reshape(-1)
 
 
-def run_circuit(circuit: Circuit, state: Statevector | None = None) -> Statevector:
-    """Run the circuit from |0...0> (or the given state) without noise."""
+def run_circuit(circuit: Circuit) -> Statevector:
+    """Run the circuit from |0...0> without noise."""
     n = circuit.n_qubits
-    if state is None:
-        state = Statevector.zero(n)
-    elif state.n_qubits != n:
-        raise ValueError("state and circuit qubit counts differ")
-    out = state.copy()
+    state = Statevector.zero(n)
     for gate in circuit.gates:
-        _apply_local(out.amps, gate.matrix(), _local_order(n, gate.qubits))
-    return out
+        _apply_local(state.amps, gate.matrix(), _local_order(n, gate.qubits))
+    return state
 
 
 # ---------------------------------------------------------------------------
 # histograms and sampling
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def outcome_bits(n_qubits: int) -> np.ndarray:
+    """Read-only (2**n_qubits, n_qubits) float64 table: entry [k, q] is bit q of outcome k."""
+    table = ((np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1).astype(np.float64)
+    table.flags.writeable = False  # shared by every cached call
+    return table
+
 
 @dataclass(eq=False)
 class ShotHistogram:
@@ -302,11 +306,14 @@ class ShotHistogram:
         An exact record's weights are probabilities, so its product is the
         mean as it stands (dividing by 1.0 would change no bit).
         """
-        weighted = self.counts.dot(_kernels.outcome_bits(self.n_qubits))
+        weighted = self.counts.dot(outcome_bits(self.n_qubits))
         return weighted if self.shots is None else weighted / self.shots
 
     def parities(self, signs: np.ndarray) -> np.ndarray:
         """Mean over shots of each row of ``signs``, one +-1 per outcome.
+
+        The phase estimator passes its window-sign table, whose rows are
+        parities of ``outcome_bits`` columns.
 
         A sampled record takes every row in one product,
         ``signs.dot(counts)``: each partial sum is an integer below 2**53,
@@ -650,25 +657,18 @@ class DensityMatrix:
         return probs
 
 
-def run_density(
-    circuit: Circuit, noise: NoiseModel, state: DensityMatrix | None = None
-) -> DensityMatrix:
-    """Evolve rho through the noisy circuit from |0...0><0...0| (or the given state).
+def run_density(circuit: Circuit, noise: NoiseModel) -> DensityMatrix:
+    """Evolve rho through the noisy circuit from |0...0><0...0|.
 
     Each gate applies as one superoperator on its qubits' row and
-    column bits; the given state is not modified.
+    column bits.
     """
     n = circuit.n_qubits
-    readout = noise.readout_vector(n)
-    if state is None:
-        state = DensityMatrix.zero(n, readout)
-    elif state.n_qubits != n:
-        raise ValueError("state and circuit qubit counts differ")
-    flat = state.flat.copy()
+    state = DensityMatrix.zero(n, noise.readout_vector(n))
     for gate in circuit.gates:
         bits = _rho_bits(gate.qubits, n)
-        _apply_local(flat, _gate_channel(noise, gate), _local_order(2 * n, bits))
-    return DensityMatrix(flat, readout)
+        _apply_local(state.flat, _gate_channel(noise, gate), _local_order(2 * n, bits))
+    return state
 
 
 def _rho_bits(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:

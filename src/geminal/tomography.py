@@ -8,6 +8,8 @@ Each of the three is its own whole circuit, as on a device: the ansatz
 for the Z basis, and the ansatz followed by basis rotation A or B for
 the phases, each compiled once per (r, noise model) with the pair
 angles left open, into one table of its Z-basis outcome distribution.
+Occupations and window parities read one outcome-bit table,
+``qsim.outcome_bits``.
 
 Phase estimator for window k (qubits 2k..2k+3): with circuit A rotating
 every qubit to the X basis and circuit B rotating alpha qubits to X and
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geminal import _kernels, ansatz, mitigation, qsim
+from geminal import ansatz, mitigation, qsim
 from geminal.qsim import Circuit, NoiseModel, Program, ShotHistogram
 
 
@@ -155,17 +157,17 @@ class PhaseEstimate:
     stderr: np.ndarray
 
 
-def window_mask(k: int) -> int:
-    return 0b1111 << (2 * k)
-
-
 @functools.lru_cache(maxsize=16)
 def _window_signs(n_qubits: int) -> np.ndarray:
-    """Read-only (n_qubits // 2 - 1, 2**n_qubits) table: row k holds the parity signs of window k."""
-    dim, windows = 1 << n_qubits, n_qubits // 2 - 1
-    table = np.empty((windows, dim))
-    for k in range(windows):
-        table[k] = _kernels.parity_signs(dim, window_mask(k))
+    """Read-only (n_qubits // 2 - 1, 2**n_qubits) table: row k holds the parity signs of window k.
+
+    Row k is 1 - 2 * (bits 2k..2k+3 of the outcome, summed) % 2, read
+    from ``qsim.outcome_bits``, the table occupations read.
+    """
+    bits = qsim.outcome_bits(n_qubits)
+    table = np.empty((n_qubits // 2 - 1, bits.shape[0]))
+    for k in range(table.shape[0]):
+        table[k] = 1.0 - 2.0 * (bits[:, 2 * k : 2 * k + 4].sum(axis=1) % 2.0)
     table.flags.writeable = False  # shared by every cached call
     return table
 
@@ -178,7 +180,8 @@ def estimate_phases(sampler, programs: tuple[Program, Program]) -> PhaseEstimate
     parity from one product with the cached window-sign table
     (``ShotHistogram.parities``), each window with the bits of its own
     sign row taken alone, and a sampled one its standard error
-    sqrt((1 - p**2) / shots).
+    sqrt((1 - p**2) / shots).  The table's rows are parities of the
+    outcome bits that occupations read (``_window_signs``).
     """
     program_a, program_b = programs
     rec_a = sampler.run(program_a)

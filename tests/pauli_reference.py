@@ -3,7 +3,8 @@
 Pauli algebra on symplectic masks, Jordan-Wigner fermion operators and
 Hamiltonian, and the generic 12-CNOT pair gate.  No production path
 runs any of it; tests check the package's 8-CNOT pair gate and its
-2-RDM energy assembly against it.
+2-RDM energy assembly against it, and its window parities against
+``parity_signs``, a popcount the package does not share.
 
 Pauli labels read left to right as qubit 0, 1, 2, ...: ``"XY"`` means X
 on qubit 0 and Y on qubit 1, on the little-endian layout of
@@ -153,9 +154,15 @@ def expectation(amps: np.ndarray, op) -> np.ndarray:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """The circuit's unitary: column k runs it on basis state k."""
-    basis = np.eye(1 << circuit.n_qubits, dtype=complex)
-    return np.array([qsim.run_circuit(circuit, qsim.Statevector(col)).amps for col in basis]).T
+    """The circuit's unitary: column k runs it on basis state k, prepared by X gates."""
+    n = circuit.n_qubits
+    preps = [Circuit(n, [qsim.Gate("x", (q,)) for q in range(n) if k >> q & 1]) for k in range(1 << n)]
+    return np.array([qsim.run_circuit(prep.extend(circuit)).amps for prep in preps]).T
+
+
+def parity_signs(dim: int, mask: int) -> np.ndarray:
+    """(-1)**popcount(k & mask) for k in range(dim): the eigenvalues of Z on the ``mask`` qubits."""
+    return np.array([-1.0 if (k & mask).bit_count() % 2 else 1.0 for k in range(dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pauli_reference as pr
-from geminal import _kernels, ansatz, chem, cli, hybrid, mitigation, qsim, tomography
+from geminal import ansatz, chem, cli, hybrid, mitigation, qsim, tomography
 from geminal.hybrid import (
     GeminalState,
     HybridConfig,
@@ -152,8 +152,7 @@ class TestQuantumObjective:
         # the tables an evaluation reads are built on first use, then only read
         tables = (
             mitigation._allowed_outcomes,
-            _kernels.outcome_bits,
-            _kernels.parity_signs,
+            qsim.outcome_bits,
             tomography._window_signs,
             qsim._local_order,
         )
@@ -405,6 +404,13 @@ class TestRunHybrid:
         assert point.outer_iterations == 0
         assert point.converged
         assert point.flags == [] and point.retained_fraction is None
+
+    def test_one_orbital_system_is_refused_before_compiling(self, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(ansatz, "compiled_ansatz", lambda *args: compiled.append(args))
+        with pytest.raises(ValueError, match="at least 2 orbitals, got 1"):
+            run_hybrid(chem.Molecule(("HE",), np.zeros((1, 3))), HybridConfig(shots=None))
+        assert compiled == []
 
     @pytest.mark.parametrize(
         "reject_at, flags",

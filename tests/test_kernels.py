@@ -1,18 +1,27 @@
-"""Gate rules and the sampler against oracles built independently here.
+"""Gate rules, outcome tables and the sampler against oracles built independently here.
 
 The production gate rule (``qsim._local_order`` plus ``qsim._apply_local``)
 and the trajectory reference's batch kernels are checked row by row
 against dense matrices assembled by explicit Kronecker products
-(``embed`` and ``dense_cnot`` from the simulator tests), and the sampler
+(``embed`` and ``dense_cnot`` from the simulator tests), the outcome-bit
+and window-sign tables against Python's bit operations, and the sampler
 against a per-row ``np.searchsorted`` inverse CDF, so no kernel code
-appears on the oracle side.
+appears on the oracle side.  The import guard keeps the batch kernels
+for the trajectory reference alone and the test-side oracles out of the
+package.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 
+import pauli_reference as pr
 from geminal import _kernels as K
-from geminal import qsim
+from geminal import qsim, tomography
 from test_qsim import dense_cnot, embed
+
+PACKAGE = Path(qsim.__file__).parent
 
 
 def random_batch(rng, nt, n):
@@ -39,17 +48,46 @@ def test_backend_flag_is_exposed():
     assert K.BACKEND == "numpy"
 
 
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Every module an import statement names, and each ``from geminal import x`` as geminal.x."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # a relative import inside the package
+                base = f"geminal.{base}".rstrip(".")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_import_boundaries():
+    # the package never reaches the test-side oracles, and only qsim's
+    # trajectory reference reaches the batch kernels
+    for path in sorted(PACKAGE.glob("*.py")):
+        modules = _imported_modules(ast.parse(path.read_text()))
+        parts = {part for name in modules for part in name.split(".")}
+        assert not parts & {"tests", "pauli_reference"}, path.name
+        if path.stem not in ("qsim", "_kernels"):
+            assert "_kernels" not in parts, path.name
+
+
 def test_parity_signs():
-    signs = K.parity_signs(8, 0b101)
-    want = [(-1.0) ** bin(k & 0b101).count("1") for k in range(8)]
-    assert np.allclose(signs, want)
-    assert K.parity_signs(8, 0b101) is signs and not signs.flags.writeable
+    # every window-sign row is the popcount parity of its four qubits
+    for n in (2, 4, 6, 8, 10):
+        table = tomography._window_signs(n)
+        assert table.shape == (n // 2 - 1, 1 << n) and not table.flags.writeable
+        assert tomography._window_signs(n) is table
+        for k, row in enumerate(table):
+            assert row.tobytes() == pr.parity_signs(1 << n, 0b1111 << (2 * k)).tobytes(), (n, k)
 
 
 def test_outcome_bits():
-    table = K.outcome_bits(5)
+    table = qsim.outcome_bits(5)
     assert table.shape == (32, 5) and not table.flags.writeable
-    assert K.outcome_bits(5) is table
+    assert qsim.outcome_bits(5) is table
     for k in range(32):
         assert table[k].tolist() == [float((k >> q) & 1) for q in range(5)]
 

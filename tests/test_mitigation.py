@@ -332,6 +332,14 @@ class TestProjection:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize(
+        "raw", [[np.nan], [np.nan, 0.5], [0.7, np.inf, 0.1], [0.5, np.nan], [0.2, 0.3, np.nan]]
+    )
+    def test_non_finite_occupations_raise(self, raw):
+        # a NaN or an infinity first after the sort, or further along
+        with pytest.raises(ValueError, match="non-finite occupations"):
+            project_polytope(np.array(raw))
+
     def test_affine_applied_before_projection(self):
         ident = AffineMap(np.eye(2) / 0.6, np.full(2, 0.5 - 0.5 / 0.6))
         vertex = np.array([1.0, 0.0])
