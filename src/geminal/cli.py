@@ -291,9 +291,8 @@ def filter_scan(points, records, symmetries):
 
 
 def half_sets(records, r):
-    """The (alpha, beta) occupations of each record."""
-    estimates = [tomography.occupations_from_counts(record, r) for record in records]
-    return [(est.n_alpha, est.n_beta) for est in estimates]
+    """The (alpha, beta) occupations of each record: its even and its odd qubits'."""
+    return [(occ[0 : 2 * r : 2], occ[1 : 2 * r : 2]) for occ in (rec.occupations() for rec in records)]
 
 
 def effective_shots(shots: int | None, retained_fraction: float) -> int | None:

@@ -42,6 +42,13 @@ class GeminalState:
         if not {*self.xi.tolist()} <= {1, -1}:
             raise ValueError("phases must be +-1")
 
+    @classmethod
+    def _measured(cls, n, xi: list[int]) -> GeminalState:
+        """An objective's own estimate, r occupations and r - 1 signs +-1, taken unchecked."""
+        state = cls.__new__(cls)
+        state.n, state.xi = np.asarray(n), np.array(xi)
+        return state
+
     @property
     def g(self) -> np.ndarray:
         """s_p sqrt(max(n_p, 0)), on Python floats: sqrt rounds correctly either way.
@@ -195,67 +202,65 @@ class QuantumObjective:
         self.n_evals = 0
         self.last_eval_preparations = 0
 
-    def _measure_raw(self, t: np.ndarray):
-        """One tomography batch: raw occupations, phase estimates and their standard errors."""
+    def _batches(self, t, repeats: int):
+        """The angle list of ``t`` and ``repeats`` tomography batches at it, each the raw pair occupations,
+        raw phase estimates and their standard errors (lists, or None in classical phase mode) and the
+        retained fraction.  Records the preparations per batch."""
+        before = self.sampler.counter.count
         self.sampler.angles = t
-        occ = tomography.measure_occupations(self.sampler, self.r, self.config.symmetries)
-        n = 0.5 * (occ.n_alpha + occ.n_beta)
-        if self.phase_programs is not None:
-            est = tomography.estimate_phases(self.sampler, self.phase_programs)
-            return n, est.values, est.stderr, occ.retained_fraction
-        return n, None, None, occ.retained_fraction
+        batches = []
+        for _ in range(repeats):
+            n, retained = tomography.measure_occupations(self.sampler, self.r, self.config.symmetries)
+            phases = (None, None)
+            if self.phase_programs is not None:
+                phases = tomography.estimate_phases(self.sampler, self.phase_programs)
+            batches.append((n, *phases, retained))
+        self.last_eval_preparations = (self.sampler.counter.count - before) // repeats
+        return self.sampler.angles, batches
+
+    def _state(self, t: list[float], n: list[float], phases, phase_err) -> GeminalState:
+        """The state at angles ``t`` from raw estimates: measured signs within two standard errors
+        of zero, and every sign in classical phase mode, are the classical ones; occupations projected."""
+        if phases is None:
+            xi = tomography.classical_phase_assignment(t)
+        else:
+            xi, ambiguous = tomography.phase_signs(phases, phase_err)
+            if any(ambiguous):
+                xi = [c if a else s for s, a, c in zip(xi, ambiguous, tomography.classical_phase_assignment(t))]
+        if self.config.project:
+            n = mitigation.project_polytope(n).occupations
+        return GeminalState._measured(n, xi)
 
     def measure_state(self, t: np.ndarray, repeats: int = 1) -> tuple[GeminalState, float]:
         """Tomographic state estimate and its retained shot fraction.
 
-        Raw occupations (and raw phase estimates) from ``repeats``
-        independent batches are averaged before mitigation, shrinking
-        shot noise where it matters without changing the per-batch
-        preparation count; the retained fraction is averaged likewise.
-        Exact mode ignores ``repeats``.  A single batch is taken as
-        measured, since adding it to zeros and dividing it by 1 would
-        change no bit, and so is its standard error: the root of its
-        square over one batch is the error itself, as sqrt(x * x) == x
-        for every double x >= 0 whose square neither overflows nor
-        underflows (a nonzero error is at least about 1 / shots).
+        Raw occupations, phase estimates and retained fractions from ``repeats``
+        independent batches are averaged before mitigation, shrinking shot noise
+        without changing the per-batch preparation count; the phase errors combine
+        as sqrt(sum of squares) / repeats, every sum from 0.0 in batch order.
+        Exact mode ignores ``repeats``; fewer than one batch raises ValueError before any preparation.
         """
-        t = np.asarray(t, dtype=float)
-        if self.config.shots is None:
-            repeats = 1
-        before = self.sampler.counter.count
-        if repeats == 1:  # kept apart: the accumulator loop timed 1-8% slower per evaluation
-            n, phases, phase_err, retained = self._measure_raw(t)
-        else:
-            n_acc = np.zeros(self.r)
-            ph_acc = np.zeros(self.r - 1)
-            phase_var = np.zeros(self.r - 1)
-            retained = 0.0
-            for _ in range(repeats):
-                n, phases, err, frac = self._measure_raw(t)
-                n_acc += n
-                retained += frac
-                if phases is not None:
-                    ph_acc += phases
-                    phase_var += err**2
-            n, phases, retained = n_acc / repeats, ph_acc / repeats, retained / repeats
-            phase_err = np.sqrt(phase_var) / repeats
-
-        if self.phase_programs is not None:
-            xi, ambiguous = tomography.phase_signs(phases, phase_err)
-            if any(ambiguous.tolist()):  # on r - 1 entries, far cheaper than ndarray.any
-                xi[ambiguous] = tomography.classical_phase_assignment(t)[ambiguous]
-        else:
-            xi = tomography.classical_phase_assignment(t)
-
-        if self.config.project:
-            n = mitigation.project_polytope(n).occupations
-        self.last_eval_preparations = (self.sampler.counter.count - before) // repeats
-        return GeminalState(n, xi), retained
+        if repeats < 1:
+            raise ValueError(f"repeats must be at least 1, got {repeats}")
+        repeats = 1 if self.config.shots is None else repeats
+        t, batches = self._batches(t, repeats)
+        n, retained = [0.0] * self.r, 0.0
+        phases = var = None if self.phase_programs is None else [0.0] * (self.r - 1)  # rebound, never mutated
+        for n_k, phases_k, err_k, fraction in batches:
+            n, retained = [a + v for a, v in zip(n, n_k)], retained + fraction
+            if phases is not None:
+                phases = [a + v for a, v in zip(phases, phases_k)]
+                var = [a + e * e for a, e in zip(var, err_k)]
+        if phases is not None:
+            phases, var = [a / repeats for a in phases], [math.sqrt(v) / repeats for v in var]
+        return self._state(t, [a / repeats for a in n], phases, var), retained / repeats
 
     def __call__(self, t: np.ndarray) -> float:
+        """The energy of one batch at angles ``t``, on Python floats from readout to energy: what
+        ``measure_state(t)`` gives, to the bit, without its averaging, which timed 8% slower."""
         self.n_evals += 1  # counted on entry, so an evaluation a rejection aborts counts too
-        state, _ = self.measure_state(t)
-        return assemble_2dm_energy(state, self.pair)
+        t, [(n, phases, phase_err, _)] = self._batches(t, 1)
+        return assemble_2dm_energy(self._state(t, n, phases, phase_err), self.pair)
 
 
 # ---------------------------------------------------------------------------

@@ -176,22 +176,8 @@ class ProjectionResult:
         return self.distance > 1e-12
 
 
-def _project_onto_hull(point: list[float]) -> list[float]:
-    """Euclidean projection onto conv{v_j}, the ordered simplex.
-
-    Pool-adjacent-violators gives the nearest non-increasing vector y
-    (Best & Chakravarti 1990); it pools only when an affine map unsorted
-    the input.  A common shift and clipping at zero keep that order, so the
-    sorted probability-simplex threshold finishes the projection
-    (Condat 2016): tau_k = (y_1 + ... + y_k - 1) / k, rho is the last k
-    with y_k > tau_k, and the result is max(y - tau_rho, 0).  It runs on
-    Python floats, which beat numpy at r <= 5, in one pass over y with
-    the operations of the vector formulas in their order: the partial
-    sums run left to right like ``np.cumsum`` (from 0.0, which changes
-    at most the sign of a zero sum and so no tau), and the clip maps
-    -0.0 to 0.0 like ``np.maximum(d, 0.0)``, so every bit equals the
-    numpy result.
-    """
+def _pool_adjacent_violators(point: list[float]) -> list[float]:
+    """The nearest non-increasing vector to ``point`` (Best & Chakravarti 1990), on Python floats."""
     sums, counts = [], []
     for value in point:
         total, count = value, 1
@@ -202,6 +188,20 @@ def _project_onto_hull(point: list[float]) -> list[float]:
         counts.append(count)
     if len(sums) < len(point):
         point = [total / count for total, count in zip(sums, counts) for _ in range(count)]
+    return point
+
+
+def _project_onto_hull(point: list[float]) -> list[float]:
+    """Euclidean projection of a non-increasing ``point`` onto conv{v_j}, the ordered simplex.
+
+    A common shift and clipping at zero keep the order, so the sorted probability-simplex
+    threshold is the projection (Condat 2016): tau_k = (y_1 + ... + y_k - 1) / k, rho is the
+    last k with y_k > tau_k, and the result is max(y - tau_rho, 0).  It runs on Python floats,
+    which beat numpy at r <= 5, in one pass over y with the operations of the vector formulas
+    in their order: the partial sums run left to right like ``np.cumsum`` (from 0.0, which
+    changes at most the sign of a zero sum and so no tau), and the clip maps -0.0 to 0.0 like
+    ``np.maximum(d, 0.0)``, so every bit equals the numpy result.
+    """
     total = 0.0
     for k, value in enumerate(point, 1):
         total += value
@@ -222,16 +222,16 @@ def project_polytope(
     unchanged, so the map is idempotent.  Sorting and the projection run
     on Python floats, with the operations and order of numpy's
     ``argsort(-n, kind="stable")`` and of the vector formulas, so the
-    result is bit for bit the numpy one.  A NaN or infinite occupation
-    has no nearest physical vector and raises ValueError.
+    result is bit for bit the numpy one (a list is read as it stands).  A
+    NaN or infinite occupation has no nearest physical vector and raises ValueError.
     """
-    values = np.asarray(n_raw, dtype=float).tolist()
+    values = n_raw if type(n_raw) is list else np.asarray(n_raw, dtype=float).tolist()
     if not all(map(math.isfinite, values)):
         raise ValueError(f"cannot project non-finite occupations {values}")
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     sorted_n = [values[i] for i in order]
-    if affine is not None:
-        sorted_n = affine(np.array(sorted_n)).tolist()
+    if affine is not None:  # the one step that can unsort the sorted input
+        sorted_n = _pool_adjacent_violators(affine(np.array(sorted_n)).tolist())
     out = [0.0] * len(values)
     for i, value in zip(order, _project_onto_hull(sorted_n)):
         out[i] = value

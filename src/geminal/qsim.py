@@ -367,7 +367,7 @@ def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> ShotHisto
     if shots < 1:
         raise ValueError("shots must be positive")
     probs = np.maximum(probs, 0.0)
-    counts = rng.multinomial(shots, probs / probs.sum())
+    counts = rng.multinomial(shots, probs / np.add.reduce(probs))  # what probs.sum() computes, without its wrapper
     return ShotHistogram(probs.size.bit_length() - 1, shots, counts)
 
 
@@ -693,21 +693,15 @@ def _angle_indices(gates) -> list[int]:
     return [g.param.index for g in gates if isinstance(g.param, Angle)]
 
 
-def _harmonics(order: int, angle: float) -> list[float]:
-    """1, then cos(m t) and sin(m t) for m = 1..order at t = ``angle``: 2 order + 1 functions."""
-    out = [1.0]
-    for m in range(1, order + 1):
-        out += [math.cos(m * angle), math.sin(m * angle)]
-    return out
-
-
 def _weights(orders, t) -> list[float]:
     """Every product of one harmonic per angle at ``t``: the row weights of a coefficient table."""
-    weights = [1.0]
+    weights = None  # the first angle's harmonics stand alone: times 1.0 they keep their bits
     for order, angle in zip(orders, t):
-        harmonics = _harmonics(order, angle)
-        weights = [w * h for w in weights for h in harmonics]
-    return weights
+        harmonics = [1.0]  # 1, cos(m t) and sin(m t) for m = 1..order: 2 order + 1 functions
+        for m in range(1, order + 1):
+            harmonics += math.cos(m * angle), math.sin(m * angle)
+        weights = harmonics if weights is None else [w * h for w in weights for h in harmonics]
+    return [1.0] if weights is None else weights
 
 
 def _tabulate(orders, evaluate) -> np.ndarray:
@@ -734,14 +728,14 @@ class Program:
     set), which are quadratic in the unitaries.  Either way each rotation
     contributes cos(t/2)**2, sin(t/2)**2 or their product, so the
     distribution after R rotations on angle k is a trigonometric
-    polynomial of order R in t_k: a sum of the ``_harmonics`` 1,
+    polynomial of order R in t_k: a sum of the harmonics 1,
     cos(m t_k) and sin(m t_k), m <= R, along each angle.  Compiling
     evaluates it with the gate-by-gate reference engine on the bound
     circuit (``bind``), ``run_circuit`` or ``run_density``, whose
     ``probabilities`` fold in the readout flips, at 2R + 1 equispaced
     nodes per angle, and solves for its coefficient table
-    (``_tabulate``).  ``run(t)`` is one product of the
-    ``_weights`` at t with the table, a new array every run.  The table
+    (``_tabulate``).  ``run(t)`` is one product of the ``_weights`` at t
+    with the table, a new array every run (``_weights_at``, ``_read``).  The table
     keeps the reference's values to rounding, not bit for bit: an
     outcome the reference gives 1e-33 may read exactly 0, or the reverse.
 
@@ -780,16 +774,23 @@ class Program:
         return self._table is not None
 
     def run(self, t=()) -> np.ndarray:
-        """The outcome distribution after the program at angles ``t``, from |0...0>.
+        """The outcome distribution after the program at angles ``t``, from |0...0>; the angles
+        bind as Python floats, the type ``_weights`` is fastest on."""
+        return self._read(np.asarray(t, dtype=float).tolist())
 
-        The angles bind as Python floats, the type ``_weights`` is fastest on.
-        """
-        t = np.asarray(t, dtype=float).tolist()
+    def _weights_at(self, t: list[float]) -> np.ndarray | None:
+        """The table's row weights at the angle list ``t`` as one array, or None for an
+        untabulated program, whose runs read none."""
+        return None if self._table is None else np.array(_weights(self._orders, t))
+
+    def _read(self, t: list[float], weights: np.ndarray | None = None) -> np.ndarray:
+        """The outcome distribution at the angle list ``t``, from ``weights``: ``_weights_at(t)``
+        of a program with these orders, formed once for every program that reads them, or None."""
         if len(t) != self.n_angles:
             raise ValueError(f"the program binds {self.n_angles} angles, got {len(t)}")
         if self._table is None:
             return self._reference(t)
-        return np.dot(_weights(self._orders, t), self._table)
+        return (self._weights_at(t) if weights is None else weights).dot(self._table)
 
 
 _NOISELESS_PROGRAMS: dict = {}

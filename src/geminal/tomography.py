@@ -62,26 +62,38 @@ class ShotSampler:
     """Samples compiled preparations at the pair angles ``angles``.
 
     ``angles`` starts empty, which suits a program that binds no angle;
-    a caller sets it before running the ansatz and may change it between
-    runs.  Each ``run`` is one circuit preparation: a compiled program,
-    by default ``program``, reads its outcome table at ``angles``
-    (noiseless, or under the noise model it was compiled for) and is
-    measured for ``shots`` shots, or exactly when ``shots`` is None.
-    The sampler's ``counter`` counts its runs.  Runs draw in order from
-    one shot generator, ``make_rng(seed, SHOT_KEY)``, so the whole
-    sequence is deterministic in the seed and no run replays another's
-    draw.
+    a caller sets it, a list of floats from then on, before running the
+    ansatz.  Setting it forms the row weights once (``Program._weights_at``)
+    for every run at it of a program of ``program``'s orders, such as the
+    ansatz followed by a fixed basis rotation.  Each ``run`` is one
+    preparation: a compiled program, by default ``program``, reads its
+    outcome table at ``angles`` (noiseless, or under the noise model it
+    was compiled for) and is measured for ``shots`` shots, or exactly
+    when ``shots`` is None.  The ``counter`` counts runs.  Runs draw in
+    order from one generator, ``make_rng(seed, SHOT_KEY)``, so the whole
+    sequence is deterministic in the seed and no run replays another's draw.
     """
 
     def __init__(self, program: Program, shots: int | None, seed: int = 0):
         self.program = program
-        self.angles = ()
+        self._angles, self._weights = [], None  # None: each run forms its own weights
         self.shots = None if shots is None else int(shots)
         self.counter = PreparationCounter()
         self.rng = None if self.shots is None else qsim.make_rng(seed, qsim.SHOT_KEY)
 
+    @property
+    def angles(self) -> list[float]:
+        return self._angles
+
+    @angles.setter
+    def angles(self, t) -> None:
+        self._angles = np.asarray(t, dtype=float).tolist()
+        self._weights = self.program._weights_at(self._angles)
+
     def run(self, program: Program | None = None) -> ShotHistogram:
-        probs = (self.program if program is None else program).run(self.angles)
+        program = self.program if program is None else program
+        weights = self._weights if program._orders == self.program._orders else None
+        probs = program._read(self._angles, weights)
         self.counter.bump()
         return measure(probs, self.shots, self.rng)
 
@@ -90,27 +102,16 @@ class ShotSampler:
 # occupations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OccupationEstimate:
-    n_alpha: np.ndarray
-    n_beta: np.ndarray
-    retained_fraction: float = 1.0
-
-
-def occupations_from_counts(
-    record: ShotHistogram, r: int, retained_fraction: float = 1.0
-) -> OccupationEstimate:
-    """Per-orbital alpha/beta occupations from a Z-basis record."""
-    occ = record.occupations()
-    return OccupationEstimate(occ[0 : 2 * r : 2], occ[1 : 2 * r : 2], retained_fraction)
-
-
 def measure_occupations(
     sampler, r: int, symmetries: tuple[str, ...] = ()
-) -> OccupationEstimate:
-    """One Z-basis preparation, symmetry-filtered before any occupation is formed."""
+) -> tuple[list[float], float]:
+    """One Z-basis preparation, symmetry-filtered before any occupation is formed.
+
+    Returns the r pair occupations 0.5 (n_alpha + n_beta) and the retained fraction, as Python floats.
+    """
     record, retained = mitigation.symmetry_verify(sampler.run(None), symmetries)
-    return occupations_from_counts(record, r, retained)
+    occ = record.occupations().tolist()
+    return [0.5 * (occ[i] + occ[i + 1]) for i in range(0, 2 * r, 2)], retained
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +152,6 @@ def phase_measurement_programs(r: int, noise: NoiseModel | None = None) -> tuple
     )
 
 
-@dataclass
-class PhaseEstimate:
-    values: np.ndarray  # raw estimates of g_k g_{k+1}; phase_signs turns them into signs
-    stderr: np.ndarray
-
-
 @functools.lru_cache(maxsize=16)
 def _window_signs(n_qubits: int) -> np.ndarray:
     """Read-only (n_qubits // 2 - 1, 2**n_qubits) table: row k holds the parity signs of window k.
@@ -172,15 +167,17 @@ def _window_signs(n_qubits: int) -> np.ndarray:
     return table
 
 
-def estimate_phases(sampler, programs: tuple[Program, Program]) -> PhaseEstimate:
+def estimate_phases(sampler, programs: tuple[Program, Program]) -> tuple[list[float], list[float]]:
     """Two rotated-basis preparations giving all r-1 window signs.
 
     ``programs`` are the pair ``phase_measurement_programs`` compiles for
-    the sampler's r and noise model.  Each record gives every window's
+    the sampler's r and noise model.  Returns lists of the raw estimates
+    of g_k g_{k+1} and of their standard errors.  Each record gives every window's
     parity from one product with the cached window-sign table
     (``ShotHistogram.parities``), each window with the bits of its own
     sign row taken alone, and a sampled one its standard error
-    sqrt((1 - p**2) / shots).  The table's rows are parities of the
+    sqrt((1 - p**2) / shots), combined by ``np.hypot`` (``math.hypot``
+    may differ in the last bit).  The table's rows are parities of the
     outcome bits that occupations read (``_window_signs``).
     """
     program_a, program_b = programs
@@ -188,27 +185,25 @@ def estimate_phases(sampler, programs: tuple[Program, Program]) -> PhaseEstimate
     rec_b = sampler.run(program_b)
     signs = _window_signs(program_a.n_qubits)
     par_a, par_b = rec_a.parities(signs).tolist(), rec_b.parities(signs).tolist()
-    values = np.array([0.25 * (a + b) for a, b in zip(par_a, par_b)])
+    values = [0.25 * (a + b) for a, b in zip(par_a, par_b)]
     if rec_a.shots is None:
-        return PhaseEstimate(values, np.zeros(values.size))
+        return values, [0.0] * len(values)
     err_a = [math.sqrt(max(0.0, 1.0 - p * p) / rec_a.shots) for p in par_a]
     err_b = [math.sqrt(max(0.0, 1.0 - p * p) / rec_b.shots) for p in par_b]
-    return PhaseEstimate(values, 0.25 * np.hypot(err_a, err_b))
+    return values, [0.25 * e for e in np.hypot(err_a, err_b).tolist()]
 
 
-def phase_signs(values: np.ndarray, stderr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signs +-1 of coherence estimates (zero is +1), and the ambiguous ones."""
-    values, stderr = np.asarray(values, dtype=float).tolist(), np.asarray(stderr, dtype=float).tolist()
+def phase_signs(values: list[float], stderr: list[float]) -> tuple[list[int], list[bool]]:
+    """Signs +-1 of coherence estimates (zero is +1), and which of them are ambiguous."""
     xi = [1 if v >= 0 else -1 for v in values]
-    ambiguous = [abs(v) < 2.0 * e for v, e in zip(values, stderr)]
-    return np.array(xi, dtype=int), np.array(ambiguous, dtype=bool)
+    return xi, [abs(v) < 2.0 * e for v, e in zip(values, stderr)]
 
 
-def classical_phase_assignment(t: np.ndarray) -> np.ndarray:
+def classical_phase_assignment(t: list[float]) -> list[int]:
     """Signs +-1 propagated from the known rotation angles (no circuits).
 
-    xi_k = sign(amp_k amp_{k+1}) for the ideal chain amplitudes; an
-    exactly vanishing product keeps sign +1.
+    xi_k = sign(amp_k amp_{k+1}) for the ideal chain amplitudes of the
+    angle list ``t``; an exactly vanishing product keeps sign +1.
     """
-    amps = ansatz.chain_amplitudes(np.asarray(t, dtype=float).ravel().tolist())
-    return np.array([1 if a * b >= 0 else -1 for a, b in zip(amps, amps[1:])], dtype=int)
+    amps = ansatz.chain_amplitudes(t)
+    return [1 if a * b >= 0 else -1 for a, b in zip(amps, amps[1:])]

@@ -145,9 +145,9 @@ def test_classical_signs_match_numpy(r):
     angles = [rng.choice(special, size=r - 1) for _ in range(50)]
     angles += [rng.uniform(-np.pi, np.pi, size=r - 1) for _ in range(200)]
     for t in angles:
-        got = tomography.classical_phase_assignment(t)
+        got = tomography.classical_phase_assignment(t.tolist())
         want = numpy_classical_phase_assignment(t)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got == want.tolist() and {type(v) for v in got} <= {int}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -172,10 +172,12 @@ def test_window_parities_match_the_per_window_loop(r):
             for rec in (rec_a, rec_b):  # the same records check the occupations' dot
                 want = rec.counts @ qsim.outcome_bits(n) / (1.0 if shots is None else shots)
                 assert rec.occupations().tobytes() == want.tobytes()
-            est = tomography.estimate_phases(Replay(rec_a, rec_b), programs)
+                pairs, _ = tomography.measure_occupations(Replay(rec), r)  # the pair average on floats
+                assert np.array(pairs).tobytes() == (0.5 * (want[0::2] + want[1::2])).tobytes()
+            values, stderr = tomography.estimate_phases(Replay(rec_a, rec_b), programs)
             vals, errs = former_estimate_phases(rec_a, rec_b, r)
-            assert est.values.tobytes() == vals.tobytes()
-            assert est.stderr.tobytes() == errs.tobytes()
+            assert np.array(values).tobytes() == vals.tobytes()
+            assert np.array(stderr).tobytes() == errs.tobytes()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -202,7 +204,8 @@ def test_projection_matches_numpy(r):
         affine = mitigation.AffineMap(matrix, rng.normal(0.0, 0.1, size=r))
         for point in random_points(rng, r):
             # unsorted input exercises the pooling that an affine map triggers
-            assert same_bits(mitigation._project_onto_hull(point.tolist()),
+            pooled = mitigation._pool_adjacent_violators(point.tolist())
+            assert same_bits(mitigation._project_onto_hull(pooled),
                              numpy_project_onto_hull(point))
             for amap in (None, affine):
                 got = mitigation.project_polytope(point, affine=amap)
@@ -259,8 +262,16 @@ PINNED_SHOT_STATE = {
 }
 
 
+def h4_chain_dication(spacing):
+    """The linear H4 2+ chain of the acceptance tests: four pair orbitals, classical phases."""
+    coords = spacing * np.arange(4.0)[:, None] * np.array([0.0, 0.0, 1.0])
+    return chem.Molecule(("H", "H", "H", "H"), coords, charge=2, label="h4-2plus")
+
+
 def pinned_objective(system, bond, **settings):
-    builder = {"h2": chem.h2_molecule, "h3plus": chem.h3plus_molecule}[system]
+    builder = {
+        "h2": chem.h2_molecule, "h3plus": chem.h3plus_molecule, "h4-2plus": h4_chain_dication,
+    }[system]
     ints, rhf, _ = chem.scf_reference(builder(bond))
     h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
     config = hybrid.HybridConfig(seed=1, **settings)
@@ -277,6 +288,10 @@ def test_objective_energies_are_pinned(system, bond):
 
 def ibm5_noise():
     return NoiseModel.from_calibration(qsim.load_calibration("ibm-5"), 4)
+
+
+def ibm14_noise():
+    return NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), 6)
 
 
 # energies of 20 evaluations at angles drawn from default_rng(15), the first
@@ -311,15 +326,143 @@ PINNED_PATHS = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(PINNED_PATHS))
-def test_objective_paths_are_pinned(label):
-    system, bond, settings, energies = PINNED_PATHS[label]
+# energies at the PINNED_PATHS angles along the paths the mitigation
+# settings choose: under noise, the filters one at a time and none at all
+# (with the projection too, as ``--mitigate none``), and the four pair
+# orbitals of the acceptance tests' H4 2+ chain; pinned from the evaluation
+# whose occupations, phases and signs passed between layers as arrays
+PINNED_MITIGATION_PATHS = {
+    "h2-ibm-5-unprojected": ("h2", 1.4, dict(noise=ibm5_noise, symmetries=(), project=False), [
+        -0.5375202044440203, -0.54969324497488, -0.5541880292784956, -0.4816153632519461,
+        -0.38245215119311793, -0.05268197115869677, 0.16062133151842994,
+        -0.36620182247280264, -0.7946246632572004, -0.8087413586174154,
+        -0.18260662363318803, -0.39319440971836317, -0.4474925407082956,
+        -0.7456066787985808, -0.5232903799241831, -0.5834399502035418, -0.5593779576136376,
+        0.18512338304952602, -0.5091862224202722, -0.7538116626421997,
+    ]),
+    "h2-ibm-5-unfiltered": ("h2", 1.4, dict(noise=ibm5_noise, symmetries=()), [
+        -0.5721864778713251, -0.5868716333445699, -0.5875309930930542, -0.5058323876233578,
+        -0.42040612290614565, -0.048904223192460905, 0.18831542157214343,
+        -0.35421912125933075, -0.8515913801005569, -0.870156132303321, -0.12238800534860694,
+        -0.3602504593044308, -0.4722364008168328, -0.8092369265489961, -0.561276961525817,
+        -0.5959985061691103, -0.5749203654598652, 0.20678394376873355, -0.5517107068669694,
+        -0.819951943426588,
+    ]),
+    "h2-ibm-5-sz": ("h2", 1.4, dict(noise=ibm5_noise, symmetries=("Sz",)), [
+        -0.7039275738808827, -0.7184632005422732, -0.7165444516398535, -0.6069596484476872,
+        -0.5011292908394055, -0.004841943345255673, 0.2891842851522832,
+        -0.29743955505225783, -0.9377931414407216, -0.9622555667656675,
+        0.008165370911626613, -0.3113623318600368, -0.5654176693947776, -0.8890908924415132,
+        -0.6721073483048082, -0.6210598422270418, -0.5856939158907665, 0.3114218995441661,
+        -0.6730758019910389, -0.9020068151421131,
+    ]),
+    "h3plus-ibm-14-unprojected": ("h3plus", 1.65, dict(noise=ibm14_noise, symmetries=(), project=False), [
+        -1.1026924822560848, -1.1128874825279198, -1.1120884779151041, -0.2538500470010441,
+        -1.3027259769988355, -0.34373040372393393, -1.3159425793454658, -1.4592453278147197,
+        -0.6359112205100634, -1.43833257924155, -0.3656380401421051, -1.3441957087123864,
+        -0.31913116832078203, -0.7615546767924382, -0.26188605442900337,
+        -0.3149349101760601, -1.377548196279098, -0.3536407386530118, -0.01742483321102739,
+        -1.4195428987109835,
+    ]),
+    "h3plus-ibm-14-unfiltered": ("h3plus", 1.65, dict(noise=ibm14_noise, symmetries=()), [
+        -0.5990795235170732, -0.581412933063614, -0.5971713412093187, 0.02792608908137173,
+        -0.6839202714451156, -0.006109518235320577, -0.7427217367899519,
+        -0.7974353907290952, -0.12480670794087256, -0.8140782824569961, -0.1367799147109141,
+        -0.6824308569597111, 0.049675685599214425, -0.40580435630160205,
+        0.11467442314265885, 0.03396243127724485, -0.699927201841078, 0.04363134502260668,
+        0.32994176779711704, -0.7094200379403903,
+    ]),
+    "h3plus-ibm-14-sz": ("h3plus", 1.65, dict(noise=ibm14_noise, symmetries=("Sz",)), [
+        -0.7251164054955639, -0.7000747992777951, -0.7084387175415212, 0.07159085829812128,
+        -0.7620805489833808, 0.020219764403054175, -0.816048707393074, -0.8725808248050593,
+        -0.21163255543448112, -0.8890099924012864, -0.1198733433247614, -0.7651142605002634,
+        0.05971291671060386, -0.41133846017016906, 0.14469766431534237, 0.07065754208650454,
+        -0.7737236549976159, 0.011060094477558957, 0.3454056807072896, -0.8135451393303612,
+    ]),
+    "h4-2plus": ("h4-2plus", 1.6, {}, [
+        -0.8389324890746579, -0.8389324890746579, -0.8389324890746579, -0.7963686457399484,
+        -0.8402190404371841, -0.33773631352617395, -0.8547498238590925, -0.7576291473950296,
+        1.1394450612360356, -0.23519586101360845, 0.618054636122678, 1.1256433211748966,
+        0.636621121247356, -0.4670886283604605, -0.21032254947059492, -0.20525604742892867,
+        -0.5684201800753756, -0.43561167678518187, -0.25544948374941967,
+        -0.3325121005740921,
+    ]),
+}
+
+
+def pinned_path(label):
+    """A fresh objective on the pinned path ``label``, its 20 angles and its pinned energies."""
+    system, bond, settings, energies = {**PINNED_PATHS, **PINNED_MITIGATION_PATHS}[label]
     settings = {key: value() if callable(value) else value for key, value in settings.items()}
     objective, n_basis = pinned_objective(system, bond, **settings)
     angles = np.random.default_rng(15).uniform(-np.pi, np.pi, size=(20, n_basis - 1))
     angles[:3] = 0.0
     angles[1, :1] = -0.0
+    return objective, angles, energies
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_PATHS) + sorted(PINNED_MITIGATION_PATHS))
+def test_objective_paths_are_pinned(label):
+    objective, angles, energies = pinned_path(label)
     assert [objective(t) for t in angles] == energies
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_PATHS) + sorted(PINNED_MITIGATION_PATHS))
+def test_call_is_one_measured_batch(label):
+    # an evaluation takes its one batch without measure_state's averaging,
+    # which over one batch changes no bit: same energies, same preparations
+    called, angles, _ = pinned_path(label)
+    measured, _, _ = pinned_path(label)
+    for t in angles:
+        energy = called(t)
+        state, _ = measured.measure_state(t)
+        assert energy.hex() == hybrid.assemble_2dm_energy(state, measured.pair).hex()
+        assert called.last_eval_preparations == measured.last_eval_preparations
+
+
+# (occupations, signs, retained fraction) of four repeats=4 state estimates
+# in a row, the reported state of each quantum step, at angles drawn from
+# default_rng(16), seed 1, RHF orbitals: sampled H2 (measured phases),
+# sampled H3+ (classical phases), ibm-5 noisy H2 and exact H2; pinned from
+# the per-batch accumulation in arrays
+PINNED_STATES = {
+    "h2": ("h2", 1.4, {}, [
+        ([0.8316650390625, 0.1683349609375], [1], 1.0),
+        ([0.8206787109375, 0.1793212890625], [-1], 1.0),
+        ([0.6859130859375, 0.3140869140625], [1], 1.0),
+        ([0.3336181640625, 0.6663818359375], [-1], 1.0),
+    ]),
+    "h3plus": ("h3plus", 1.65, {}, [
+        ([0.830322265625, 0.1412353515625, 0.0284423828125], [1, -1], 1.0),
+        ([0.69482421875, 0.1029052734375, 0.2022705078125], [1, -1], 1.0),
+        ([0.52490234375, 0.466796875, 0.00830078125], [-1, 1], 1.0),
+        ([0.497802734375, 0.189697265625, 0.3125], [1, -1], 1.0),
+    ]),
+    "h2-ibm-5": ("h2", 1.4, dict(noise=ibm5_noise), [
+        ([0.7708817061032932, 0.22911829389670685], [1], 0.46435546875),
+        ([0.7674514324138973, 0.23254856758610262], [-1], 0.4560546875),
+        ([0.6415599739150173, 0.3584400260849827], [1], 0.461669921875),
+        ([0.3643987495137862, 0.6356012504862139], [-1], 0.4588623046875),
+    ]),
+    "h2-exact": ("h2", 1.4, dict(shots=None), [
+        ([0.833395518538202, 0.16660448146179793], [1], 1.0),
+        ([0.8223006223791279, 0.1776993776208721], [-1], 1.0),
+        ([0.6894603606681049, 0.31053963933189505], [1], 1.0),
+        ([0.33406164589109194, 0.6659383541089081], [-1], 1.0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_STATES))
+def test_averaged_states_are_pinned(label):
+    system, bond, settings, states = PINNED_STATES[label]
+    settings = {key: value() if callable(value) else value for key, value in settings.items()}
+    objective, n_basis = pinned_objective(system, bond, **settings)
+    angles = np.random.default_rng(16).uniform(-np.pi, np.pi, size=(len(states), n_basis - 1))
+    for t, (n, xi, retained) in zip(angles, states):
+        state, got = objective.measure_state(t, repeats=4)
+        assert state.n.tobytes() == np.array(n).tobytes()
+        assert (state.xi.tolist(), got) == (xi, retained)
 
 
 @pytest.mark.parametrize("noisy", [False, True])

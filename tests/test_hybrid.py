@@ -204,6 +204,16 @@ class TestQuantumObjective:
 
         assert scatter(4) < scatter(1)
 
+    @pytest.mark.parametrize("shots", [2048, None])
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_fewer_than_one_batch_is_refused_before_any_preparation(self, h2_reference, repeats, shots):
+        ints, rhf, _ = h2_reference
+        h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
+        obj = QuantumObjective(h, eri, ints.enuc, HybridConfig(shots=shots, seed=1))
+        with pytest.raises(ValueError, match="repeats"):
+            obj.measure_state(np.array([-0.3]), repeats=repeats)
+        assert obj.sampler.counter.count == 0
+
 
 class TestNelderMead:
     def test_minimizes_quadratic(self):
@@ -288,6 +298,54 @@ class TestQuantumStep:
         res = quantum_step(QuantumObjective(h, eri, ints.enuc, HybridConfig(shots=None)))
         amps = ansatz.givens_chain_amplitudes(res.t)
         np.testing.assert_allclose(res.state.n, amps**2, atol=1e-10)
+
+
+def pair_bound(pair) -> float:
+    """E_pair = lambda_min(diag(diag) + exch - exch_diag) + E_nuc: the lowest energy of any unit g.
+
+    The paired energy is g^T M g + E_nuc with n = g**2, so no state of
+    these integrals lies lower, and the optimum angles reach it.
+    """
+    return float(np.linalg.eigvalsh(np.diag(pair.diag) + pair.exch - pair.exch_diag)[0] + pair.enuc)
+
+
+class TestPairBound:
+    """Oracles independent of the evaluation path: the paired energy's exact minimum in fixed orbitals."""
+
+    @pytest.mark.parametrize("phase_mode", ["measured", "classical"])
+    @pytest.mark.parametrize("shots", [2048, None])
+    def test_every_projected_state_lies_above_the_pair_bound(self, h2_reference, h3_reference, shots, phase_mode):
+        # projection gives unit g, so every evaluated energy is a Rayleigh quotient of M
+        rng = np.random.default_rng(17)
+        for ints, rhf, _ in (h2_reference, h3_reference):
+            h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
+            config = HybridConfig(shots=shots, seed=2, phase_mode=phase_mode)
+            obj = QuantumObjective(h, eri, ints.enuc, config)
+            bound = pair_bound(obj.pair)
+            for t in rng.uniform(-np.pi, np.pi, size=(40, ints.n_basis - 1)):
+                assert obj(t) >= bound - 1e-12
+            state, _ = obj.measure_state(t, repeats=4)
+            assert assemble_2dm_energy(state, obj.pair) >= bound - 1e-12
+
+    @pytest.mark.parametrize("system, bond", [("h2", 0.9), ("h2", 2.6), ("h3plus", 1.2), ("h3plus", 2.4)])
+    def test_pair_bound_lies_above_fci_in_any_orbitals(self, system, bond):
+        ints, rhf, fci = chem.scf_reference(cli.SYSTEM_BUILDERS[system](bond))
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(ints.n_basis, ints.n_basis)))
+            h, eri = chem.transform_integrals(ints, rhf.mo_coeff @ q)
+            assert pair_bound(pair_integrals(h, eri, ints.enuc)) >= fci.energy - 1e-12
+
+    def test_exact_quantum_step_reaches_the_pair_bound_at_criterion_1_geometries(self):
+        # an optimizer that stops short at fixed orbitals shows here, free of shot noise
+        curves = [("h2", np.linspace(0.5, 5.0, 12)), ("h3plus", np.linspace(1.0, 3.0, 8))]
+        for system, bonds in curves:
+            for bond in bonds:
+                ints, rhf, _ = chem.scf_reference(cli.SYSTEM_BUILDERS[system](bond))
+                h, eri = chem.transform_integrals(ints, rhf.mo_coeff)
+                obj = QuantumObjective(h, eri, ints.enuc, HybridConfig(shots=None))
+                gap = quantum_step(obj).energy - pair_bound(obj.pair)
+                assert -1e-12 <= gap < 1e-8, (system, bond, gap)
 
 
 class TestOrbitalStep:

@@ -49,6 +49,8 @@ LAYER_CALLS = {
     # measured phases: the Z-basis preparation and the two rotated ones
     ("h2", 1.4): {
         "qsim.sample": 3,
+        "tomography.measure_occupations": 1,
+        "tomography.estimate_phases": 1,
         "mitigation.symmetry_verify": 1,
         "mitigation.project_polytope": 1,
         "hybrid.assemble_2dm_energy": 1,
@@ -57,6 +59,8 @@ LAYER_CALLS = {
     # classical phases: the Z-basis preparation alone
     ("h3plus", 1.65): {
         "qsim.sample": 1,
+        "tomography.measure_occupations": 1,
+        "tomography.estimate_phases": 0,
         "mitigation.symmetry_verify": 1,
         "mitigation.project_polytope": 1,
         "hybrid.assemble_2dm_energy": 1,

@@ -162,6 +162,47 @@ class TestSamplers:
             assert sampler.run(program) == want
         assert sampler.counter.count == 3
 
+    def test_runs_at_the_angles_read_the_weights_formed_once(self, monkeypatch):
+        # the ansatz and its two rotated programs share the ansatz's orders, so
+        # setting the angles forms the one weight vector all three runs read
+        t = [-0.8, 0.5]
+        programs = (ansatz.compiled_ansatz(3), *phase_measurement_programs(3))
+        want = [np.maximum(program.run(t), 0.0) for program in programs]
+        formed = []
+        weights = qsim._weights
+        monkeypatch.setattr(qsim, "_weights", lambda *args: formed.append(args) or weights(*args))
+        sampler = ShotSampler(programs[0], None)
+        sampler.angles = np.array(t)
+        assert sampler.angles == t and len(formed) == 1
+        for program, probs in zip(programs, want):
+            assert sampler.run(program).counts.tobytes() == probs.tobytes()
+        assert len(formed) == 1
+
+    def test_a_program_of_other_orders_forms_its_own_weights(self):
+        t = [-0.8, 0.5]
+        a0, a1 = qsim.Angle(0), qsim.Angle(1)
+        other = qsim.Program(Circuit(6).ry(0, a0).ry(1, a1).cx(1, 2).rx(1, a1))
+        sampler = ansatz_sampler(3, t, None)
+        assert other.tabulated and other._orders != sampler.program._orders
+        assert sampler.run(other).counts.tobytes() == np.maximum(other.run(t), 0.0).tobytes()
+
+    def test_untabulated_runs_form_no_weights(self, monkeypatch):
+        monkeypatch.setattr(qsim, "TABLE_MAX_ENTRIES", 0)
+        program = qsim.Program(ansatz.ansatz_template(3))
+        assert not program.tabulated
+        want = np.maximum(program.run([-0.8, 0.5]), 0.0)
+
+        def refuse(*args):
+            raise AssertionError("an untabulated program formed weights")
+
+        monkeypatch.setattr(qsim, "_weights", refuse)
+        sampler = ShotSampler(program, None)
+        sampler.angles = [-0.8, 0.5]
+        assert sampler.run().counts.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="binds 2 angles, got 1"):
+            sampler.angles = [0.1]
+            sampler.run()
+
     def test_exact_sampler_basis_rotation(self):
         sampler = exact_sampler(bell_circuit())
         dist = sampler.run(qsim.Program(bell_circuit().h(0).h(1)))
@@ -174,20 +215,20 @@ class TestOccupations:
     def test_exact_occupations_match_amplitudes(self):
         t = np.array([-2.0, 0.7])
         amps = ansatz.givens_chain_amplitudes(t)
-        sampler = ansatz_sampler(3, t, None)
-        est = measure_occupations(sampler, 3)
-        np.testing.assert_allclose(est.n_alpha, amps**2, atol=1e-12)
-        np.testing.assert_allclose(est.n_beta, amps**2, atol=1e-12)
-        assert est.retained_fraction == 1.0
+        n, retained = measure_occupations(ansatz_sampler(3, t, None), 3)
+        np.testing.assert_allclose(n, amps**2, atol=1e-12)
+        assert retained == 1.0
+        occ = ansatz_sampler(3, t, None).run().occupations()
+        np.testing.assert_allclose(occ[0::2], amps**2, atol=1e-12)  # alpha qubits
+        np.testing.assert_allclose(occ[1::2], amps**2, atol=1e-12)  # beta qubits
 
     def test_sampled_occupations_unbiased(self):
         t = np.array([-0.9])
         amps = ansatz.givens_chain_amplitudes(t)
         sampler = ansatz_sampler(2, t, shots=20000, seed=2)
-        est = measure_occupations(sampler, 2)
+        n, _ = measure_occupations(sampler, 2)
         sigma = np.sqrt(amps**2 * (1 - amps**2) / 20000)
-        assert np.all(np.abs(est.n_alpha - amps**2) < 5 * sigma)
-        assert np.all(np.abs(est.n_beta - amps**2) < 5 * sigma)
+        assert np.all(np.abs(np.array(n) - amps**2) < 5 * sigma)
 
     def test_symmetry_filter_improves_noisy_estimate(self):
         # occupations far from 1/2, where symmetric readout bias is largest
@@ -195,19 +236,18 @@ class TestOccupations:
         ideal = ansatz.givens_chain_amplitudes(t) ** 2
         noise = chain_noise(4, 0.0, 0.08, 0.0)
 
-        raw = measure_occupations(ansatz_sampler(2, t, shots=8192, seed=5, noise=noise), 2)
-        filt = measure_occupations(
+        raw, _ = measure_occupations(ansatz_sampler(2, t, shots=8192, seed=5, noise=noise), 2)
+        filt, retained = measure_occupations(
             ansatz_sampler(2, t, shots=8192, seed=5, noise=noise), 2, ("N", "Sz")
         )
-        assert filt.retained_fraction < 1.0
-        err_raw = np.max(np.abs(0.5 * (raw.n_alpha + raw.n_beta) - ideal))
-        err_filt = np.max(np.abs(0.5 * (filt.n_alpha + filt.n_beta) - ideal))
+        assert retained < 1.0
+        err_raw = np.max(np.abs(np.array(raw) - ideal))
+        err_filt = np.max(np.abs(np.array(filt) - ideal))
         assert err_filt < err_raw
 
     def test_exact_mode_skips_filtering(self):
         sampler = ansatz_sampler(2, [-0.8], None)
-        est = measure_occupations(sampler, 2, ("N", "Sz"))
-        assert est.retained_fraction == 1.0
+        assert measure_occupations(sampler, 2, ("N", "Sz"))[1] == 1.0
 
 
 class TestPhaseCircuits:
@@ -237,8 +277,8 @@ class TestPhaseEstimation:
                 amps = ansatz.givens_chain_amplitudes(t)
                 expected = amps[:-1] * amps[1:]
                 sampler = ansatz_sampler(r, t, None)
-                est = estimate_phases(sampler, phase_measurement_programs(r))
-                np.testing.assert_allclose(est.values, expected, atol=1e-12)
+                values, _ = estimate_phases(sampler, phase_measurement_programs(r))
+                np.testing.assert_allclose(values, expected, atol=1e-12)
                 assert sampler.counter.count == 2
 
     def test_window_estimates_average_the_mask_parities(self):
@@ -247,54 +287,52 @@ class TestPhaseEstimation:
         t = np.array([-0.8, 0.5])
         programs = phase_measurement_programs(3)
         for shots in (None, 1024):
-            est = estimate_phases(ansatz_sampler(3, t, shots, seed=4), programs)
+            values, stderr = estimate_phases(ansatz_sampler(3, t, shots, seed=4), programs)
             replay = ansatz_sampler(3, t, shots, seed=4)
             rec_a, rec_b = replay.run(programs[0]), replay.run(programs[1])
             for k in range(2):
                 signs = parity_signs(rec_a.counts.size, 0b1111 << (2 * k))  # one row alone
                 par_a, par_b = rec_a.parities(signs), rec_b.parities(signs)
-                assert est.values[k] == 0.25 * (par_a + par_b)
+                assert values[k] == 0.25 * (par_a + par_b)
                 if shots is None:
-                    assert est.stderr[k] == 0.0
+                    assert stderr[k] == 0.0
                 else:
                     err_a, err_b = (np.sqrt((1.0 - p * p) / shots) for p in (par_a, par_b))
-                    assert est.stderr[k] == 0.25 * np.hypot(err_a, err_b)
+                    assert stderr[k] == 0.25 * np.hypot(err_a, err_b)
 
     def test_exact_signs_and_no_ambiguity(self):
         t = np.array([-0.8])  # amplitudes (cos, sin) have opposite signs
         sampler = ansatz_sampler(2, t, None)
-        est = estimate_phases(sampler, phase_measurement_programs(2))
-        xi, ambiguous = phase_signs(est.values, est.stderr)
-        assert xi.tolist() == [-1]
-        assert not ambiguous.any()
+        xi, ambiguous = phase_signs(*estimate_phases(sampler, phase_measurement_programs(2)))
+        assert xi == [-1]
+        assert not any(ambiguous)
 
     def test_sampled_sign_recovery(self):
         t = np.array([-0.8])
         sampler = ansatz_sampler(2, t, shots=4096, seed=11)
-        est = estimate_phases(sampler, phase_measurement_programs(2))
-        xi, ambiguous = phase_signs(est.values, est.stderr)
-        assert xi.tolist() == [-1]
-        assert not ambiguous.any()
-        assert est.stderr[0] > 0
+        values, stderr = estimate_phases(sampler, phase_measurement_programs(2))
+        xi, ambiguous = phase_signs(values, stderr)
+        assert xi == [-1]
+        assert not any(ambiguous)
+        assert stderr[0] > 0
 
     def test_phase_signs_rule(self):
         # zero is +1; ambiguity is strict: |value| < 2 stderr
-        values = np.array([0.3, -0.3, 0.0, -0.05, 0.05])
-        stderr = np.array([0.1, 0.1, 0.0, 0.025, 0.03])
+        values = [0.3, -0.3, 0.0, -0.05, 0.05]
+        stderr = [0.1, 0.1, 0.0, 0.025, 0.03]
         xi, ambiguous = phase_signs(values, stderr)
-        assert xi.tolist() == [1, -1, 1, -1, 1]
-        assert ambiguous.tolist() == [False, False, False, False, True]
+        assert xi == [1, -1, 1, -1, 1]
+        assert ambiguous == [False, False, False, False, True]
 
     def test_vanishing_coherence_flagged_ambiguous(self):
         t = np.array([-np.pi / 2])  # first amplitude crosses zero
         sampler = ansatz_sampler(2, t, shots=2048, seed=3)
-        est = estimate_phases(sampler, phase_measurement_programs(2))
-        assert phase_signs(est.values, est.stderr)[1][0]
+        assert phase_signs(*estimate_phases(sampler, phase_measurement_programs(2)))[1][0]
 
 
 class TestClassicalPhases:
     def test_matches_amplitude_products(self):
         t = np.array([-2.0, 0.7])
         amps = ansatz.givens_chain_amplitudes(t)
-        xi = classical_phase_assignment(t)
-        assert xi.tolist() == list(np.sign(amps[:-1] * amps[1:]).astype(int))
+        xi = classical_phase_assignment(t.tolist())
+        assert xi == np.sign(amps[:-1] * amps[1:]).astype(int).tolist()
