@@ -31,6 +31,11 @@ class GeometryError(ValueError):
     """Raised for malformed geometry text, unsupported elements, or unusable nuclei."""
 
 
+# Primitive-pair centres lose absolute precision with the coordinates: H2's
+# |h_BB - h_AA| is 0 at 1e6 bohr, 2.5e-9 Ha at 1e12, 0.49 Ha at 1e18.
+MAX_COORDINATE_BOHR = 1e6
+
+
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------
@@ -40,8 +45,9 @@ class Molecule:
     """A set of point nuclei with a total charge.
 
     ``coords`` is an (n_atoms, 3) array in bohr.  ``label`` is free-form
-    text carried through to output headers.  Non-finite coordinates or
-    coincident nuclei raise GeometryError.
+    text carried through to output headers.  Non-finite coordinates,
+    coordinates beyond ``MAX_COORDINATE_BOHR`` and coincident nuclei
+    raise GeometryError.
     """
 
     symbols: tuple[str, ...]
@@ -54,6 +60,8 @@ class Molecule:
         name = self.label or "molecule"
         if not np.all(np.isfinite(coords)):
             raise GeometryError(f"non-finite nuclear coordinates in {name}")
+        if np.any(np.abs(coords) > MAX_COORDINATE_BOHR):
+            raise GeometryError(f"nuclear coordinates beyond {MAX_COORDINATE_BOHR:g} bohr in {name}")
         for a in range(self.n_atoms):
             for b in range(a + 1, self.n_atoms):
                 if np.array_equal(coords[a], coords[b]):
@@ -135,30 +143,26 @@ def h3plus_molecule(side: float) -> Molecule:
 # Boys function
 # ---------------------------------------------------------------------------
 
-def boys_function(m: int, x: float) -> float:
-    """Boys function F_m(x) = int_0^1 t^(2m) exp(-x t^2) dt.
+def boys_function(x: float) -> float:
+    """Zeroth-order Boys function F_0(x) = int_0^1 exp(-x t^2) dt.
 
-    Series evaluation below the crossover keeps every term positive, so
-    there is no cancellation; above it F_0 is erf-exact and higher orders
-    follow by upward recursion, which is stable for large x.
+    F_0 is the only order an integral over s Gaussians needs.  Series
+    evaluation below the crossover keeps every term positive, so there
+    is no cancellation; above it F_0 = (1/2) sqrt(pi/x) erf(sqrt(x)).
     """
-    if m < 0 or x < 0.0:
-        raise ValueError("boys_function requires m >= 0 and x >= 0")
+    if x < 0.0:
+        raise ValueError("boys_function requires x >= 0")
     if x < 40.0:
-        # F_m(x) = e^-x * sum_k (2x)^k / prod (2m+1)(2m+3)...(2m+2k+1)
-        term = 1.0 / (2 * m + 1)
+        # F_0(x) = e^-x * sum_k (2x)^k / (1 * 3 * 5 * ... * (2k+1))
+        term = 1.0
         acc = term
         k = 0
         while term > 1e-17 * acc:
-            term *= 2.0 * x / (2 * m + 2 * k + 3)
+            term *= 2.0 * x / (2 * k + 3)
             acc += term
             k += 1
         return math.exp(-x) * acc
-    f = 0.5 * math.sqrt(math.pi / x) * math.erf(math.sqrt(x))
-    ex = math.exp(-x)
-    for j in range(m):
-        f = ((2 * j + 1) * f - ex) / (2.0 * x)
-    return f
+    return 0.5 * math.sqrt(math.pi / x) * math.erf(math.sqrt(x))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +272,7 @@ def compute_integrals(molecule: Molecule) -> IntegralSet:
         v = 0.0
         for z, nuc in zip(charges, molecule.coords):
             d2 = np.sum((centers - nuc[None, None, :]) ** 2, axis=2)
-            f0 = np.vectorize(lambda x: boys_function(0, x))(p * d2)
+            f0 = np.vectorize(boys_function)(p * d2)
             v -= z * float(np.sum(pref * (2.0 * math.pi / p) * f0))
         V[a, b] = V[b, a] = v
 
@@ -295,30 +299,16 @@ def compute_integrals(molecule: Molecule) -> IntegralSet:
 
 
 def _eri_contracted(pairs, a, b, c, d) -> float:
-    key_ab = (min(a, b), max(a, b))
-    key_cd = (min(c, d), max(c, d))
-    p, _, _, pref_ab, ctr_ab = pairs[key_ab]
-    q, _, _, pref_cd, ctr_cd = pairs[key_cd]
+    p, _, _, pref_ab, ctr_ab = pairs[(min(a, b), max(a, b))]
+    q, _, _, pref_cd, ctr_cd = pairs[(min(c, d), max(c, d))]
     total = 0.0
-    np_ab = p.size
-    np_cd = q.size
-    pf = p.ravel()
-    qf = q.ravel()
-    ca = ctr_ab.reshape(np_ab, 3)
-    cc = ctr_cd.reshape(np_cd, 3)
-    wa = pref_ab.ravel()
-    wc = pref_cd.ravel()
-    for i in range(np_ab):
-        for j in range(np_cd):
-            rho = pf[i] * qf[j] / (pf[i] + qf[j])
-            d2 = float(np.sum((ca[i] - cc[j]) ** 2))
+    for p_i, wa, ca in zip(p.ravel(), pref_ab.ravel(), ctr_ab.reshape(p.size, 3)):
+        for q_j, wc, cc in zip(q.ravel(), pref_cd.ravel(), ctr_cd.reshape(q.size, 3)):
+            rho = p_i * q_j / (p_i + q_j)
+            d2 = float(np.sum((ca - cc) ** 2))
             total += (
-                wa[i]
-                * wc[j]
-                * 2.0
-                * math.pi ** 2.5
-                / (pf[i] * qf[j] * math.sqrt(pf[i] + qf[j]))
-                * boys_function(0, rho * d2)
+                wa * wc * 2.0 * math.pi ** 2.5 / (p_i * q_j * math.sqrt(p_i + q_j))
+                * boys_function(rho * d2)
             )
     return total
 
@@ -336,15 +326,18 @@ class RHFResult:
     iterations: int
 
 
-def run_rhf(
-    integrals: IntegralSet, tol: float = 1e-8, max_iter: int = 200
-) -> RHFResult:
+RHF_TOL = 1e-8  # converged once the density moves less than this in one iteration
+RHF_MAX_ITER = 200
+
+
+def run_rhf(integrals: IntegralSet) -> RHFResult:
     """Closed-shell SCF for two electrons (one doubly occupied orbital).
 
     Fixed-point iteration from the core-Hamiltonian guess in the
-    symmetrically orthogonalised basis.  When the density residual grows
-    between iterations, the density update is damped by 0.5 until the
-    residual shrinks again.  Non-convergence is flagged, not raised; a
+    symmetrically orthogonalised basis, stopped by ``RHF_TOL`` and
+    ``RHF_MAX_ITER``.  When the density residual grows between
+    iterations, the density update is damped by 0.5 until the residual
+    shrinks again.  Non-convergence is flagged, not raised; a
     numerically singular overlap (nearly coincident nuclei) raises
     GeometryError from ``overlap_eigh``.
     """
@@ -363,7 +356,7 @@ def run_rhf(
     prev_res = math.inf
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, RHF_MAX_ITER + 1):
         J = np.einsum("pqrs,rs->pq", eri, D)
         K = np.einsum("prqs,rs->pq", eri, D)
         F = h + 2.0 * J - K
@@ -371,7 +364,7 @@ def run_rhf(
         C = solve(F)
         D_new = np.outer(C[:, 0], C[:, 0])
         res = float(np.linalg.norm(D_new - D))
-        if res < tol:
+        if res < RHF_TOL:
             D = D_new
             converged = True
             break

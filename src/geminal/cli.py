@@ -181,10 +181,10 @@ def cmd_curve(args) -> int:
     values = parse_scan_range(args.scan or DEFAULT_SCANS[args.system])
     molecules = [build_molecule(builder, value) for value in values]  # a bad geometry exits here
 
-    probe = chem.compute_integrals(molecules[0])
+    r = len(chem.build_basis(molecules[0]))
     config = hybrid.HybridConfig(
         shots=requested_shots(args),
-        noise=load_noise(args.noise, 2 * probe.n_basis, args.damping),
+        noise=load_noise(args.noise, 2 * r, args.damping),
         seed=args.seed,
         symmetries=symmetries,
         project=project,
@@ -527,8 +527,13 @@ def cmd_integrals(args) -> int:
             lines.append(f"{p} {q} {u} {v}  {ints.eri[p, q, u, v]:16.12f}")
     lines.append(f"E_RHF = {rhf.energy:.12f}")
     lines.append(f"E_FCI = {fci.energy:.12f}")
+    if not rhf.converged:  # curve's exit rule: write the table, flag it, exit 1
+        lines.append("# flags: scf-not-converged")
     write_lines(out / "integrals.txt", lines)
     print("\n".join(lines))
+    if not rhf.converged:
+        print(f"flagged: scf-not-converged after {rhf.iterations} SCF iterations", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -377,8 +377,7 @@ def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> ShotHisto
 
 @dataclass(frozen=True)
 class QubitCalibration:
-    u2_error: float
-    u3_error: float
+    u2_error: float  # the rate of every one-qubit gate
     readout_error: float
     t1_us: float
     t2_us: float
@@ -411,7 +410,8 @@ def parse_calibration(text: str) -> DeviceCalibration:
     ``cx <control> <target> <error>``; ``#`` comments allowed.  A line
     with more or fewer fields is malformed, and a qubit or a coupling
     (in either direction) may be defined once.  Every error rate must
-    lie in [0, 1] and every T1/T2 be positive and finite.
+    lie in [0, 1] and every T1/T2 be positive and finite.  The u3 rate
+    is checked but not kept: every one-qubit gate takes the u2 rate.
     """
     fields = {"device": 2, "qubit": 7, "cx": 4}
     name = "unnamed"
@@ -434,7 +434,7 @@ def parse_calibration(text: str) -> DeviceCalibration:
                 vals = [float(v) for v in parts[2:]]
                 if q in qubits:
                     again = f"qubit {q}"
-                qubits[q] = QubitCalibration(*vals)
+                qubits[q] = QubitCalibration(vals[0], *vals[2:])
                 rates, times = vals[:3], vals[3:]
             else:
                 a, b = int(parts[1]), int(parts[2])

@@ -2,7 +2,7 @@
 
 Frozen reference values come from three sources, recomputed offline:
 
-* Boys function: 25-digit mpmath quadrature of the defining integral.
+* Boys function F_0: 25-digit mpmath quadrature of the defining integral.
 * H2 overlap/hcore entries: 2D cylindrical mpmath quadrature of the
   contracted STO-3G functions (no Gaussian product theorem involved).
 * ERI pins: standard published STO-3G values for H2 at R = 1.4 bohr.
@@ -19,27 +19,17 @@ import pytest
 
 from geminal import chem
 
-# mpmath quadrature of int_0^1 t^(2m) exp(-x t^2) dt, 25 digits
+# mpmath quadrature of F_0(x) = int_0^1 exp(-x t^2) dt, 25 digits
 BOYS_ORACLE = [
-    (0, 0.0, 1.0),
-    (0, 1e-08, 0.99999999666666668),
-    (0, 0.1, 0.96764331263559183),
-    (0, 1.0, 0.74682413281242703),
-    (1, 1.0, 0.18947234582049235),
-    (2, 1.0, 0.10026879814501737),
-    (3, 1.0, 0.066732274776822257),
-    (4, 1.0, 0.049623241133156738),
-    (0, 10.0, 0.28024739050664274),
-    (2, 10.0, 0.0020992449328384777),
-    (4, 10.0, 0.00018061943636439907),
-    (0, 39.9, 0.14030026548861784),
-    (0, 40.1, 0.13994995216918017),
-    (3, 39.9, 4.1413418186762265e-6),
-    (3, 40.1, 4.0694986484077662e-6),
-    (0, 100.0, 0.088622692545275801),
-    (4, 100.0, 5.8158641982837245e-9),
-    (0, 500.0, 0.03963327297606011),
-    (4, 500.0, 4.1614936624863116e-12),
+    (0.0, 1.0),
+    (1e-08, 0.99999999666666668),
+    (0.1, 0.96764331263559183),
+    (1.0, 0.74682413281242703),
+    (10.0, 0.28024739050664274),
+    (39.9, 0.14030026548861784),
+    (40.1, 0.13994995216918017),
+    (100.0, 0.088622692545275801),
+    (500.0, 0.03963327297606011),
 ]
 
 # cylindrical mpmath quadrature, H2 at R = 1.4
@@ -66,28 +56,24 @@ def h2_ints():
 
 
 def test_boys_against_quadrature():
-    for m, x, ref in BOYS_ORACLE:
-        val = chem.boys_function(m, x)
-        assert val == pytest.approx(ref, rel=1e-13, abs=1e-16), (m, x)
+    for x, ref in BOYS_ORACLE:
+        assert chem.boys_function(x) == pytest.approx(ref, rel=1e-13, abs=1e-16), x
 
 
 def test_boys_at_zero_is_closed_form():
-    for m in range(7):
-        assert chem.boys_function(m, 0.0) == pytest.approx(1.0 / (2 * m + 1), rel=1e-15)
+    assert chem.boys_function(0.0) == 1.0
 
 
 def test_boys_crossover_is_smooth():
-    # same order evaluated under both branches must agree through the seam
-    lo = chem.boys_function(2, 39.999999)
-    hi = chem.boys_function(2, 40.000001)
-    assert abs(lo - hi) < 1e-9
+    # the series below the seam at x = 40 must agree with the erf form above it
+    for x in (1e-3, 0.5, 7.0, 25.0, 39.999999, 40.000001):
+        closed = 0.5 * math.sqrt(math.pi / x) * math.erf(math.sqrt(x))
+        assert chem.boys_function(x) == pytest.approx(closed, rel=1e-14, abs=0), x
 
 
 def test_boys_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        chem.boys_function(-1, 1.0)
-    with pytest.raises(ValueError):
-        chem.boys_function(0, -0.5)
+        chem.boys_function(-0.5)
 
 
 def test_geometry_parser_roundtrip():
@@ -114,6 +100,20 @@ def test_geometry_parser_errors():
         chem.parse_geometry("H 0 0")
     with pytest.raises(chem.GeometryError):
         chem.parse_geometry("# nothing here")
+
+
+def test_far_apart_nuclei_are_refused_where_precision_ends():
+    # within the bound the two H2 sites stay exactly symmetric
+    ints = chem.compute_integrals(chem.h2_molecule(chem.MAX_COORDINATE_BOHR))
+    assert ints.hcore[0, 0] == ints.hcore[1, 1]
+    assert ints.eri[0, 0, 0, 0] == ints.eri[1, 1, 1, 1]
+    # 1e15: integrals silently wrong (|h_BB - h_AA| ~ 1e-3 Ha); 1e155: kinetic term NaN
+    for far in (1e15, 1e155):
+        for build in (chem.h2_molecule, chem.h3plus_molecule):
+            with pytest.raises(chem.GeometryError, match="nuclear coordinates beyond 1e\\+06 bohr"):
+                build(far)
+    with pytest.raises(chem.GeometryError, match="beyond"):
+        chem.parse_geometry("H -2e6 0 0\nH 0 0 0\n")
 
 
 def test_overlap_check_is_the_one_run_rhf_makes():
@@ -197,7 +197,10 @@ def test_rhf_nonconvergence_is_flagged():
     # asymmetric system, so the core guess is not already stationary
     mol = chem.Molecule(("HE", "H"), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.4632]]), 1)
     ints = chem.compute_integrals(mol)
-    res = chem.run_rhf(ints, tol=1e-14, max_iter=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chem, "RHF_TOL", 1e-14)
+        patch.setattr(chem, "RHF_MAX_ITER", 1)
+        res = chem.run_rhf(ints)
     assert not res.converged
     assert res.iterations == 1
 

@@ -321,6 +321,12 @@ def test_unusable_out_is_clean_exit_before_work(tmp_path, monkeypatch, argv, und
             ["curve", "--system", "h3plus", "--scan", "1:0:3", "--jobs", "2"],
             "atoms 0 and 1 coincide in H3+ a=0",
         ),
+        # far apart: silently wrong integrals from ~1e12 bohr, a NaN kinetic term past ~1e154
+        (["integrals", "--at", "1e15"], "nuclear coordinates beyond 1e+06 bohr in H2 R=1e+15"),
+        (["integrals", "--at", "1e155"], "nuclear coordinates beyond 1e+06 bohr in H2 R=1e+155"),
+        (["vtable", "--at", "1e15"], "nuclear coordinates beyond 1e+06 bohr"),
+        (["curve", "--exact", "--scan", "1e300:1e300:1"], "nuclear coordinates beyond 1e+06 bohr"),
+        (["curve", "--system", "h3plus", "--scan", "1.4:1e15:2"], "nuclear coordinates beyond"),
     ],
 )
 def test_unusable_geometry_is_clean_exit_before_work(tmp_path, monkeypatch, argv, message):
@@ -355,6 +361,7 @@ def test_nearly_coincident_nuclei_are_clean_exit_before_any_file(tmp_path, monke
         ("H 0 0 0\nH 0 0 0\n", "atoms 0 and 1 coincide"),
         ("H 0 0 0\nH 0 0 1.4\nH 0 0 1.4\n", "atoms 1 and 2 coincide"),
         ("H 0 0 0\nH 0 nan 1.4\n", "non-finite nuclear coordinates"),
+        ("H 0 0 0\nH 0 0 1e155\n", "nuclear coordinates beyond 1e+06 bohr"),
         ("H 0 0 0\nXx 0 0 1.4\n", "line 2: unsupported element 'Xx'"),
         ("H 0 0 0\nH 0 0 1.4x\n", "line 2: coordinates must be numbers"),
         ("charge one\nH 0 0 0\nH 0 0 1.4\n", "line 1: charge takes one integer"),
@@ -420,6 +427,18 @@ def test_curve_exact_two_points(tmp_path):
     for p in points:
         assert p["error_mhartree"] < 1e-3  # exact mode nails FCI
         assert p["converged"]
+
+
+@pytest.mark.parametrize("system, atoms", [("h2", 2), ("h3plus", 3)])
+def test_serial_curve_computes_one_integral_set_per_point(tmp_path, monkeypatch, system, atoms):
+    # the orbital count comes from the basis, with no integral probe before the points
+    calls, qubits = [], []
+    compute_integrals, load_noise = chem.compute_integrals, cli.load_noise
+    monkeypatch.setattr(chem, "compute_integrals", lambda m: calls.append(m) or compute_integrals(m))
+    monkeypatch.setattr(cli, "load_noise", lambda n, q, d: qubits.append(q) or load_noise(n, q, d))
+    scan = {"h2": "1.0:1.4:2", "h3plus": "1.6:1.7:2"}[system]
+    run_cli(["curve", "--system", system, "--exact", "--scan", scan, "--out", str(tmp_path)])
+    assert len(calls) == 2 and qubits == [2 * atoms]
 
 
 def test_curve_byte_identical_reruns(tmp_path):
@@ -808,6 +827,18 @@ def test_integrals_h2_values(tmp_path):
     assert "enuc = 0.714285714286" in text
     assert "E_RHF = -1.116714325063" in text
     assert "E_FCI = -1.137275943617" in text
+
+
+def test_integrals_flags_an_unconverged_scf(tmp_path, capsys):
+    # at 30 bohr the SCF stops at its iteration cap; E_RHF is then no SCF energy
+    assert run_cli(["integrals", "--system", "h2", "--at", "30", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    lines = (tmp_path / "integrals.txt").read_text().splitlines()
+    assert lines[-1] == "# flags: scf-not-converged"
+    assert captured.out.splitlines() == lines
+    assert captured.err == f"flagged: scf-not-converged after {chem.RHF_MAX_ITER} SCF iterations\n"
+    assert run_cli(["integrals", "--system", "h2", "--at", "20", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "integrals.txt").read_text().splitlines()[-1] == "E_FCI = -0.933163699115"
 
 
 def test_integrals_reproducible(tmp_path):

@@ -331,6 +331,7 @@ def test_parse_calibration_errors():
     [
         ("qubit 1 nan 1e-3 0.1 50 60", "an error rate outside [0, 1]"),
         ("qubit 1 1.7 1e-3 0.1 50 60", "an error rate outside [0, 1]"),
+        ("qubit 1 1e-3 1.7 0.1 50 60", "an error rate outside [0, 1]"),  # u3: checked, unread
         ("qubit 1 1e-3 1e-3 -0.1 50 60", "an error rate outside [0, 1]"),
         ("cx 0 1 inf", "an error rate outside [0, 1]"),
         ("cx 0 1 -0.02", "an error rate outside [0, 1]"),
@@ -390,6 +391,16 @@ def test_noise_model_from_calibration():
         NoiseModel.from_calibration(cal, n_qubits=6)  # no qubit 5 on this device
     nm14 = NoiseModel.from_calibration(qsim.load_calibration("ibm-14"), n_qubits=6)
     assert nm14.p_gate(Gate("cx", (3, 4))) == pytest.approx(5.6e-2)
+
+
+def test_every_one_qubit_gate_takes_the_u2_rate():
+    # the ansatz's rx runs as a u3 on hardware, but the model reads the u2 column only
+    models = [
+        NoiseModel.from_calibration(qsim.parse_calibration(f"qubit 0 0.01 {u3} 0.1 50 60\n"), 1)
+        for u3 in (0.0, 0.5)
+    ]
+    for gate in Circuit(1).x(0).h(0).rx(0, 0.3).rz(0, 0.3):
+        assert [model.p_gate(gate) for model in models] == [0.01, 0.01], gate.name
 
 
 # ---------------------------------------------------------------------------
